@@ -18,7 +18,6 @@ from .baselines import ComklState, DiffusionState, comkl_step, rff_dokl_step
 from .data import (
     ARSpec,
     Dataset,
-    StreamSample,
     SyntheticRegressionSpec,
     ar_embed,
     load_csv,
@@ -44,7 +43,7 @@ from .features import (
 )
 from .graph import Graph, from_edge_list, sample_connected_er, to_edge_list
 from .hedge import HedgeState, MessageBoard, combine_weights, mp_combine_weights
-from .learners import LearnerNode, RoundExchange, predict_combined, step
+from .learners import LearnerNode, RoundExchange, step
 from .metrics import (
     MetricCurve,
     RunTrace,
@@ -91,7 +90,6 @@ __all__ = [
     "ProtocolError",
     "RoundExchange",
     "RunTrace",
-    "StreamSample",
     "SyntheticRegressionSpec",
     "SyntheticTaskConfig",
     "ar_embed",
@@ -110,7 +108,6 @@ __all__ = [
     "normalize_minmax",
     "partition_regression",
     "partition_timeseries_interleaved",
-    "predict_combined",
     "regret_accuracy",
     "regret_discrepancy",
     "rff_dokl_step",

@@ -41,18 +41,6 @@ class AdmmConfig:
             raise ValueError("eta_local must be positive")
 
 
-@dataclass
-class KernelLearnerState:
-    """Parameter and dual vectors of one (learner, kernel) pair."""
-
-    theta: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def zeros(cls, dim):
-        return cls(theta=np.zeros(dim), lam=np.zeros(dim))
-
-
 @dataclass(frozen=True)
 class LossModel:
     """A scalar loss and its derivative in the prediction argument."""
@@ -69,11 +57,6 @@ def squared_loss():
         evaluate=lambda pred, label: (pred - label) ** 2,
         gradient_scalar=lambda pred, label: 2.0 * (pred - label),
     )
-
-
-def predict(theta, z):
-    """Linear prediction theta . z, broadcast over leading axes."""
-    return (np.asarray(theta) * np.asarray(z)).sum(axis=-1)
 
 
 def gamma_hat(own_theta, neighbor_thetas):
@@ -211,7 +194,7 @@ def run_single_kernel(graph, feature_map, features, labels, cfg):
         # Map one node at a time so the arithmetic matches a node that
         # only ever sees its own sample.
         z = np.stack([feature_map.map(features[t, k]) for k in range(num_nodes)])
-        predictions[t] = predict(thetas, z)
+        predictions[t] = (thetas * z).sum(axis=-1)
         new_thetas = np.empty_like(thetas)
         for k in range(num_nodes):
             nbrs = graph.neighbors[k]

@@ -57,7 +57,10 @@ def comkl_step(state, batch, feature_maps):
 
     ``batch`` is an (inputs, labels) pair covering every learner's
     sample for the round.  Returns the combined predictions for the
-    batch (made before any update) and the new state.
+    batch and the (batch, kernels) squared errors of every kernel's
+    prediction, both made before any update, and the new state.
+    Raises ``FloatingPointError`` when the predictions or the new
+    parameters are not finite.
     """
     inputs, labels = batch
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -79,11 +82,14 @@ def comkl_step(state, batch, feature_maps):
     predictions = (round_weights[:, None] * dots).sum(axis=0)
 
     errors = dots - labels[None, :]
-    batch_losses = (errors ** 2).sum(axis=1)
+    squared_errors = errors ** 2
+    batch_losses = squared_errors.sum(axis=1)
     if state.loss_mode == "mean":
         batch_losses = batch_losses / batch_size
     gradients = 2.0 * (errors[:, :, None] * z).sum(axis=1)  # (P, D)
     new_thetas = state.thetas - (state.eta_local / batch_size) * gradients
+    if not (np.isfinite(predictions).all() and np.isfinite(new_thetas).all()):
+        raise FloatingPointError("comkl step produced non-finite values")
 
     new_state = replace(
         state,
@@ -91,7 +97,7 @@ def comkl_step(state, batch, feature_maps):
         cumulative_loss=state.cumulative_loss + batch_losses,
         weights=round_weights,
     )
-    return predictions, new_state
+    return predictions, squared_errors.T, new_state
 
 
 @dataclass(frozen=True)
@@ -100,39 +106,42 @@ class DiffusionState:
 
     theta: np.ndarray
     step_size: float = 0.5
-    combine_rule: str = "uniform"
 
     def __post_init__(self):
         if not self.step_size > 0.0:
             raise ValueError("step_size must be positive")
-        if self.combine_rule != "uniform":
-            raise ValueError("unknown combine rule %r" % (self.combine_rule,))
 
     @classmethod
     def fresh(cls, dim, step_size=0.5):
         return cls(theta=np.zeros(dim), step_size=step_size)
 
 
-def rff_dokl_step(states, graph, samples, feature_map):
+def rff_dokl_step(states, graph, samples):
     """One adapt-then-combine round over the whole network.
 
-    Every node takes a gradient step on its own sample, then replaces
-    its parameters with the unweighted average of the stepped parameters
-    over its closed neighborhood.  Returns the new per-node states.
+    ``samples`` is a (features, labels) pair holding every node's
+    mapped round feature vector, shape (K, D), and label.  Every node
+    takes a gradient step on its own sample, then replaces its
+    parameters with the unweighted average of the stepped parameters
+    over its closed neighborhood.  Returns the new per-node states;
+    raises ``FloatingPointError`` when a prediction error or a new
+    parameter vector is not finite.
     """
-    inputs, labels = samples
-    inputs = np.asarray(inputs, dtype=np.float64)
+    z, labels = samples
+    z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if len(states) != graph.num_nodes or len(labels) != graph.num_nodes:
+    if not len(states) == len(z) == len(labels) == graph.num_nodes:
         raise ValueError("need one state and one sample per node")
-    z = feature_map.map(inputs)  # (K, D)
-    stepped = []
-    for k, state in enumerate(states):
-        err = float(state.theta @ z[k]) - labels[k]
-        stepped.append(state.theta - state.step_size * 2.0 * err * z[k])
+    predictions = [float(s.theta @ z[k]) for k, s in enumerate(states)]
+    errors = np.array(predictions) - labels
+    stepped = [s.theta - s.step_size * 2.0 * errors[k] * z[k]
+               for k, s in enumerate(states)]
     combined = []
     for k, state in enumerate(states):
         members = (k,) + graph.neighbors[k]
         average = sum(stepped[m] for m in sorted(members)) / len(members)
         combined.append(replace(state, theta=average))
+    if not (np.isfinite(errors).all()
+            and np.isfinite([s.theta for s in combined]).all()):
+        raise FloatingPointError("rff_dokl step produced non-finite values")
     return combined

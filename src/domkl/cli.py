@@ -220,7 +220,7 @@ def load_config(path):
         comkl_step_size=comkl.get("step_size", 0.5),
         comkl_loss_mode=comkl.get("loss_mode", "sum"),
         diffusion_step_size=rff.get("step_size", 0.5),
-        workers=experiment.get("workers"),
+        workers=experiment.get("workers", 1),
         compute_accuracy_regret=experiment.get("accuracy_regret", False),
     )
 

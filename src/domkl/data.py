@@ -39,20 +39,6 @@ class Dataset:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class StreamSample:
-    """One sample as seen by one learner at one (1-based) round."""
-
-    learner: int
-    time: int
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        if self.time < 1:
-            raise ValueError("time is 1-based")
-
-
 def load_csv(path, label_column=-1, has_header=False):
     """Read a numeric CSV file into a Dataset.
 

@@ -101,22 +101,6 @@ def connected_components(graph):
     return tuple(components)
 
 
-def is_connected(graph):
-    """True when every node is reachable from node 0 (single-node graphs count)."""
-    seen = [False] * graph.num_nodes
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        node = queue.popleft()
-        for other in graph.neighbors[node]:
-            if not seen[other]:
-                seen[other] = True
-                count += 1
-                queue.append(other)
-    return count == graph.num_nodes
-
-
 def is_forest(graph):
     """True when the graph is acyclic (edge count equals nodes minus components)."""
     return len(graph.edges) == graph.num_nodes - len(connected_components(graph))
@@ -134,7 +118,7 @@ def sample_connected_er(num_nodes, connection_prob, seed, max_attempts=50):
         raise ValueError("max_attempts must be at least 1")
     for attempt in range(max_attempts):
         candidate = generate_er(num_nodes, connection_prob, seed + attempt)
-        if is_connected(candidate):
+        if len(connected_components(candidate)) == 1:
             return candidate
     raise GraphSamplingError(
         "no connected graph in %d attempts (num_nodes=%d, connection_prob=%g)"

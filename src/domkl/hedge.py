@@ -29,11 +29,10 @@ def softmax_from_scores(scores):
 
 @dataclass(frozen=True)
 class HedgeState:
-    """Per-learner cumulative kernel losses and current simplex weights."""
+    """Per-learner cumulative kernel losses and the hedge step size."""
 
     eta_global: float
     cumulative_loss: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         if not self.eta_global > 0.0:
@@ -41,14 +40,10 @@ class HedgeState:
 
     @classmethod
     def fresh(cls, num_kernels, eta_global=10.0):
-        """Zero losses and uniform weights over ``num_kernels`` kernels."""
+        """Zero losses over ``num_kernels`` kernels."""
         if num_kernels < 1:
             raise ValueError("num_kernels must be at least 1")
-        return cls(
-            eta_global=eta_global,
-            cumulative_loss=np.zeros(num_kernels),
-            weights=np.full(num_kernels, 1.0 / num_kernels),
-        )
+        return cls(eta_global=eta_global, cumulative_loss=np.zeros(num_kernels))
 
     def log_w(self):
         """Log of the implied multiplicative weights, -cumulative/eta."""
@@ -58,8 +53,7 @@ class HedgeState:
 def accumulate(state, instantaneous_losses):
     """Add one round of per-kernel losses, returning a new state.
 
-    Losses must be nonnegative and finite; weights are carried over
-    unchanged (reweighting is a separate combination step).
+    Losses must be nonnegative and finite.
     """
     losses = np.asarray(instantaneous_losses, dtype=np.float64)
     if losses.shape != state.cumulative_loss.shape:
@@ -71,7 +65,6 @@ def accumulate(state, instantaneous_losses):
     return HedgeState(
         eta_global=state.eta_global,
         cumulative_loss=state.cumulative_loss + losses,
-        weights=state.weights,
     )
 
 

@@ -11,20 +11,12 @@ while keeping the step a single call fed only by previous-round output.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import (
-    AdmmConfig,
-    KernelLearnerState,
-    gamma_hat,
-    lambda_update,
-    squared_loss,
-    theta_update_quadratic,
-)
+from .admm import gamma_hat, lambda_update, theta_update_quadratic
 from .errors import ProtocolError
 from .hedge import HedgeState, accumulate, combine_weights, mp_combine_weights
 
@@ -84,8 +76,7 @@ class LearnerNode:
     from exactly that set are expected every round.
     """
 
-    def __init__(self, node_id, feature_maps, neighbors, eta_global=10.0,
-                 loss=None):
+    def __init__(self, node_id, feature_maps, neighbors, eta_global=10.0):
         if not feature_maps:
             raise ValueError("need at least one feature map")
         dims = {2 * fm.num_features for fm in feature_maps}
@@ -96,21 +87,12 @@ class LearnerNode:
         self.neighbors = tuple(sorted(neighbors))
         self.dim = dims.pop()
         self.num_kernels = len(self.feature_maps)
-        self.loss = loss if loss is not None else squared_loss()
         self.thetas = np.zeros((self.num_kernels, self.dim))
         self.lams = np.zeros((self.num_kernels, self.dim))
         self.hedge = HedgeState.fresh(self.num_kernels, eta_global)
         # Function used for predictions in the round most recently stepped.
         self.round_thetas = self.thetas.copy()
-        self.round_weights = self.hedge.weights.copy()
-
-    @property
-    def kernel_states(self):
-        """Row views of the stacked parameter blocks, one per kernel."""
-        return [
-            KernelLearnerState(theta=self.thetas[p], lam=self.lams[p])
-            for p in range(self.num_kernels)
-        ]
+        self.round_weights = np.full(self.num_kernels, 1.0 / self.num_kernels)
 
     def initial_exchange(self):
         """The zero broadcast that seeds a network before round one."""
@@ -123,21 +105,6 @@ class LearnerNode:
     def map_input(self, x):
         """Stack all kernels' feature vectors for x into a (P, D) block."""
         return np.stack([fm.map(x) for fm in self.feature_maps])
-
-    def evaluate_round_function(self, z_stack):
-        """Prediction of the function used in the last stepped round."""
-        _, value = _combined_prediction(
-            self.round_thetas, self.round_weights, z_stack
-        )
-        return float(value)
-
-
-def predict_combined(node, x):
-    """Weighted multi-kernel prediction with the node's current state."""
-    _, value = _combined_prediction(
-        node.thetas, node.hedge.weights, node.map_input(x)
-    )
-    return float(value)
 
 
 def step(node, neighbor_exchanges, sample, cfg, variant="product",
@@ -190,15 +157,13 @@ def step(node, neighbor_exchanges, sample, cfg, variant="product",
     node.round_weights = weights
     dots, prediction = _combined_prediction(node.round_thetas, weights, z_stack)
     prediction = float(prediction)
-    per_kernel_losses = node.loss.evaluate(dots, y)
+    per_kernel_losses = (dots - y) ** 2
 
     gamma = gamma_hat(node.thetas, neighbor_thetas)
     node.thetas = theta_update_quadratic(
         node.thetas, node.lams, z_stack, y, gamma, len(exchanges), cfg
     )
-    node.hedge = dataclasses.replace(
-        accumulate(node.hedge, per_kernel_losses), weights=weights
-    )
+    node.hedge = accumulate(node.hedge, per_kernel_losses)
 
     outgoing = RoundExchange(
         sender=node.node_id,

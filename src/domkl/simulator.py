@@ -6,7 +6,8 @@ same T rounds.  Rounds are strictly synchronous: a learner's step-t
 inputs are its own sample and the round t-1 broadcasts of its
 neighbors, so intra-round execution order cannot matter (a scrambling
 knob exists to prove it).  Trials are independent and may run in
-worker processes; results are identical either way.
+worker processes (``ExperimentConfig.workers``, or the INI ``workers``
+key; one process by default); results are identical either way.
 
 Seed discipline: the graph for trial i is sampled with seed
 ``master_seed XOR i``; feature maps, data, noise, and row shuffling each
@@ -16,7 +17,6 @@ any one randomness source can be frozen independently.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 
@@ -39,7 +39,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .features import KernelDictionary, KernelSpec, default_dictionary
-from .graph import from_edge_list, sample_connected_er
+from .graph import connected_components, from_edge_list, sample_connected_er
 from .hedge import MessageBoard, mp_update_messages
 from .learners import LearnerNode, _combined_prediction, step
 from .metrics import (
@@ -52,7 +52,6 @@ from .metrics import (
 
 ALGORITHMS = ("domkl", "dokl", "comkl", "rff_dokl")
 TASKS = ("synthetic", "regression", "timeseries")
-WORKERS_ENV = "DOMKL_WORKERS"
 
 # Labels of the per-trial seed streams.
 _MAPS, _DATA, _NOISE, _SHUFFLE = 1, 2, 3, 4
@@ -122,7 +121,7 @@ class ExperimentConfig:
     comkl_step_size: float = 0.5
     comkl_loss_mode: str = "sum"
     diffusion_step_size: float = 0.5
-    workers: int | None = None
+    workers: int = 1
     compute_accuracy_regret: bool = False
 
     def __post_init__(self):
@@ -166,7 +165,12 @@ def config_dictionary(cfg, shared_seed=0):
 
 @dataclass(frozen=True)
 class TrialContext:
-    """Shared inputs every algorithm of one trial consumes."""
+    """Shared inputs every algorithm of one trial consumes.
+
+    ``inputs`` (T, K, d) and ``labels`` (T, K) hold the first ``horizon``
+    samples of every stream in round-major order; they are read-only
+    because every trace of the trial shares ``labels``.
+    """
 
     trial_index: int
     graph: object
@@ -175,6 +179,8 @@ class TrialContext:
     streams: tuple
     horizon: int
     synthetic_spec: SyntheticRegressionSpec | None
+    inputs: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -220,6 +226,11 @@ def build_trial_context(cfg, trial_index):
     if cfg.topology_path is not None:
         with open(cfg.topology_path) as handle:
             graph = from_edge_list(handle.read(), num_nodes=cfg.num_learners)
+        components = connected_components(graph)
+        if len(components) > 1:
+            named = ", ".join(str(list(c)) for c in components)
+            raise ConfigError("topology %s is disconnected: components %s"
+                              % (cfg.topology_path, named), key="topology")
     else:
         graph = sample_connected_er(
             cfg.num_learners, cfg.connection_prob,
@@ -307,6 +318,10 @@ def build_trial_context(cfg, trial_index):
     if cfg.rounds is not None:
         horizon = min(horizon, cfg.rounds)
     maps = dictionary.build_maps(input_dim, cfg.num_features)
+    inputs = np.stack([s.features[:horizon] for s in streams], axis=1)
+    labels = np.stack([s.labels[:horizon] for s in streams], axis=1)
+    inputs.setflags(write=False)
+    labels.setflags(write=False)
     return TrialContext(
         trial_index=trial_index,
         graph=graph,
@@ -315,11 +330,26 @@ def build_trial_context(cfg, trial_index):
         streams=tuple(streams),
         horizon=horizon,
         synthetic_spec=synthetic_spec,
+        inputs=inputs,
+        labels=labels,
     )
 
 
 def _map_stack(maps, x):
     return np.stack([fm.map(x) for fm in maps])
+
+
+def _empty_trace(ctx, cfg, algorithm, num_kernels):
+    """A zeroed trace over the trial's horizon that a round loop fills in."""
+    horizon, num_nodes = ctx.labels.shape
+    return RunTrace(
+        algorithm=algorithm, trial_seed=cfg.master_seed ^ ctx.trial_index,
+        graph=ctx.graph, predictions=np.zeros((horizon, num_nodes)),
+        labels=ctx.labels,
+        per_kernel_losses=np.zeros((horizon, num_nodes, num_kernels)),
+        cross_predictions=np.zeros((horizon, num_nodes, num_nodes)),
+        weights=np.zeros((horizon, num_nodes, num_kernels)),
+    )
 
 
 def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
@@ -328,25 +358,17 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph = ctx.graph
     num_nodes = graph.num_nodes
-    num_kernels = len(maps)
-    horizon = ctx.horizon
-    trial_seed = cfg.master_seed ^ ctx.trial_index
+    trace = _empty_trace(ctx, cfg, algorithm, len(maps))
 
     nodes = [
         LearnerNode(k, maps, graph.neighbors[k], eta_global=cfg.eta_global)
         for k in range(num_nodes)
     ]
     exchanges = {k: nodes[k].initial_exchange() for k in range(num_nodes)}
-    board = (MessageBoard.initial(graph, num_kernels)
+    board = (MessageBoard.initial(graph, len(maps))
              if variant == "message_passing" else None)
 
-    predictions = np.zeros((horizon, num_nodes))
-    labels = np.zeros((horizon, num_nodes))
-    losses = np.zeros((horizon, num_nodes, num_kernels))
-    weights = np.zeros((horizon, num_nodes, num_kernels))
-    cross = np.zeros((horizon, num_nodes, num_nodes))
-
-    for t in range(horizon):
+    for t in range(ctx.horizon):
         if board is not None:
             log_w = [
                 -exchanges[k].cumulative_losses / cfg.eta_global
@@ -358,104 +380,64 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
                  else list(order_rng.permutation(num_nodes)))
         fresh = {}
         for k in order:
-            sample = (ctx.streams[k].features[t], ctx.streams[k].labels[t])
             inbox = [exchanges[l] for l in graph.neighbors[k]]
             messages = (
                 [board.messages[(l, k)] for l in graph.neighbors[k]]
                 if board is not None else None
             )
             pred, kernel_losses, outgoing = step(
-                nodes[k], inbox, sample, cfg.admm, variant=variant,
-                incoming_messages=messages,
+                nodes[k], inbox, (ctx.inputs[t, k], ctx.labels[t, k]),
+                cfg.admm, variant=variant, incoming_messages=messages,
             )
-            predictions[t, k] = pred
-            labels[t, k] = sample[1]
-            losses[t, k] = kernel_losses
-            weights[t, k] = nodes[k].round_weights
+            trace.predictions[t, k] = pred
+            trace.per_kernel_losses[t, k] = kernel_losses
+            trace.weights[t, k] = nodes[k].round_weights
             fresh[k] = outgoing
         snap_thetas = np.stack([nodes[l].round_thetas for l in range(num_nodes)])
         snap_weights = np.stack([nodes[l].round_weights for l in range(num_nodes)])
         for k in range(num_nodes):
-            z_stack = _map_stack(maps, ctx.streams[k].features[t])
-            _, cross[t, k] = _combined_prediction(
+            z_stack = _map_stack(maps, ctx.inputs[t, k])
+            _, trace.cross_predictions[t, k] = _combined_prediction(
                 snap_thetas, snap_weights, z_stack[None, :, :]
             )
         exchanges = fresh
-
-    return RunTrace(
-        algorithm=algorithm, trial_seed=trial_seed, graph=graph,
-        predictions=predictions, labels=labels, per_kernel_losses=losses,
-        cross_predictions=cross, weights=weights,
-    )
+    return trace
 
 
 def _run_comkl(ctx, cfg):
-    maps = ctx.maps
-    graph = ctx.graph
-    num_nodes = graph.num_nodes
-    num_kernels = len(maps)
-    horizon = ctx.horizon
-    dim = 2 * cfg.num_features
+    trace = _empty_trace(ctx, cfg, "comkl", len(ctx.maps))
     state = ComklState.fresh(
-        num_kernels, dim, eta_local=cfg.comkl_step_size,
+        len(ctx.maps), 2 * cfg.num_features, eta_local=cfg.comkl_step_size,
         eta_global=cfg.eta_global, loss_mode=cfg.comkl_loss_mode,
-        expected_batch=num_nodes,
+        expected_batch=ctx.graph.num_nodes,
     )
-
-    predictions = np.zeros((horizon, num_nodes))
-    labels = np.zeros((horizon, num_nodes))
-    losses = np.zeros((horizon, num_nodes, num_kernels))
-    weights = np.zeros((horizon, num_nodes, num_kernels))
-    cross = np.zeros((horizon, num_nodes, num_nodes))
-
-    for t in range(horizon):
-        batch_x = np.stack([ctx.streams[k].features[t] for k in range(num_nodes)])
-        batch_y = np.array([ctx.streams[k].labels[t] for k in range(num_nodes)])
-        z = np.stack([fm.map(batch_x) for fm in maps])        # (P, K, D)
-        dots = (z * state.thetas[:, None, :]).sum(axis=-1)    # (P, K)
-        losses[t] = ((dots - batch_y[None, :]) ** 2).T
-        preds, state = comkl_step(state, (batch_x, batch_y), maps)
-        predictions[t] = preds
-        labels[t] = batch_y
-        weights[t] = state.weights[None, :]
-        cross[t] = preds[:, None]  # one central function: same value per column
-    return RunTrace(
-        algorithm="comkl", trial_seed=cfg.master_seed ^ ctx.trial_index,
-        graph=graph, predictions=predictions, labels=labels,
-        per_kernel_losses=losses, cross_predictions=cross, weights=weights,
-    )
+    for t in range(ctx.horizon):
+        preds, trace.per_kernel_losses[t], state = comkl_step(
+            state, (ctx.inputs[t], ctx.labels[t]), ctx.maps
+        )
+        trace.predictions[t] = preds
+        trace.weights[t] = state.weights
+        # One central function: the same value in every column.
+        trace.cross_predictions[t] = preds[:, None]
+    return trace
 
 
 def _run_rff_dokl(ctx, cfg):
     fmap = ctx.maps[cfg.kernel_index]
-    graph = ctx.graph
-    num_nodes = graph.num_nodes
-    horizon = ctx.horizon
-    dim = 2 * cfg.num_features
-    states = [DiffusionState.fresh(dim, step_size=cfg.diffusion_step_size)
-              for _ in range(num_nodes)]
-
-    predictions = np.zeros((horizon, num_nodes))
-    labels = np.zeros((horizon, num_nodes))
-    losses = np.zeros((horizon, num_nodes, 1))
-    weights = np.ones((horizon, num_nodes, 1))
-    cross = np.zeros((horizon, num_nodes, num_nodes))
-
-    for t in range(horizon):
-        batch_x = np.stack([ctx.streams[k].features[t] for k in range(num_nodes)])
-        batch_y = np.array([ctx.streams[k].labels[t] for k in range(num_nodes)])
-        z = fmap.map(batch_x)                       # (K, D)
+    trace = _empty_trace(ctx, cfg, "rff_dokl", 1)
+    trace.weights.fill(1.0)
+    states = [DiffusionState.fresh(2 * cfg.num_features,
+                                   step_size=cfg.diffusion_step_size)
+              for _ in range(ctx.graph.num_nodes)]
+    for t in range(ctx.horizon):
+        z = fmap.map(ctx.inputs[t])                 # (K, D)
         thetas = np.stack([s.theta for s in states])
-        cross[t] = z @ thetas.T                     # [k, l] = theta_l . z_k
-        predictions[t] = np.diagonal(cross[t])
-        labels[t] = batch_y
-        losses[t, :, 0] = (predictions[t] - batch_y) ** 2
-        states = rff_dokl_step(states, graph, (batch_x, batch_y), fmap)
-    return RunTrace(
-        algorithm="rff_dokl", trial_seed=cfg.master_seed ^ ctx.trial_index,
-        graph=graph, predictions=predictions, labels=labels,
-        per_kernel_losses=losses, cross_predictions=cross, weights=weights,
-    )
+        trace.cross_predictions[t] = z @ thetas.T   # [k, l] = theta_l . z_k
+        trace.predictions[t] = np.diagonal(trace.cross_predictions[t])
+        trace.per_kernel_losses[t, :, 0] = (trace.predictions[t]
+                                            - ctx.labels[t]) ** 2
+        states = rff_dokl_step(states, ctx.graph, (z, ctx.labels[t]))
+    return trace
 
 
 def run_trial(cfg, trial_index, node_order_seed=None):
@@ -524,13 +506,10 @@ def _trial_worker(payload):
 
 
 def run_experiment(cfg):
-    """Run all trials (optionally in worker processes) and aggregate."""
-    workers = cfg.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    """Run all trials (in ``cfg.workers`` processes) and aggregate."""
     indices = list(range(cfg.trials))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_trial_worker, (cfg, i)) for i in indices]
             results = []
             for i, fut in zip(indices, futures):

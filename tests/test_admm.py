@@ -3,10 +3,8 @@ import pytest
 
 from domkl.admm import (
     AdmmConfig,
-    KernelLearnerState,
     gamma_hat,
     lambda_update,
-    predict,
     run_single_kernel,
     squared_loss,
     theta_update_general,
@@ -48,15 +46,6 @@ def test_squared_loss_values():
     assert loss.evaluate(3.0, 1.0) == 4.0
     assert loss.gradient_scalar(3.0, 1.0) == 4.0
     assert loss.evaluate(np.array([1.0, 2.0]), 2.0) == pytest.approx([1.0, 0.0])
-
-
-def test_predict_is_a_dot_product():
-    rng = np.random.default_rng(2)
-    theta = rng.standard_normal(6)
-    z = rng.standard_normal(6)
-    assert predict(theta, z) == pytest.approx(float(np.dot(theta, z)))
-    stacked = rng.standard_normal((3, 6))
-    assert predict(stacked, z).shape == (3,)
 
 
 def test_gamma_hat_matches_naive_midpoint_sum():
@@ -204,13 +193,6 @@ def test_network_dual_sum_stays_zero():
             for k in range(6)
         ])
         assert np.abs(updated.sum(axis=0)).max() < 1e-12
-
-
-def test_learner_state_zeros():
-    state = KernelLearnerState.zeros(7)
-    assert state.theta.shape == (7,)
-    assert not state.theta.any()
-    assert not state.lam.any()
 
 
 def test_reference_loop_first_round_predictions_are_zero():

@@ -54,7 +54,7 @@ def test_first_round_predictions_are_zero():
     rng = np.random.default_rng(0)
     maps = _maps(3, 2)
     state = ComklState.fresh(3, 14)
-    preds, new_state = comkl_step(state, _batch(rng, 5, 2), maps)
+    preds, _, new_state = comkl_step(state, _batch(rng, 5, 2), maps)
     assert np.array_equal(preds, np.zeros(5))
     assert new_state.thetas.any()
 
@@ -67,12 +67,13 @@ def test_step_matches_naive_ogd_oracle():
     state = ComklState.fresh(num_kernels, 2 * num_feat, eta_local=0.3)
     inputs, labels = _batch(rng, num_nodes, dim)
     for _ in range(3):
-        preds, state = comkl_step(state, (inputs, labels), maps)
+        preds, _, state = comkl_step(state, (inputs, labels), maps)
 
     weights = softmax_from_scores(-state.cumulative_loss / state.eta_global)
     expected_preds = np.zeros(num_nodes)
     expected_thetas = np.array(state.thetas)
     expected_losses = np.zeros(num_kernels)
+    expected_errors = np.zeros((num_nodes, num_kernels))
     for p in range(num_kernels):
         grad = np.zeros(2 * num_feat)
         for k in range(num_nodes):
@@ -80,11 +81,13 @@ def test_step_matches_naive_ogd_oracle():
             err = float(state.thetas[p] @ zk) - labels[k]
             expected_preds[k] += weights[p] * float(state.thetas[p] @ zk)
             expected_losses[p] += err ** 2
+            expected_errors[k, p] = err ** 2
             grad += 2.0 * err * zk
         expected_thetas[p] = state.thetas[p] - (0.3 / num_nodes) * grad
 
-    preds, new_state = comkl_step(state, (inputs, labels), maps)
+    preds, kernel_losses, new_state = comkl_step(state, (inputs, labels), maps)
     assert np.allclose(preds, expected_preds, rtol=0, atol=1e-12)
+    assert np.allclose(kernel_losses, expected_errors, rtol=0, atol=1e-12)
     assert np.allclose(new_state.thetas, expected_thetas, rtol=0, atol=1e-12)
     assert np.allclose(
         new_state.cumulative_loss,
@@ -101,8 +104,8 @@ def test_loss_mode_mean_scales_losses_only():
     batch = _batch(rng, 6, 2)
     sum_state = ComklState.fresh(2, 14, loss_mode="sum")
     mean_state = ComklState.fresh(2, 14, loss_mode="mean")
-    _, sum_state = comkl_step(sum_state, batch, maps)
-    _, mean_state = comkl_step(mean_state, batch, maps)
+    _, _, sum_state = comkl_step(sum_state, batch, maps)
+    _, _, mean_state = comkl_step(mean_state, batch, maps)
     # Parameter updates ignore the loss mode, only the hedge feed changes.
     assert np.array_equal(sum_state.thetas, mean_state.thetas)
     assert np.allclose(
@@ -116,7 +119,7 @@ def test_stored_weights_are_the_round_weights():
     state = ComklState.fresh(3, 14)
     for _ in range(4):
         before = softmax_from_scores(-state.cumulative_loss / state.eta_global)
-        _, state = comkl_step(state, _batch(rng, 5, 2), maps)
+        _, _, state = comkl_step(state, _batch(rng, 5, 2), maps)
         assert np.array_equal(state.weights, before)
 
 
@@ -127,8 +130,8 @@ def test_comkl_determinism():
     state_a = ComklState.fresh(2, 14)
     state_b = ComklState.fresh(2, 14)
     for _ in range(5):
-        preds_a, state_a = comkl_step(state_a, _batch(rng_a, 4, 3), maps)
-        preds_b, state_b = comkl_step(state_b, _batch(rng_b, 4, 3), maps)
+        preds_a, _, state_a = comkl_step(state_a, _batch(rng_a, 4, 3), maps)
+        preds_b, _, state_b = comkl_step(state_b, _batch(rng_b, 4, 3), maps)
         assert np.array_equal(preds_a, preds_b)
         assert np.array_equal(state_a.thetas, state_b.thetas)
 
@@ -136,8 +139,6 @@ def test_comkl_determinism():
 def test_diffusion_state_validation():
     with pytest.raises(ValueError):
         DiffusionState.fresh(4, step_size=0.0)
-    with pytest.raises(ValueError, match="combine rule"):
-        DiffusionState(theta=np.zeros(3), combine_rule="metropolis")
 
 
 def test_diffusion_step_matches_oracle():
@@ -146,15 +147,16 @@ def test_diffusion_step_matches_oracle():
     rng = np.random.default_rng(14)
     states = [DiffusionState.fresh(12, step_size=0.2) for _ in range(4)]
     inputs, labels = _batch(rng, 4, 2)
+    z = fmap.map(inputs)
     for _ in range(2):
-        states = rff_dokl_step(states, graph, (inputs, labels), fmap)
+        states = rff_dokl_step(states, graph, (z, labels))
 
     stepped = []
     for k in range(4):
         zk = fmap.map(inputs[k])
         err = float(states[k].theta @ zk) - labels[k]
         stepped.append(states[k].theta - 0.2 * 2.0 * err * zk)
-    new_states = rff_dokl_step(states, graph, (inputs, labels), fmap)
+    new_states = rff_dokl_step(states, graph, (z, labels))
     for k in range(4):
         members = sorted((k,) + graph.neighbors[k])
         average = np.mean(np.stack([stepped[m] for m in members]), axis=0)
@@ -164,13 +166,14 @@ def test_diffusion_step_matches_oracle():
 
 def test_diffusion_validation():
     graph = Graph(3, ((0, 1), (1, 2)))
-    fmap = build_feature_map(KernelSpec(1.0), 2, 4, seed=2)
     states = [DiffusionState.fresh(8) for _ in range(2)]
     with pytest.raises(ValueError):
-        rff_dokl_step(states, graph, (np.zeros((3, 2)), np.zeros(3)), fmap)
+        rff_dokl_step(states, graph, (np.zeros((3, 8)), np.zeros(3)))
     states = [DiffusionState.fresh(8) for _ in range(3)]
     with pytest.raises(ValueError):
-        rff_dokl_step(states, graph, (np.zeros((2, 2)), np.zeros(2)), fmap)
+        rff_dokl_step(states, graph, (np.zeros((2, 8)), np.zeros(2)))
+    with pytest.raises(ValueError):
+        rff_dokl_step(states, graph, (np.zeros((2, 8)), np.zeros(3)))
 
 
 def test_complete_graph_reaches_consensus_in_one_round():
@@ -179,7 +182,8 @@ def test_complete_graph_reaches_consensus_in_one_round():
     rng = np.random.default_rng(5)
     states = [DiffusionState.fresh(10) for _ in range(4)]
     # Break symmetry first with a structured round on a fresh start.
-    states = rff_dokl_step(states, graph, _batch(rng, 4, 2), fmap)
+    inputs, labels = _batch(rng, 4, 2)
+    states = rff_dokl_step(states, graph, (fmap.map(inputs), labels))
     for k in range(1, 4):
         assert np.array_equal(states[k].theta, states[0].theta)
 
@@ -199,7 +203,7 @@ def test_diffusion_tracks_stationary_target():
             first_err = np.mean(
                 [(float(states[k].theta @ z[k]) - labels[k]) ** 2 for k in range(3)]
             )
-        states = rff_dokl_step(states, graph, (inputs, labels), fmap)
+        states = rff_dokl_step(states, graph, (z, labels))
     final_err = np.mean(
         [
             (float(states[k].theta @ fmap.map(np.ones(2))) - float(fmap.map(np.ones(2)) @ target)) ** 2
@@ -207,3 +211,26 @@ def test_diffusion_tracks_stationary_target():
         ]
     )
     assert final_err < 0.05 * first_err
+
+
+def test_diverging_comkl_step_raises():
+    rng = np.random.default_rng(12)
+    maps = _maps(2, 2)
+    state = ComklState.fresh(2, 14, eta_local=1e300)
+    batch = _batch(rng, 4, 2)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                  match="comkl"):
+        for _ in range(3):
+            _, _, state = comkl_step(state, batch, maps)
+
+
+def test_diverging_diffusion_step_raises():
+    graph = Graph(3, ((0, 1), (1, 2)))
+    fmap = build_feature_map(KernelSpec(1.0), 2, 4, seed=2)
+    rng = np.random.default_rng(13)
+    states = [DiffusionState.fresh(8, step_size=1e300) for _ in range(3)]
+    inputs, labels = _batch(rng, 3, 2)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                  match="rff_dokl"):
+        for _ in range(3):
+            states = rff_dokl_step(states, graph, (fmap.map(inputs), labels))

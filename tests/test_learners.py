@@ -8,7 +8,7 @@ from domkl.errors import ProtocolError
 from domkl.features import KernelDictionary, KernelSpec, build_feature_map
 from domkl.graph import Graph
 from domkl.hedge import MessageBoard, combine_weights, mp_update_messages
-from domkl.learners import LearnerNode, RoundExchange, predict_combined, step
+from domkl.learners import LearnerNode, RoundExchange, _combined_prediction, step
 
 
 def _maps(num_kernels=3, input_dim=2, num_features=5, shared_seed=9):
@@ -120,6 +120,7 @@ def test_first_round_prediction_is_zero_and_losses_accumulate():
     maps = _maps()
     graph = Graph(num_nodes=2, edges=((0, 1),))
     nodes, exchanges = _network(graph, maps)
+    assert np.array_equal(nodes[0].round_weights, np.full(3, 1.0 / 3.0))
     y = 2.0
     pred, kernel_losses, outgoing = step(
         nodes[0], [exchanges[1]], (np.array([0.5, 0.5]), y), AdmmConfig()
@@ -231,8 +232,11 @@ def test_replay_matches_step_prediction_bitwise():
                                          (xs[k], float(rng.standard_normal())),
                                          cfg)
         for k in range(2):
-            replayed = nodes[k].evaluate_round_function(nodes[k].map_input(xs[k]))
-            assert replayed == preds[k]
+            _, replayed = _combined_prediction(
+                nodes[k].round_thetas, nodes[k].round_weights,
+                nodes[k].map_input(xs[k]),
+            )
+            assert float(replayed) == preds[k]
         exchanges = fresh
 
 
@@ -266,11 +270,3 @@ def test_message_passing_on_one_edge_equals_product_weights():
             assert np.allclose(nodes_m[k].round_weights,
                                nodes_p[k].round_weights, atol=1e-12)
         ex_p, ex_m = fresh_p, fresh_m
-
-
-def test_predict_combined_uses_current_state():
-    maps = _maps()
-    node = LearnerNode(0, maps, ())
-    assert predict_combined(node, np.array([0.4, 0.6])) == 0.0
-    node.thetas += 0.1
-    assert predict_combined(node, np.array([0.4, 0.6])) != 0.0

@@ -1,10 +1,13 @@
 """Tests for experiment configuration, trial assembly, and aggregation."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from domkl.baselines import ComklState, DiffusionState, comkl_step, rff_dokl_step
 from domkl.errors import ConfigError
 from domkl.graph import sample_connected_er
 from domkl.simulator import (
@@ -90,6 +93,15 @@ def test_trial_graph_uses_xored_seed():
     expected = sample_connected_er(3, 0.7, seed=12 ^ 3,
                                    max_attempts=cfg.max_attempts)
     assert ctx.graph == expected
+
+
+def test_disconnected_topology_file_is_rejected(tmp_path):
+    path = tmp_path / "split.txt"
+    path.write_text("0 1\n2 3\n")
+    cfg = _small_cfg(num_learners=4, topology_path=str(path))
+    with pytest.raises(ConfigError, match=r"\[0, 1\], \[2, 3\]") as info:
+        build_trial_context(cfg, 0)
+    assert info.value.key == "topology"
 
 
 def test_trial_context_shapes_and_horizon():
@@ -191,6 +203,53 @@ def test_cross_diagonal_repeats_predictions():
         )
 
 
+def test_baseline_traces_match_a_plain_step_loop():
+    """comkl and rff_dokl traces, recomputed round by round from the
+    public step functions, equal the simulator's bit for bit."""
+    cfg = _small_cfg(algorithms=("comkl", "rff_dokl"), kernel_index=1,
+                     num_learners=4, comkl_loss_mode="mean")
+    result = run_trial(cfg, 0)
+    ctx = result.context
+    num_nodes, dim = cfg.num_learners, 2 * cfg.num_features
+    fmap = ctx.maps[cfg.kernel_index]
+    central = ComklState.fresh(
+        len(ctx.maps), dim, eta_local=cfg.comkl_step_size,
+        eta_global=cfg.eta_global, loss_mode=cfg.comkl_loss_mode,
+    )
+    diffusion = [DiffusionState.fresh(dim, step_size=cfg.diffusion_step_size)
+                 for _ in range(num_nodes)]
+    fields = ("predictions", "labels", "per_kernel_losses", "weights",
+              "cross_predictions")
+    expected = {alg: {name: [] for name in fields} for alg in cfg.algorithms}
+    for t in range(ctx.horizon):
+        x = np.stack([s.features[t] for s in ctx.streams])
+        y = np.array([s.labels[t] for s in ctx.streams])
+
+        preds, kernel_losses, central = comkl_step(central, (x, y), ctx.maps)
+        rows = expected["comkl"]
+        rows["predictions"].append(preds)
+        rows["labels"].append(y)
+        rows["per_kernel_losses"].append(kernel_losses)
+        rows["weights"].append(np.tile(central.weights, (num_nodes, 1)))
+        rows["cross_predictions"].append(np.tile(preds[:, None], num_nodes))
+
+        z = fmap.map(x)
+        cross = z @ np.stack([s.theta for s in diffusion]).T
+        rows = expected["rff_dokl"]
+        rows["predictions"].append(np.diagonal(cross))
+        rows["labels"].append(y)
+        rows["per_kernel_losses"].append((np.diagonal(cross) - y)[:, None] ** 2)
+        rows["weights"].append(np.ones((num_nodes, 1)))
+        rows["cross_predictions"].append(cross)
+        diffusion = rff_dokl_step(diffusion, ctx.graph, (z, y))
+
+    for algorithm, by_field in expected.items():
+        trace = result.traces[algorithm]
+        for name, rows in by_field.items():
+            assert np.array_equal(getattr(trace, name), np.stack(rows)), (
+                algorithm, name)
+
+
 def test_node_order_cannot_affect_results():
     cfg = _small_cfg(algorithms=("domkl", "dokl"), kernel_index=0)
     plain = run_trial(cfg, 0)
@@ -271,3 +330,18 @@ def test_sweep_grid_rows_and_order():
     )
     assert rows[0].final_mse == float(single.mse_mean["domkl"][-1])
     assert rows[0].final_cv == float(single.cv_mean["domkl"][-1])
+
+
+def test_benchmark_patch_points_resolve():
+    """Every attribute the benchmark's tracer patches still exists where
+    the tracer looks it up, so a rename fails here and not at bench time."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr_path, _ in tracing.PATCH_POINTS:
+        owner, attr = tracing._owner(module_name, attr_path)
+        if attr not in vars(owner):
+            missing.append("%s.%s" % (module_name, attr_path))
+    assert not missing
