@@ -67,9 +67,13 @@ def gamma_hat(own_theta, neighbor_thetas):
     which callers keep sorted by node id for reproducibility.
     """
     own = np.asarray(own_theta, dtype=np.float64)
+    # Start from zeros, not the first term: 0.0 + (-0.0) is +0.0.
     total = np.zeros_like(own)
+    term = np.empty_like(own)
     for nb in neighbor_thetas:
-        total = total + 0.5 * (own + np.asarray(nb, dtype=np.float64))
+        np.add(own, nb, out=term)
+        term *= 0.5
+        total += term
     return total
 
 
@@ -83,11 +87,30 @@ def theta_update_quadratic(theta, lam, z, label, gamma, degree, cfg):
     system matrix is a rank-one update of a scaled identity, inverted
     explicitly, so the cost is linear in the dimension.
     """
+    # In place, but in the operation order of
+    #   b = 2 label z + eta_local theta + rho gamma - lam
+    #   b / alpha - (2 (z.b) / (alpha (alpha + 2 (z.z)))) z
+    # so the result is bitwise that of the expression.  ``theta``,
+    # ``lam`` and ``gamma`` must have the shape of ``z``.
     alpha = cfg.eta_local + cfg.rho * degree
-    b = 2.0 * label * z + cfg.eta_local * theta + cfg.rho * gamma - lam
-    zz = (z * z).sum(axis=-1, keepdims=True)
-    zb = (z * b).sum(axis=-1, keepdims=True)
-    out = b / alpha - (2.0 * zb / (alpha * (alpha + 2.0 * zz))) * z
+    out = z * (2.0 * label)
+    term = np.multiply(theta, cfg.eta_local)
+    out += term
+    np.multiply(gamma, cfg.rho, out=term)
+    out += term
+    out -= lam
+    np.multiply(z, z, out=term)
+    zz = term.sum(axis=-1, keepdims=True)
+    np.multiply(z, out, out=term)
+    coef = term.sum(axis=-1, keepdims=True)
+    coef *= 2.0
+    zz *= 2.0
+    zz += alpha
+    zz *= alpha
+    coef /= zz
+    np.multiply(coef, z, out=term)
+    out /= alpha
+    out -= term
     if not np.isfinite(out).all():
         raise FloatingPointError("theta update produced non-finite values")
     return out
@@ -169,9 +192,13 @@ def lambda_update(lam, own_theta, neighbor_thetas, rho):
     """
     own = np.asarray(own_theta, dtype=np.float64)
     total = np.zeros_like(own)
+    term = np.empty_like(own)
     for nb in neighbor_thetas:
-        total = total + (own - np.asarray(nb, dtype=np.float64))
-    return lam + 0.5 * rho * total
+        np.subtract(own, nb, out=term)
+        total += term
+    total *= 0.5 * rho
+    total += lam
+    return total
 
 
 def run_single_kernel(graph, feature_map, features, labels, cfg):

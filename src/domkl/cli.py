@@ -266,6 +266,9 @@ def cmd_run(config_path, overrides=None, out_dir="."):
         result = run_experiment(cfg)
         out_path = os.path.join(out_dir, "results.csv")
         rows = _write_results(out_path, result)
+    except ConfigError as exc:
+        print("config error: %s" % (exc,), file=sys.stderr)
+        return 2
     except Exception as exc:
         print("run failed: %s" % (exc,), file=sys.stderr)
         return 1
@@ -303,6 +306,9 @@ def cmd_sweep(config_path, rhos, eta_globals, out_dir="."):
                     row.algorithm, _fmt(row.eta_global), _fmt(row.rho),
                     _fmt(row.final_mse), _fmt(row.final_cv),
                 ])
+    except ConfigError as exc:
+        print("config error: %s" % (exc,), file=sys.stderr)
+        return 2
     except Exception as exc:
         print("sweep failed: %s" % (exc,), file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,19 @@ class FeatureMap:
     seed: int
     num_features: int
     input_dim: int
+    _weights_t: np.ndarray = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights.setflags(write=False)
+        object.__setattr__(self, "_weights_t", self.weights.T)
+        object.__setattr__(self, "_scale", 1.0 / math.sqrt(self.num_features))
+
+    def __reduce__(self):
+        # Rebuild through __init__, so that a map sent to or from a worker
+        # process again has read-only weights and a transposed view of them.
+        return (FeatureMap, (self.weights, self.kernel_index, self.seed,
+                             self.num_features, self.input_dim))
 
     def map(self, x):
         """Map inputs to the 2*num_features feature space.
@@ -65,12 +78,16 @@ class FeatureMap:
         a stack (..., input_dim) yields (..., 2*num_features).  Outputs
         have unit Euclidean norm.
         """
-        x = np.asarray(x, dtype=np.float64)
-        projected = x @ self.weights.T
-        scale = 1.0 / math.sqrt(self.num_features)
-        return np.concatenate(
-            [np.sin(projected), np.cos(projected)], axis=-1
-        ) * scale
+        # Bitwise equal to scale * [sin(x W^T), cos(x W^T)].  Keep the
+        # product as x @ W^T: other forms of it (W @ x^T) run through
+        # other BLAS kernels, which need not round the same way.
+        projected = np.asarray(x, dtype=np.float64) @ self._weights_t
+        m = self.num_features
+        out = np.empty(projected.shape[:-1] + (2 * m,))
+        np.sin(projected, out=out[..., :m])
+        np.cos(projected, out=out[..., m:])
+        out *= self._scale
+        return out
 
     def fingerprint(self):
         """Stable digest of the map contents, for sharing checks."""
@@ -81,6 +98,14 @@ class FeatureMap:
                               self.num_features, self.input_dim)).encode()
         )
         return digest.hexdigest()
+
+
+def map_stack(maps, x):
+    """Feature vectors of one input under every map, as a (P, D) block."""
+    out = np.empty((len(maps), 2 * maps[0].num_features))
+    for p, fmap in enumerate(maps):
+        out[p] = fmap.map(x)
+    return out
 
 
 def build_feature_map(spec, input_dim, num_features, seed, kernel_index=0):
@@ -97,7 +122,6 @@ def build_feature_map(spec, input_dim, num_features, seed, kernel_index=0):
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(spec.bandwidth)
     weights = rng.standard_normal((num_features, input_dim)) * std
-    weights.setflags(write=False)
     return FeatureMap(
         weights=weights,
         kernel_index=kernel_index,

@@ -21,10 +21,15 @@ from .graph import is_forest
 
 def softmax_from_scores(scores):
     """Numerically safe softmax with max-subtraction."""
-    scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - scores.max()
-    weights = np.exp(shifted)
-    return weights / weights.sum()
+    return _softmax_in_place(np.array(scores, dtype=np.float64))
+
+
+def _softmax_in_place(scores):
+    """Softmax of a float64 array that the caller owns, overwriting it."""
+    scores -= scores.max()
+    np.exp(scores, out=scores)
+    scores /= scores.sum()
+    return scores
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ def accumulate(state, instantaneous_losses):
     losses = np.asarray(instantaneous_losses, dtype=np.float64)
     if losses.shape != state.cumulative_loss.shape:
         raise ValueError("loss vector has wrong length")
-    if np.isnan(losses).any() or np.isinf(losses).any():
+    if not np.isfinite(losses).all():
         raise FloatingPointError("non-finite loss")
     if (losses < 0.0).any():
         raise ValueError("losses must be nonnegative")
@@ -77,8 +82,10 @@ def combine_weights(own_cumulative, neighbor_cumulatives, eta_global):
     """
     total = np.array(own_cumulative, dtype=np.float64)
     for nb in neighbor_cumulatives:
-        total = total + np.asarray(nb, dtype=np.float64)
-    return softmax_from_scores(-total / eta_global)
+        total += nb
+    np.negative(total, out=total)
+    total /= eta_global
+    return _softmax_in_place(total)
 
 
 @dataclass(frozen=True)
@@ -137,5 +144,5 @@ def mp_combine_weights(own_log_w, incoming_log_messages, eta_global):
         raise ValueError("eta_global must be positive")
     total = np.array(own_log_w, dtype=np.float64)
     for msg in incoming_log_messages:
-        total = total + np.asarray(msg, dtype=np.float64)
-    return softmax_from_scores(total)
+        total += msg
+    return _softmax_in_place(total)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .admm import gamma_hat, lambda_update, theta_update_quadratic
 from .errors import ProtocolError
+from .features import map_stack
 from .hedge import HedgeState, accumulate, combine_weights, mp_combine_weights
 
 VARIANTS = ("product", "message_passing")
@@ -104,7 +105,7 @@ class LearnerNode:
 
     def map_input(self, x):
         """Stack all kernels' feature vectors for x into a (P, D) block."""
-        return np.stack([fm.map(x) for fm in self.feature_maps])
+        return map_stack(self.feature_maps, x)
 
 
 def step(node, neighbor_exchanges, sample, cfg, variant="product",
@@ -153,7 +154,9 @@ def step(node, neighbor_exchanges, sample, cfg, variant="product",
         )
 
     z_stack = node.map_input(x)
-    node.round_thetas = node.thetas.copy()
+    # No copy: theta_update_quadratic below returns a new array, and
+    # nothing writes into node.thetas in place.
+    node.round_thetas = node.thetas
     node.round_weights = weights
     dots, prediction = _combined_prediction(node.round_thetas, weights, z_stack)
     prediction = float(prediction)

@@ -39,6 +39,9 @@ from .data import (
 )
 from .errors import ConfigError
 from .features import KernelDictionary, KernelSpec, default_dictionary
+# Cross-evaluation's own name for map_stack, so that benchmarks/tracing.py
+# can time it apart from the mapping inside learners.step.
+from .features import map_stack as _map_stack
 from .graph import connected_components, from_edge_list, sample_connected_er
 from .hedge import MessageBoard, mp_update_messages
 from .learners import LearnerNode, _combined_prediction, step
@@ -135,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError("no algorithms selected", key="algorithms")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1", key="trials")
+        if self.workers < 1:
+            raise ConfigError("workers must be at least 1", key="workers")
         if self.num_learners < 2:
             raise ConfigError("need at least 2 learners", key="num_nodes")
         if self.hedge_variant not in ("product", "message_passing"):
@@ -335,10 +340,6 @@ def build_trial_context(cfg, trial_index):
     )
 
 
-def _map_stack(maps, x):
-    return np.stack([fm.map(x) for fm in maps])
-
-
 def _empty_trace(ctx, cfg, algorithm, num_kernels):
     """A zeroed trace over the trial's horizon that a round loop fills in."""
     horizon, num_nodes = ctx.labels.shape
@@ -468,6 +469,35 @@ def run_trial(cfg, trial_index, node_order_seed=None):
     return TrialResult(trial_index=trial_index, context=ctx, traces=traces)
 
 
+def _hindsight_fits(ctx, horizon, kernel_indices):
+    """Pooled hindsight fit of each given kernel over the whole network.
+
+    Maps the pooled features of all streams up to ``horizon`` once per
+    kernel and returns ``{index: (cumulative loss, losses)}``, where
+    ``losses[t, k]`` is the fitted comparator's squared error on learner
+    k's round-t sample.  The pool is stream-major, so each stream's
+    losses are one row block of the pooled residual.
+    """
+    pooled_x = np.concatenate(
+        [s.features[:horizon] for s in ctx.streams], axis=0
+    )
+    pooled_y = np.concatenate([s.labels[:horizon] for s in ctx.streams])
+    fits = {}
+    for index in kernel_indices:
+        z = ctx.maps[index].map(pooled_x)
+        theta, cum = oracle.hindsight_best(z, pooled_y)
+        losses = (z @ theta - pooled_y) ** 2
+        fits[index] = (cum, np.ascontiguousarray(
+            losses.reshape(len(ctx.streams), horizon).T))
+    return fits
+
+
+def _regret_against_best(trace, fits, kernel_indices):
+    """Regret against the fit with the lowest pooled loss (first on ties)."""
+    best = min(kernel_indices, key=lambda index: fits[index][0])
+    return regret_accuracy(trace, fits[best][1])
+
+
 def accuracy_regret_for_trace(ctx, trace, kernel_indices):
     """Per-learner regret against the pooled hindsight optimum.
 
@@ -475,23 +505,8 @@ def accuracy_regret_for_trace(ctx, trace, kernel_indices):
     features of the whole network up to the trace's horizon, taken over
     the given dictionary slots (the best one wins).
     """
-    horizon = trace.num_rounds
-    pooled_x = np.concatenate(
-        [s.features[:horizon] for s in ctx.streams], axis=0
-    )
-    pooled_y = np.concatenate([s.labels[:horizon] for s in ctx.streams])
-    best = None
-    for index in kernel_indices:
-        z = ctx.maps[index].map(pooled_x)
-        theta, cum = oracle.hindsight_best(z, pooled_y)
-        if best is None or cum < best[0]:
-            best = (cum, index, theta)
-    _, index, theta = best
-    hindsight = np.zeros((horizon, len(ctx.streams)))
-    for k, stream in enumerate(ctx.streams):
-        z = ctx.maps[index].map(stream.features[:horizon])
-        hindsight[:, k] = (z @ theta - stream.labels[:horizon]) ** 2
-    return regret_accuracy(trace, hindsight)
+    fits = _hindsight_fits(ctx, trace.num_rounds, kernel_indices)
+    return _regret_against_best(trace, fits, kernel_indices)
 
 
 def _regret_scope(cfg, algorithm, num_kernels):
@@ -505,6 +520,13 @@ def _trial_worker(payload):
     return run_trial(cfg, index)
 
 
+def _trial_failure(index, exc):
+    """The error reporting a failed trial: config errors stay config errors."""
+    if isinstance(exc, ConfigError):
+        return ConfigError("trial %d: %s" % (index, exc), key=exc.key)
+    return RuntimeError("trial %d failed: %s" % (index, exc))
+
+
 def run_experiment(cfg):
     """Run all trials (in ``cfg.workers`` processes) and aggregate."""
     indices = list(range(cfg.trials))
@@ -516,14 +538,14 @@ def run_experiment(cfg):
                 try:
                     results.append(fut.result())
                 except Exception as exc:
-                    raise RuntimeError("trial %d failed: %s" % (i, exc)) from exc
+                    raise _trial_failure(i, exc) from exc
     else:
         results = []
         for i in indices:
             try:
                 results.append(run_trial(cfg, i))
             except Exception as exc:
-                raise RuntimeError("trial %d failed: %s" % (i, exc)) from exc
+                raise _trial_failure(i, exc) from exc
     return aggregate(cfg, results)
 
 
@@ -535,6 +557,15 @@ def aggregate(cfg, results):
     final_regret_d = {}
     final_regret_a = {} if cfg.compute_accuracy_regret else None
     rounds = results[0].context.horizon
+    if final_regret_a is not None:
+        # One hindsight fit per trial and kernel, shared by every
+        # algorithm whose scope holds that kernel.
+        num_kernels = len(results[0].context.maps)
+        scopes = {alg: _regret_scope(cfg, alg, num_kernels)
+                  for alg in cfg.algorithms}
+        union = sorted(set().union(*scopes.values()))
+        fits = [_hindsight_fits(r.context, r.context.horizon, union)
+                for r in results]
     for algorithm in cfg.algorithms:
         mse_rows = np.stack(
             [mse_curve(r.traces[algorithm]).values for r in results]
@@ -550,12 +581,11 @@ def aggregate(cfg, results):
             [regret_discrepancy(r.traces[algorithm]).mean() for r in results]
         ))
         if final_regret_a is not None:
-            scope = _regret_scope(cfg, algorithm, len(results[0].context.maps))
             final_regret_a[algorithm] = float(np.mean([
-                accuracy_regret_for_trace(
-                    r.context, r.traces[algorithm], scope
+                _regret_against_best(
+                    r.traces[algorithm], trial_fits, scopes[algorithm]
                 ).mean()
-                for r in results
+                for r, trial_fits in zip(results, fits)
             ]))
     return AggregateResult(
         algorithms=tuple(cfg.algorithms), rounds=rounds, trials=cfg.trials,

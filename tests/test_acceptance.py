@@ -163,6 +163,7 @@ def test_discrepancy_regret_decays_and_consensus_tightens(consensus_run):
 # 4. Stronger coupling tightens consensus: final CV strictly decreasing
 #    over rho in {10, 100, 1000} (mean of 20 trials).
 
+@pytest.mark.slow
 def test_final_consensus_violation_decreases_in_rho():
     finals = []
     for rho in (10.0, 100.0, 1000.0):
@@ -191,6 +192,7 @@ def test_final_consensus_violation_decreases_in_rho():
 #    exhaustive single-kernel search recovers that kernel, and the
 #    multi-kernel learner matches the best single-kernel run.
 
+@pytest.mark.slow
 def test_best_kernel_recovery_and_multikernel_match():
     matching_slot = 4  # bandwidth 1e-2 in the default 17-kernel ladder
     seeds = range(20)
@@ -232,6 +234,7 @@ def test_best_kernel_recovery_and_multikernel_match():
 # 6. Performance barely moves with network size under weak coupling;
 #    consensus tightens as the network grows.
 
+@pytest.mark.slow
 def test_performance_stable_across_network_sizes():
     mse_finals = []
     cv_finals = []

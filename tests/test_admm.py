@@ -59,6 +59,59 @@ def test_gamma_hat_matches_naive_midpoint_sum():
         assert np.allclose(gamma_hat(own, neighbors), expected, atol=1e-14)
 
 
+def _with_negative_zeros(rng, shape):
+    """Normal draws with about a third of the entries set to -0.0."""
+    values = rng.standard_normal(shape)
+    values[rng.uniform(size=shape) < 0.35] = -0.0
+    return values
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6,), (17, 100)])
+def test_kernels_are_bitwise_the_reference_expressions(shape):
+    """The in-place kernels against the plain expressions, -0.0 included,
+    and with every input left as it was."""
+    rng = np.random.default_rng(41)
+    cfg = AdmmConfig(rho=100.0, eta_local=10.0)
+    for count in range(4):
+        own = _with_negative_zeros(rng, shape)
+        lam = _with_negative_zeros(rng, shape)
+        z = _with_negative_zeros(rng, shape)
+        neighbors = [_with_negative_zeros(rng, shape) for _ in range(count)]
+        # Neighbors equal to -own give exact zero terms of either sign.
+        if count:
+            neighbors[0][::2] = -own[::2]
+        label = np.float64(-0.0 if count == 0 else rng.standard_normal())
+        inputs = [own, lam, z] + neighbors
+        before = [a.copy() for a in inputs]
+
+        gamma = np.zeros_like(own)
+        for nb in neighbors:
+            gamma = gamma + 0.5 * (own + nb)
+        assert _bitwise(gamma_hat(own, neighbors), gamma)
+
+        total = np.zeros_like(own)
+        for nb in neighbors:
+            total = total + (own - nb)
+        assert _bitwise(lambda_update(lam, own, neighbors, cfg.rho),
+                        lam + 0.5 * cfg.rho * total)
+
+        alpha = cfg.eta_local + cfg.rho * count
+        b = 2.0 * label * z + cfg.eta_local * own + cfg.rho * gamma - lam
+        zz = (z * z).sum(axis=-1, keepdims=True)
+        zb = (z * b).sum(axis=-1, keepdims=True)
+        want = b / alpha - (2.0 * zb / (alpha * (alpha + 2.0 * zz))) * z
+        got = theta_update_quadratic(own, lam, z, label, gamma, count, cfg)
+        assert _bitwise(got, want)
+
+        for a, a0 in zip(inputs, before):
+            assert _bitwise(a, a0)
+
+
 def test_closed_form_matches_dense_solve():
     """Rank-one inversion against an explicit linear system."""
     rng = np.random.default_rng(17)

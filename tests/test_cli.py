@@ -109,6 +109,38 @@ def test_run_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_workers_below_one_exit_2(tmp_path, capsys):
+    text = _BASE_INI.replace("seed = 3", "seed = 3\nworkers = 0")
+    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
+    assert "config error: workers must be at least 1" in capsys.readouterr().err
+
+
+def _trial_setup_errors(tmp_path):
+    """INI texts that load cleanly but fail while trial 0 is set up."""
+    topo = tmp_path / "split.txt"
+    topo.write_text("0 1\n2 3\n")
+    disconnected = _BASE_INI.replace(
+        "num_nodes = 3", "num_nodes = 4\ntopology = %s" % topo)
+    bad_index = _BASE_INI.replace(
+        "algorithms = domkl", "algorithms = dokl").replace(
+        "bandwidths = 0.05, 0.1", "bandwidths = 0.05, 0.1\nkernel_index = 2")
+    return [(disconnected, "topology"), (bad_index, "kernel_index 2")]
+
+
+def test_trial_setup_config_errors_exit_2(tmp_path, capsys):
+    for text, named in _trial_setup_errors(tmp_path):
+        path = _write_ini(tmp_path, text)
+        assert cmd_run(path, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trial 0: %s" % named)
+        assert main(["sweep", "--config", path, "--rho", "10",
+                     "--eta-g", "10", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trial 0: %s" % named)
+    assert not (tmp_path / "results.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_run_writes_results(tmp_path, capsys):
     path = _write_ini(tmp_path)
     assert cmd_run(path, out_dir=str(tmp_path)) == 0

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -102,6 +104,12 @@ def test_weights_are_read_only():
                              seed=2)
     with pytest.raises(ValueError):
         fmap.weights[0, 0] = 5.0
+    # Also after a round trip to a worker process.
+    copy = pickle.loads(pickle.dumps(fmap))
+    with pytest.raises(ValueError):
+        copy.weights[0, 0] = 5.0
+    x = np.array([0.3, -1.2])
+    assert copy.map(x).tobytes() == fmap.map(x).tobytes()
 
 
 def test_map_is_deterministic_in_seed():
@@ -153,3 +161,18 @@ def test_dictionary_map_seeds_are_offset_from_shared_seed():
 def test_dictionary_rejects_empty_specs():
     with pytest.raises(ValueError):
         KernelDictionary(specs=(), shared_seed=0)
+
+
+@pytest.mark.parametrize("kernel", [0, 8, 16])
+@pytest.mark.parametrize("shape", [(2,), (10, 2), (4000, 2)])
+def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
+    """Smallest, middle and largest stock bandwidth, single and batched."""
+    fmap = default_dictionary(shared_seed=11).build_maps(2, 50)[kernel]
+    x = np.random.default_rng(kernel).uniform(size=shape)
+    projected = x @ fmap.weights.T
+    want = np.concatenate(
+        [np.sin(projected), np.cos(projected)], -1
+    ) * (1.0 / math.sqrt(50))
+    got = fmap.map(x)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -43,6 +43,10 @@ def test_accumulate_adds_and_rejects_bad_losses():
         accumulate(state, np.array([-0.1, 0.0]))
     with pytest.raises(FloatingPointError):
         accumulate(state, np.array([np.nan, 0.0]))
+    with pytest.raises(FloatingPointError):
+        accumulate(state, np.array([0.0, np.inf]))
+    with pytest.raises(FloatingPointError):
+        accumulate(state, np.array([-np.inf, 0.0]))
 
 
 def test_accumulate_does_not_mutate_the_input_state():
@@ -64,6 +68,47 @@ def test_softmax_shift_invariance_and_extremes():
 def test_softmax_of_equal_scores_is_exactly_uniform():
     w = softmax_from_scores([7.5, 7.5, 7.5])
     assert np.all(w == 1.0 / 3.0)
+
+
+def _reference_softmax(scores):
+    shifted = scores - scores.max()
+    weights = np.exp(shifted)
+    return weights / weights.sum()
+
+
+def test_weight_kernels_are_bitwise_the_reference_expressions():
+    """The in-place kernels against the plain expressions, -0.0 included,
+    and with every input left as it was."""
+    rng = np.random.default_rng(19)
+    eta = 10.0
+    for count in range(4):
+        own = rng.gamma(1.0, 10.0, size=17)
+        own[::3] = -0.0
+        neighbors = [rng.gamma(1.0, 10.0, size=17) for _ in range(count)]
+        for nb in neighbors:
+            nb[::4] = -0.0
+        inputs = [own] + neighbors
+        before = [a.copy() for a in inputs]
+
+        assert (softmax_from_scores(own).tobytes()
+                == _reference_softmax(own).tobytes())
+
+        total = np.array(own)
+        for nb in neighbors:
+            total = total + nb
+        want = _reference_softmax(-total / eta)
+        assert combine_weights(own, neighbors, eta).tobytes() == want.tobytes()
+
+        log_w = -own / eta
+        total = np.array(log_w)
+        for nb in neighbors:
+            total = total + nb
+        want = _reference_softmax(total)
+        assert (mp_combine_weights(log_w, neighbors, eta).tobytes()
+                == want.tobytes())
+
+        for a, a0 in zip(inputs, before):
+            assert a.tobytes() == a0.tobytes()
 
 
 def test_combine_weights_hand_value():

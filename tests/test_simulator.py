@@ -17,6 +17,8 @@ from domkl.simulator import (
     SyntheticTaskConfig,
     _DATA,
     _MAPS,
+    _regret_scope,
+    accuracy_regret_for_trace,
     build_trial_context,
     config_dictionary,
     derive_seed,
@@ -26,6 +28,8 @@ from domkl.simulator import (
     aggregate,
 )
 from domkl.data import generating_map
+from domkl.metrics import regret_accuracy
+from domkl.oracle import hindsight_best
 
 
 def _small_cfg(**overrides):
@@ -54,6 +58,10 @@ def test_config_validation():
         _small_cfg(algorithms=("domkl", "sgd"))
     with pytest.raises(ConfigError):
         _small_cfg(trials=0)
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="workers") as info:
+            _small_cfg(workers=workers)
+        assert info.value.key == "workers"
     with pytest.raises(ConfigError):
         _small_cfg(num_learners=1)
     with pytest.raises(ConfigError):
@@ -295,6 +303,58 @@ def test_trial_failures_carry_the_trial_index():
     )
     with pytest.raises(RuntimeError, match="trial 0 failed"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trial_config_errors_stay_config_errors(tmp_path, workers):
+    path = tmp_path / "split.txt"
+    path.write_text("0 1\n2 3\n")
+    cfg = _small_cfg(num_learners=4, topology_path=str(path), trials=2,
+                     workers=workers)
+    with pytest.raises(ConfigError, match="trial 0: topology") as info:
+        run_experiment(cfg)
+    assert info.value.key == "topology"
+
+
+def _refit_per_stream_regret(ctx, trace, kernel_indices):
+    """Accuracy regret with each stream mapped on its own: the reference."""
+    horizon = trace.num_rounds
+    pooled_x = np.concatenate([s.features[:horizon] for s in ctx.streams])
+    pooled_y = np.concatenate([s.labels[:horizon] for s in ctx.streams])
+    best = None
+    for index in kernel_indices:
+        theta, cum = hindsight_best(ctx.maps[index].map(pooled_x), pooled_y)
+        if best is None or cum < best[0]:
+            best = (cum, index, theta)
+    _, index, theta = best
+    hindsight = np.zeros((horizon, len(ctx.streams)))
+    for k, stream in enumerate(ctx.streams):
+        z = ctx.maps[index].map(stream.features[:horizon])
+        hindsight[:, k] = (z @ theta - stream.labels[:horizon]) ** 2
+    return regret_accuracy(trace, hindsight)
+
+
+def test_accuracy_regret_is_bitwise_the_per_stream_refit():
+    cfg = ExperimentConfig(
+        task="timeseries", algorithms=("comkl", "rff_dokl"), num_learners=6,
+        connection_prob=0.5, num_features=20, kernel_index=3, trials=2,
+        master_seed=4, compute_accuracy_regret=True,
+        ar_synth=ArTaskConfig(coefficients=(0.5, -0.2, 0.1),
+                              num_samples=605),
+    )
+    results = [run_trial(cfg, i) for i in range(cfg.trials)]
+    aggregated = aggregate(cfg, results)
+    for algorithm in cfg.algorithms:
+        scope = _regret_scope(cfg, algorithm, len(results[0].context.maps))
+        per_trial = []
+        for r in results:
+            want = _refit_per_stream_regret(r.context, r.traces[algorithm],
+                                            scope)
+            got = accuracy_regret_for_trace(r.context, r.traces[algorithm],
+                                            scope)
+            assert got.tobytes() == want.tobytes()
+            per_trial.append(want.mean())
+        assert aggregated.final_regret_a[algorithm] == float(np.mean(per_trial))
 
 
 def test_aggregate_counts_results():
