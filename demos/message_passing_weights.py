@@ -30,7 +30,7 @@ for round_index in range(1, 5):
     log_ws = [s.log_w() for s in states]
     board = mp_update_messages(board, path, log_ws)
     incoming = [board.messages[(2, 3)]]
-    weights = mp_combine_weights(states[3].log_w(), incoming, 10.0)
+    weights = mp_combine_weights(states[3].log_w(), incoming)
     print("  after round %d: weight on kernel 0 = %.4f" % (round_index,
                                                            weights[0]))
 print("(the planted score needs 3 hops to reach the far end)")
@@ -42,8 +42,7 @@ a = HedgeState.fresh(num_kernels)
 b = accumulate(HedgeState.fresh(num_kernels), np.array([0.0, 5.0, 1.0]))
 pair_board = mp_update_messages(MessageBoard.initial(pair, num_kernels),
                                 pair, [a.log_w(), b.log_w()])
-via_messages = mp_combine_weights(a.log_w(),
-                                  [pair_board.messages[(1, 0)]], 10.0)
+via_messages = mp_combine_weights(a.log_w(), [pair_board.messages[(1, 0)]])
 via_product = combine_weights(a.cumulative_loss, [b.cumulative_loss], 10.0)
 print("\ntwo-node check, max |difference|: %.2e"
       % np.abs(via_messages - via_product).max())

@@ -4,9 +4,8 @@ Each (learner, kernel) pair carries a parameter vector theta and a dual
 vector lambda.  One round of the protocol is: predict with the current
 theta, solve a small regularized least-squares problem that pulls theta
 toward the neighborhood midpoints, then move the dual along the new
-disagreement with the neighbors.  The quadratic-loss solve is rank-one
-and is done in closed form; other convex losses fall back to damped
-gradient descent.
+disagreement with the neighbors.  The loss is the squared prediction
+error, so the solve is a rank-one system done in closed form.
 
 All array functions broadcast over leading axes, so one code path serves
 both a single (dim,) vector and a stacked (num_kernels, dim) block.
@@ -15,11 +14,10 @@ both a single (dim,) vector and a stacked (num_kernels, dim) block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -36,27 +34,9 @@ class AdmmConfig:
 
     def __post_init__(self):
         if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
+            raise ConfigError("rho must be positive", key="rho")
         if not self.eta_local > 0.0:
-            raise ValueError("eta_local must be positive")
-
-
-@dataclass(frozen=True)
-class LossModel:
-    """A scalar loss and its derivative in the prediction argument."""
-
-    name: str
-    evaluate: Callable
-    gradient_scalar: Callable
-
-
-def squared_loss():
-    """The quadratic loss (pred - label)^2 with derivative 2 (pred - label)."""
-    return LossModel(
-        name="squared",
-        evaluate=lambda pred, label: (pred - label) ** 2,
-        gradient_scalar=lambda pred, label: 2.0 * (pred - label),
-    )
+            raise ConfigError("eta_local must be positive", key="eta_local")
 
 
 def gamma_hat(own_theta, neighbor_thetas):
@@ -114,73 +94,6 @@ def theta_update_quadratic(theta, lam, z, label, gamma, degree, cfg):
     if not np.isfinite(out).all():
         raise FloatingPointError("theta update produced non-finite values")
     return out
-
-
-def theta_update_general(theta, lam, loss, z, label, gamma, degree, cfg,
-                         tol=1e-8, max_iters=500):
-    """Minimize the round objective for arbitrary convex losses.
-
-    Damped gradient descent with Armijo backtracking (slope 1e-4, step
-    halving) starting from the previous iterate.  Stops when the
-    gradient norm drops below ``tol``, or below the smallest norm whose
-    progress is still resolvable in double precision, whichever comes
-    first; raises :class:`ConvergenceError` carrying the last gradient
-    norm when the iteration budget runs out or the line search stalls
-    away from stationarity.  For the quadratic loss this agrees with
-    :func:`theta_update_quadratic` to roughly the achievable tolerance.
-    """
-    theta0 = np.asarray(theta, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-
-    def objective(v):
-        return (
-            float(loss.evaluate(float(v @ z), label))
-            + float(lam @ v)
-            + 0.5 * cfg.rho * (degree * float(v @ v) - 2.0 * float(v @ gamma))
-            + 0.5 * cfg.eta_local * float((v - theta0) @ (v - theta0))
-        )
-
-    def gradient(v):
-        return (
-            loss.gradient_scalar(float(v @ z), label) * z
-            + lam
-            + cfg.rho * (degree * v - gamma)
-            + cfg.eta_local * (v - theta0)
-        )
-
-    current = theta0.copy()
-    value = objective(current)
-    grad_norm = np.inf
-    curvature = cfg.eta_local + cfg.rho * degree + 2.0 * float(z @ z)
-    for _ in range(max_iters):
-        grad = gradient(current)
-        grad_norm = float(np.linalg.norm(grad))
-        # Below this norm the Armijo decrease drowns in float round-off,
-        # so the point is stationary to working precision.
-        floor = np.sqrt(4.0 * curvature * np.finfo(float).eps
-                        * max(1.0, abs(value)))
-        if grad_norm <= max(tol, floor):
-            return current
-        step = 1.0
-        stalled = False
-        while True:
-            candidate = current - step * grad
-            cand_value = objective(candidate)
-            if cand_value <= value - 1e-4 * step * grad_norm ** 2:
-                break
-            step *= 0.5
-            if step < 1e-20:
-                stalled = True
-                break
-        if stalled:
-            raise ConvergenceError(
-                "backtracking stalled", gradient_norm=grad_norm
-            )
-        current = candidate
-        value = cand_value
-    raise ConvergenceError(
-        "no convergence in %d iterations" % max_iters, gradient_norm=grad_norm
-    )
 
 
 def lambda_update(lam, own_theta, neighbor_thetas, rho):

@@ -12,17 +12,6 @@ class GraphSamplingError(RuntimeError):
         self.attempts = attempts
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its iteration budget.
-
-    Carries the gradient norm at the last iterate.
-    """
-
-    def __init__(self, message, gradient_norm):
-        super().__init__(message)
-        self.gradient_norm = gradient_norm
-
-
 class ProtocolError(RuntimeError):
     """Raised when a node receives exchanges inconsistent with the topology."""
 

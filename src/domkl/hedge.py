@@ -133,15 +133,12 @@ def mp_update_messages(board, graph, latest_log_w, allow_cycles=False):
     return MessageBoard(num_kernels=board.num_kernels, messages=updated)
 
 
-def mp_combine_weights(own_log_w, incoming_log_messages, eta_global):
+def mp_combine_weights(own_log_w, incoming_log_messages):
     """Weights from own log weight plus incoming relayed messages.
 
-    Inputs are already in log-weight units (scaled by -1/eta_global);
-    ``eta_global`` is validated for parity with :func:`combine_weights`
-    but does not rescale anything here.
+    Inputs are already in log-weight units (scaled by -1/eta_global),
+    so no step size enters here.
     """
-    if not eta_global > 0.0:
-        raise ValueError("eta_global must be positive")
     total = np.array(own_log_w, dtype=np.float64)
     for msg in incoming_log_messages:
         total += msg

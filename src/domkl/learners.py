@@ -103,10 +103,6 @@ class LearnerNode:
             cumulative_losses=self.hedge.cumulative_loss.copy(),
         )
 
-    def map_input(self, x):
-        """Stack all kernels' feature vectors for x into a (P, D) block."""
-        return map_stack(self.feature_maps, x)
-
 
 def step(node, neighbor_exchanges, sample, cfg, variant="product",
          incoming_messages=None):
@@ -149,11 +145,9 @@ def step(node, neighbor_exchanges, sample, cfg, variant="product",
     else:
         if incoming_messages is None:
             raise ProtocolError("message_passing variant needs incoming_messages")
-        weights = mp_combine_weights(
-            node.hedge.log_w(), incoming_messages, node.hedge.eta_global
-        )
+        weights = mp_combine_weights(node.hedge.log_w(), incoming_messages)
 
-    z_stack = node.map_input(x)
+    z_stack = map_stack(node.feature_maps, x)
     # No copy: theta_update_quadratic below returns a new array, and
     # nothing writes into node.thetas in place.
     node.round_thetas = node.thetas

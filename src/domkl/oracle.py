@@ -64,72 +64,38 @@ def _edge_key(k, l):
     return (k, l) if k < l else (l, k)
 
 
-def joint_theta_step(problem, loss=None, tol=1e-10, max_iters=20000):
+def joint_theta_step(problem):
     """Minimize the round objective over all learners' stacked thetas.
 
-    With the default quadratic loss this assembles and solves the dense
-    normal equations over num_nodes * dim unknowns in one shot.  For a
-    general convex LossModel it runs gradient descent on the stacked
-    vector to gradient-norm tolerance ``tol``.
+    Assembles the dense normal equations over num_nodes * dim unknowns,
+    one block per node with the per-edge auxiliaries and duals summed
+    into its right-hand side, and solves them in one shot.
     """
     graph = problem.graph
     num_nodes, dim = problem.prev_thetas.shape
     size = num_nodes * dim
-
-    def node_rhs(k):
+    system = np.zeros((size, size))
+    rhs = np.zeros(size)
+    for k in range(num_nodes):
+        sl = slice(k * dim, (k + 1) * dim)
+        degree = graph.degree(k)
+        system[sl, sl] = (
+            2.0 * np.outer(problem.z[k], problem.z[k])
+            + (problem.eta_local + problem.rho * degree) * np.eye(dim)
+        )
         gam_total = np.zeros(dim)
         for l in graph.neighbors[k]:
             gam_total = gam_total + problem.gammas[_edge_key(k, l)]
-        return (
+        rhs[sl] = (
             2.0 * problem.y[k] * problem.z[k]
             + problem.eta_local * problem.prev_thetas[k]
             + problem.rho * gam_total
             - problem.aggregated_dual(k)
         )
-
-    if loss is None:
-        system = np.zeros((size, size))
-        rhs = np.zeros(size)
-        for k in range(num_nodes):
-            sl = slice(k * dim, (k + 1) * dim)
-            degree = graph.degree(k)
-            system[sl, sl] = (
-                2.0 * np.outer(problem.z[k], problem.z[k])
-                + (problem.eta_local + problem.rho * degree) * np.eye(dim)
-            )
-            rhs[sl] = node_rhs(k)
-        solution = np.linalg.solve(system, rhs)
-        if not np.isfinite(solution).all():
-            raise FloatingPointError("joint solve produced non-finite values")
-        return solution.reshape(num_nodes, dim)
-
-    def gradient(stacked):
-        thetas = stacked.reshape(num_nodes, dim)
-        grad = np.zeros_like(thetas)
-        for k in range(num_nodes):
-            pred = float(thetas[k] @ problem.z[k])
-            grad[k] = (
-                loss.gradient_scalar(pred, problem.y[k]) * problem.z[k]
-                + problem.aggregated_dual(k)
-                + problem.eta_local * (thetas[k] - problem.prev_thetas[k])
-            )
-            for l in graph.neighbors[k]:
-                grad[k] = grad[k] + problem.rho * (
-                    thetas[k] - problem.gammas[_edge_key(k, l)]
-                )
-        return grad.reshape(-1)
-
-    current = problem.prev_thetas.reshape(-1).copy()
-    step = 1.0 / (problem.eta_local + problem.rho * max(
-        (graph.degree(k) for k in range(num_nodes)), default=0) + 4.0)
-    for _ in range(max_iters):
-        grad = gradient(current)
-        if np.linalg.norm(grad) <= tol:
-            break
-        current = current - step * grad
-    else:
-        raise FloatingPointError("joint gradient solve did not converge")
-    return current.reshape(num_nodes, dim)
+    solution = np.linalg.solve(system, rhs)
+    if not np.isfinite(solution).all():
+        raise FloatingPointError("joint solve produced non-finite values")
+    return solution.reshape(num_nodes, dim)
 
 
 def joint_gamma_step(problem, new_thetas):
@@ -173,7 +139,7 @@ def edge_dual_step(problem, new_thetas, new_gammas):
     return updated
 
 
-def joint_round(problem, z, y, loss=None):
+def joint_round(problem, z, y):
     """Run one full oracle cycle and return the advanced problem.
 
     Installs the round's data, solves the joint theta step, recomputes
@@ -184,7 +150,7 @@ def joint_round(problem, z, y, loss=None):
         z=np.asarray(z, dtype=np.float64),
         y=np.asarray(y, dtype=np.float64),
     )
-    new_thetas = joint_theta_step(problem, loss=loss)
+    new_thetas = joint_theta_step(problem)
     new_gammas = joint_gamma_step(problem, new_thetas)
     new_duals = edge_dual_step(problem, new_thetas, new_gammas)
     return dc_replace(

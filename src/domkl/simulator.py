@@ -147,6 +147,28 @@ class ExperimentConfig:
                               key="hedge_variant")
         if self.master_seed < 0:
             raise ConfigError("seed must be nonnegative", key="seed")
+        if self.rounds is not None and self.rounds < 1:
+            raise ConfigError("rounds must be at least 1", key="rounds")
+        if self.num_features < 1:
+            raise ConfigError("num_features must be at least 1",
+                              key="num_features")
+        if not 0.0 < self.connection_prob <= 1.0:
+            raise ConfigError("connection_prob must be in (0, 1]",
+                              key="connection_prob")
+        if not self.eta_global > 0.0:
+            raise ConfigError("eta_global must be positive", key="eta_global")
+        if self.max_attempts < 1:
+            raise ConfigError("max_attempts must be at least 1",
+                              key="max_attempts")
+        if self.comkl_loss_mode not in ("sum", "mean"):
+            raise ConfigError("unknown comkl loss mode %r"
+                              % (self.comkl_loss_mode,), key="loss_mode")
+        if not self.comkl_step_size > 0.0:
+            raise ConfigError("comkl step_size must be positive",
+                              key="step_size")
+        if not self.diffusion_step_size > 0.0:
+            raise ConfigError("rff_dokl step_size must be positive",
+                              key="step_size")
         if self.task == "synthetic":
             if self.rounds is None:
                 raise ConfigError("synthetic task needs rounds", key="rounds")

@@ -6,20 +6,15 @@ from domkl.admm import (
     gamma_hat,
     lambda_update,
     run_single_kernel,
-    squared_loss,
-    theta_update_general,
     theta_update_quadratic,
 )
-from domkl.errors import ConvergenceError
 from domkl.features import KernelSpec, build_feature_map
 from domkl.graph import Graph, sample_connected_er
 
 
-def _round_objective(theta, theta_old, lam, z, label, gamma, degree, cfg,
-                     loss=None):
+def _round_objective(theta, theta_old, lam, z, label, gamma, degree, cfg):
     """The per-round objective, written out naively."""
-    pred = float(z @ theta)
-    fit = (pred - label) ** 2 if loss is None else loss.evaluate(pred, label)
+    fit = (float(z @ theta) - label) ** 2
     consensus = (cfg.rho / 2.0) * (
         degree * float(theta @ theta) - 2.0 * float(gamma @ theta)
     )
@@ -39,13 +34,6 @@ def test_config_rejects_nonpositive_weights():
         AdmmConfig(rho=0.0)
     with pytest.raises(ValueError):
         AdmmConfig(eta_local=-1.0)
-
-
-def test_squared_loss_values():
-    loss = squared_loss()
-    assert loss.evaluate(3.0, 1.0) == 4.0
-    assert loss.gradient_scalar(3.0, 1.0) == 4.0
-    assert loss.evaluate(np.array([1.0, 2.0]), 2.0) == pytest.approx([1.0, 0.0])
 
 
 def test_gamma_hat_matches_naive_midpoint_sum():
@@ -163,62 +151,6 @@ def test_closed_form_rejects_nonfinite_inputs():
     with pytest.raises(FloatingPointError):
         theta_update_quadratic(bad, np.zeros(2), np.ones(2), 0.0,
                                np.zeros(2), 1, cfg)
-
-
-def test_general_solver_agrees_with_closed_form_on_quadratic():
-    rng = np.random.default_rng(31)
-    cfg = AdmmConfig(rho=10.0, eta_local=10.0)
-    loss = squared_loss()
-    for _ in range(10):
-        theta = rng.standard_normal(5)
-        lam = rng.standard_normal(5)
-        z = rng.standard_normal(5)
-        gamma = rng.standard_normal(5)
-        label = float(rng.standard_normal())
-        exact = theta_update_quadratic(theta, lam, z, label, gamma, 2, cfg)
-        iterated = theta_update_general(theta, lam, loss, z, label, gamma, 2, cfg,
-                                        tol=1e-10)
-        assert np.allclose(iterated, exact, atol=1e-6)
-
-
-def test_general_solver_reaches_stationarity_on_quartic_loss():
-    """Finite differences of the full objective vanish at the solution."""
-    from domkl.admm import LossModel
-
-    quartic = LossModel(
-        name="quartic",
-        evaluate=lambda pred, label: (pred - label) ** 4,
-        gradient_scalar=lambda pred, label: 4.0 * (pred - label) ** 3,
-    )
-    rng = np.random.default_rng(37)
-    cfg = AdmmConfig(rho=5.0, eta_local=2.0)
-    theta = rng.standard_normal(4)
-    lam = rng.standard_normal(4)
-    z = rng.standard_normal(4)
-    gamma = rng.standard_normal(4)
-    out = theta_update_general(theta, lam, quartic, z, 0.4, gamma, 2, cfg,
-                               tol=1e-10, max_iters=5000)
-    eps = 1e-6
-    for i in range(4):
-        shift = np.zeros(4)
-        shift[i] = eps
-        hi = _round_objective(out + shift, theta, lam, z, 0.4, gamma, 2, cfg,
-                              loss=quartic)
-        lo = _round_objective(out - shift, theta, lam, z, 0.4, gamma, 2, cfg,
-                              loss=quartic)
-        assert abs((hi - lo) / (2 * eps)) < 1e-4
-
-
-def test_general_solver_reports_gradient_norm_on_budget_exhaustion():
-    rng = np.random.default_rng(41)
-    cfg = AdmmConfig(rho=1.0, eta_local=1.0)
-    with pytest.raises(ConvergenceError) as info:
-        theta_update_general(rng.standard_normal(4) * 100.0,
-                             rng.standard_normal(4), squared_loss(),
-                             rng.standard_normal(4), 0.0,
-                             rng.standard_normal(4), 2, cfg,
-                             tol=1e-14, max_iters=1)
-    assert info.value.gradient_norm > 0.0
 
 
 def test_lambda_update_matches_naive_sum():

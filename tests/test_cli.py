@@ -115,6 +115,18 @@ def test_workers_below_one_exit_2(tmp_path, capsys):
     assert "config error: workers must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("rho = 50", "rho = 0"),
+    ("connection_prob = 0.7", "connection_prob = 1.5"),
+    ("noise_std = 0.02", "noise_std = 0.02\n\n[algorithm.comkl]\nloss_mode = avg"),
+], ids=["rho", "connection_prob", "loss_mode"])
+def test_bad_values_exit_2(tmp_path, capsys, old, new):
+    text = _BASE_INI.replace(old, new)
+    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "results.csv").exists()
+
+
 def _trial_setup_errors(tmp_path):
     """INI texts that load cleanly but fail while trial 0 is set up."""
     topo = tmp_path / "split.txt"

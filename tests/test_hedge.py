@@ -104,8 +104,7 @@ def test_weight_kernels_are_bitwise_the_reference_expressions():
         for nb in neighbors:
             total = total + nb
         want = _reference_softmax(total)
-        assert (mp_combine_weights(log_w, neighbors, eta).tobytes()
-                == want.tobytes())
+        assert mp_combine_weights(log_w, neighbors).tobytes() == want.tobytes()
 
         for a, a0 in zip(inputs, before):
             assert a.tobytes() == a0.tobytes()
@@ -221,12 +220,7 @@ def test_mp_combination_equals_product_rule_on_one_edge():
                 [states[1 - k].cumulative_loss], eta,
             )
             relayed = mp_combine_weights(
-                states[k].log_w(), [board.messages[(1 - k, k)]], eta
+                states[k].log_w(), [board.messages[(1 - k, k)]]
             )
             assert np.allclose(product, relayed, atol=1e-12)
         states = [accumulate(s, rng.uniform(0.0, 2.0, size=4)) for s in states]
-
-
-def test_mp_combine_validates_eta():
-    with pytest.raises(ValueError):
-        mp_combine_weights(np.zeros(2), [], 0.0)

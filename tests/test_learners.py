@@ -5,7 +5,9 @@ import pytest
 
 from domkl.admm import AdmmConfig, run_single_kernel
 from domkl.errors import ProtocolError
-from domkl.features import KernelDictionary, KernelSpec, build_feature_map
+from domkl.features import (
+    KernelDictionary, KernelSpec, build_feature_map, map_stack,
+)
 from domkl.graph import Graph
 from domkl.hedge import MessageBoard, combine_weights, mp_update_messages
 from domkl.learners import LearnerNode, RoundExchange, _combined_prediction, step
@@ -234,7 +236,7 @@ def test_replay_matches_step_prediction_bitwise():
         for k in range(2):
             _, replayed = _combined_prediction(
                 nodes[k].round_thetas, nodes[k].round_weights,
-                nodes[k].map_input(xs[k]),
+                map_stack(nodes[k].feature_maps, xs[k]),
             )
             assert float(replayed) == preds[k]
         exchanges = fresh

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from domkl.admm import AdmmConfig, run_single_kernel, squared_loss
+from domkl.admm import AdmmConfig, run_single_kernel
 from domkl.features import KernelSpec, build_feature_map
 from domkl.graph import Graph
 from domkl.oracle import (
@@ -22,11 +22,11 @@ def _path3():
     return Graph(3, ((0, 1), (1, 2)))
 
 
-def _advance(problem, rng, rounds, dim, loss=None):
+def _advance(problem, rng, rounds, dim):
     for _ in range(rounds):
         z = rng.normal(size=(problem.graph.num_nodes, dim))
         y = rng.normal(size=problem.graph.num_nodes)
-        problem = joint_round(problem, z, y, loss=loss)
+        problem = joint_round(problem, z, y)
     return problem
 
 
@@ -159,32 +159,6 @@ def test_joint_rounds_match_distributed_single_kernel():
     assert np.allclose(problem.prev_thetas, thetas, rtol=0, atol=1e-8)
     for k in range(3):
         assert np.allclose(problem.aggregated_dual(k), lams[k], rtol=0, atol=1e-8)
-
-
-def test_general_loss_path_matches_dense_path():
-    rng = np.random.default_rng(7)
-    problem = JointStepProblem.initial(_path3(), dim=3, rho=2.0, eta_local=1.5)
-    problem = _advance(problem, rng, 2, 3)
-    import dataclasses
-    problem = dataclasses.replace(
-        problem,
-        z=rng.normal(size=(3, 3)),
-        y=rng.normal(size=3),
-    )
-    dense = joint_theta_step(problem)
-    iterative = joint_theta_step(problem, loss=squared_loss(), tol=1e-12)
-    assert np.allclose(iterative, dense, rtol=0, atol=1e-6)
-
-
-def test_general_loss_nonconvergence_raises():
-    rng = np.random.default_rng(8)
-    problem = JointStepProblem.initial(_path3(), dim=2, rho=1.0, eta_local=1.0)
-    import dataclasses
-    problem = dataclasses.replace(
-        problem, z=rng.normal(size=(3, 2)), y=rng.normal(size=3)
-    )
-    with pytest.raises(FloatingPointError):
-        joint_theta_step(problem, loss=squared_loss(), tol=1e-14, max_iters=1)
 
 
 def test_hindsight_best_normal_equations():

@@ -70,6 +70,24 @@ def test_config_validation():
         _small_cfg(master_seed=-1)
     with pytest.raises(ConfigError):
         _small_cfg(rounds=None)
+    bad_values = [
+        (dict(rounds=0), "rounds"),
+        (dict(rounds=-4), "rounds"),
+        (dict(num_features=0), "num_features"),
+        (dict(connection_prob=0.0), "connection_prob"),
+        (dict(connection_prob=1.5), "connection_prob"),
+        (dict(connection_prob=float("nan")), "connection_prob"),
+        (dict(eta_global=0.0), "eta_global"),
+        (dict(eta_global=-1.0), "eta_global"),
+        (dict(max_attempts=0), "max_attempts"),
+        (dict(comkl_loss_mode="avg"), "loss_mode"),
+        (dict(comkl_step_size=0.0), "step_size"),
+        (dict(diffusion_step_size=-0.5), "step_size"),
+    ]
+    for overrides, key in bad_values:
+        with pytest.raises(ConfigError) as info:
+            _small_cfg(**overrides)
+        assert info.value.key == key, overrides
     with pytest.raises(ConfigError):
         ExperimentConfig(task="regression", num_learners=3)
     with pytest.raises(ConfigError):
@@ -405,3 +423,21 @@ def test_benchmark_patch_points_resolve():
         if attr not in vars(owner):
             missing.append("%s.%s" % (module_name, attr_path))
     assert not missing
+
+
+def test_public_api_is_the_documented_one():
+    """The top-level names are the documented API; the rest of the
+    package is reached through its submodules."""
+    import domkl
+
+    assert sorted(domkl.__all__) == [
+        "AdmmConfig", "ArTaskConfig", "ConfigError", "CsvTaskConfig",
+        "ExperimentConfig", "Graph", "HedgeState", "KernelSpec",
+        "MessageBoard", "SyntheticTaskConfig", "build_feature_map",
+        "combine_weights", "comkl_step", "cv_curve", "gaussian_kernel",
+        "mp_combine_weights", "mse_curve", "rff_dokl_step", "run_experiment",
+        "run_single_kernel", "run_trial", "sample_connected_er", "step",
+        "sweep",
+    ]
+    for name in domkl.__all__:
+        assert getattr(domkl, name) is not None
