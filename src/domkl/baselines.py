@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .features import map_batch
 from .hedge import softmax_from_scores
 
 
@@ -77,7 +78,7 @@ def comkl_step(state, batch, feature_maps):
     round_weights = softmax_from_scores(
         -state.cumulative_loss / state.eta_global
     )
-    z = np.stack([fm.map(inputs) for fm in feature_maps])  # (P, K, D)
+    z = map_batch(feature_maps, inputs)                     # (P, K, D)
     dots = (z * state.thetas[:, None, :]).sum(axis=-1)      # (P, K)
     predictions = (round_weights[:, None] * dots).sum(axis=0)
 
@@ -102,9 +103,17 @@ def comkl_step(state, batch, feature_maps):
 
 @dataclass(frozen=True)
 class DiffusionState:
-    """One node's single-kernel parameters for diffusion OGD."""
+    """Single-kernel parameters of every node for diffusion OGD.
 
-    theta: np.ndarray
+    ``thetas`` (K, D) holds one row per node.  ``neighborhoods`` (K, W)
+    lists each node's closed neighborhood in ascending id order, padded
+    with K, the index of an all-zero row; ``sizes`` (K,) holds the
+    neighborhood sizes.
+    """
+
+    thetas: np.ndarray
+    neighborhoods: np.ndarray
+    sizes: np.ndarray
     step_size: float = 0.5
 
     def __post_init__(self):
@@ -112,36 +121,49 @@ class DiffusionState:
             raise ValueError("step_size must be positive")
 
     @classmethod
-    def fresh(cls, dim, step_size=0.5):
-        return cls(theta=np.zeros(dim), step_size=step_size)
+    def fresh(cls, graph, dim, step_size=0.5):
+        num_nodes = graph.num_nodes
+        members = [sorted((k,) + graph.neighbors[k]) for k in range(num_nodes)]
+        sizes = np.array([len(m) for m in members], dtype=np.float64)
+        table = np.full((num_nodes, int(sizes.max())), num_nodes, dtype=np.intp)
+        for k, m in enumerate(members):
+            table[k, :len(m)] = m
+        table.setflags(write=False)
+        sizes.setflags(write=False)
+        return cls(thetas=np.zeros((num_nodes, dim)), neighborhoods=table,
+                   sizes=sizes, step_size=step_size)
 
 
-def rff_dokl_step(states, graph, samples):
+def rff_dokl_step(state, samples):
     """One adapt-then-combine round over the whole network.
 
     ``samples`` is a (features, labels) pair holding every node's
     mapped round feature vector, shape (K, D), and label.  Every node
     takes a gradient step on its own sample, then replaces its
     parameters with the unweighted average of the stepped parameters
-    over its closed neighborhood.  Returns the new per-node states;
-    raises ``FloatingPointError`` when a prediction error or a new
-    parameter vector is not finite.
+    over its closed neighborhood.  Returns the new state; raises
+    ``FloatingPointError`` when a prediction error or a new parameter
+    vector is not finite.
     """
     z, labels = samples
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if not len(states) == len(z) == len(labels) == graph.num_nodes:
-        raise ValueError("need one state and one sample per node")
-    predictions = [float(s.theta @ z[k]) for k, s in enumerate(states)]
-    errors = np.array(predictions) - labels
-    stepped = [s.theta - s.step_size * 2.0 * errors[k] * z[k]
-               for k, s in enumerate(states)]
-    combined = []
-    for k, state in enumerate(states):
-        members = (k,) + graph.neighbors[k]
-        average = sum(stepped[m] for m in sorted(members)) / len(members)
-        combined.append(replace(state, theta=average))
-    if not (np.isfinite(errors).all()
-            and np.isfinite([s.theta for s in combined]).all()):
+    thetas = state.thetas
+    num_nodes = len(thetas)
+    if z.shape != thetas.shape or labels.shape != (num_nodes,):
+        raise ValueError("need one sample per node")
+    # Bitwise the sums of a per-node loop: one dot product per row (a
+    # matrix product's diagonal rounds differently), and neighbor sums
+    # started from zero in ascending id order.  A pad adds +0.0, which
+    # changes no partial sum, since none of them is -0.0.
+    errors = np.array([thetas[k] @ z[k] for k in range(num_nodes)]) - labels
+    stepped = np.zeros((num_nodes + 1, thetas.shape[1]))
+    np.subtract(thetas, ((state.step_size * 2.0) * errors)[:, None] * z,
+                out=stepped[:num_nodes])
+    total = np.zeros_like(thetas)
+    for column in state.neighborhoods.T:
+        total += stepped[column]
+    combined = total / state.sizes[:, None]
+    if not (np.isfinite(errors).all() and np.isfinite(combined).all()):
         raise FloatingPointError("rff_dokl step produced non-finite values")
-    return combined
+    return replace(state, thetas=combined)

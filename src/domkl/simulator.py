@@ -18,7 +18,6 @@ any one randomness source can be frozen independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -74,6 +73,14 @@ class SyntheticTaskConfig:
     noise_std: float = 0.05
     theta_scale: float = 1.0
 
+    def __post_init__(self):
+        if not self.bandwidth > 0.0:
+            raise ConfigError("bandwidth must be positive", key="bandwidth")
+        if self.input_dim < 1:
+            raise ConfigError("input_dim must be at least 1", key="input_dim")
+        if not self.noise_std >= 0.0:
+            raise ConfigError("noise_std must be nonnegative", key="noise_std")
+
 
 @dataclass(frozen=True)
 class CsvTaskConfig:
@@ -86,6 +93,10 @@ class CsvTaskConfig:
     shuffle: bool = True
     ar_order: int = 5
 
+    def __post_init__(self):
+        if self.ar_order < 1:
+            raise ConfigError("ar_order must be at least 1", key="ar_order")
+
 
 @dataclass(frozen=True)
 class ArTaskConfig:
@@ -96,6 +107,19 @@ class ArTaskConfig:
     noise_std: float = 0.05
     num_samples: int = 2000
     ar_order: int = 5
+
+    def __post_init__(self):
+        if len(self.coefficients) < 1:
+            raise ConfigError("ar_coefficients needs at least one value",
+                              key="ar_coefficients")
+        if not self.noise_std >= 0.0:
+            raise ConfigError("ar_noise_std must be nonnegative",
+                              key="ar_noise_std")
+        if self.ar_order < 1:
+            raise ConfigError("ar_order must be at least 1", key="ar_order")
+        if self.num_samples <= self.ar_order:
+            raise ConfigError("ar_samples must exceed ar_order %d"
+                              % self.ar_order, key="ar_samples")
 
 
 @dataclass(frozen=True)
@@ -152,6 +176,10 @@ class ExperimentConfig:
         if self.num_features < 1:
             raise ConfigError("num_features must be at least 1",
                               key="num_features")
+        if self.bandwidths is not None and not (
+                self.bandwidths and all(b > 0.0 for b in self.bandwidths)):
+            raise ConfigError("bandwidths must be one or more positive values",
+                              key="bandwidths")
         if not 0.0 < self.connection_prob <= 1.0:
             raise ConfigError("connection_prob must be in (0, 1]",
                               key="connection_prob")
@@ -178,6 +206,10 @@ class ExperimentConfig:
         elif self.csv_data is None and self.ar_synth is None:
             raise ConfigError("timeseries task needs a data path or AR spec",
                               key="path")
+        elif (self.csv_data is None and self.ar_synth.num_samples
+              - self.ar_synth.ar_order < self.num_learners):
+            raise ConfigError("ar_samples leaves fewer windows than learners",
+                              key="ar_samples")
 
 
 def config_dictionary(cfg, shared_seed=0):
@@ -449,17 +481,15 @@ def _run_rff_dokl(ctx, cfg):
     fmap = ctx.maps[cfg.kernel_index]
     trace = _empty_trace(ctx, cfg, "rff_dokl", 1)
     trace.weights.fill(1.0)
-    states = [DiffusionState.fresh(2 * cfg.num_features,
-                                   step_size=cfg.diffusion_step_size)
-              for _ in range(ctx.graph.num_nodes)]
+    state = DiffusionState.fresh(ctx.graph, 2 * cfg.num_features,
+                                 step_size=cfg.diffusion_step_size)
     for t in range(ctx.horizon):
-        z = fmap.map(ctx.inputs[t])                 # (K, D)
-        thetas = np.stack([s.theta for s in states])
-        trace.cross_predictions[t] = z @ thetas.T   # [k, l] = theta_l . z_k
+        z = fmap.map(ctx.inputs[t])                       # (K, D)
+        trace.cross_predictions[t] = z @ state.thetas.T   # [k, l] = theta_l . z_k
         trace.predictions[t] = np.diagonal(trace.cross_predictions[t])
         trace.per_kernel_losses[t, :, 0] = (trace.predictions[t]
                                             - ctx.labels[t]) ** 2
-        states = rff_dokl_step(states, ctx.graph, (z, ctx.labels[t]))
+        state = rff_dokl_step(state, (z, ctx.labels[t]))
     return trace
 
 
@@ -553,6 +583,10 @@ def run_experiment(cfg):
     """Run all trials (in ``cfg.workers`` processes) and aggregate."""
     indices = list(range(cfg.trials))
     if cfg.workers > 1:
+        # Imported here: the pool modules take tens of ms to import and
+        # the default run uses one process.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_trial_worker, (cfg, i)) for i in indices]
             results = []

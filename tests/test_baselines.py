@@ -1,5 +1,7 @@
 """Tests for the centralized and diffusion baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,55 +139,96 @@ def test_comkl_determinism():
 
 
 def test_diffusion_state_validation():
+    path = Graph(3, ((0, 1), (1, 2)))
     with pytest.raises(ValueError):
-        DiffusionState.fresh(4, step_size=0.0)
+        DiffusionState.fresh(path, 4, step_size=0.0)
+    state = DiffusionState.fresh(path, 4)
+    assert not state.thetas.any() and state.thetas.shape == (3, 4)
+    # Closed neighborhoods in ascending order, padded with the zero row 3.
+    assert state.neighborhoods.tolist() == [[0, 1, 3], [0, 1, 2], [1, 2, 3]]
+    assert state.sizes.tolist() == [2.0, 3.0, 2.0]
 
 
 def test_diffusion_step_matches_oracle():
     graph = Graph(4, ((0, 1), (1, 2), (2, 3)))
     fmap = build_feature_map(KernelSpec(1.0), 2, 6, seed=9)
     rng = np.random.default_rng(14)
-    states = [DiffusionState.fresh(12, step_size=0.2) for _ in range(4)]
+    state = DiffusionState.fresh(graph, 12, step_size=0.2)
     inputs, labels = _batch(rng, 4, 2)
     z = fmap.map(inputs)
     for _ in range(2):
-        states = rff_dokl_step(states, graph, (z, labels))
+        state = rff_dokl_step(state, (z, labels))
 
     stepped = []
     for k in range(4):
         zk = fmap.map(inputs[k])
-        err = float(states[k].theta @ zk) - labels[k]
-        stepped.append(states[k].theta - 0.2 * 2.0 * err * zk)
-    new_states = rff_dokl_step(states, graph, (z, labels))
+        err = float(state.thetas[k] @ zk) - labels[k]
+        stepped.append(state.thetas[k] - 0.2 * 2.0 * err * zk)
+    new_state = rff_dokl_step(state, (z, labels))
     for k in range(4):
         members = sorted((k,) + graph.neighbors[k])
         average = np.mean(np.stack([stepped[m] for m in members]), axis=0)
-        assert np.allclose(new_states[k].theta, average, rtol=0, atol=1e-14)
-        assert new_states[k].step_size == 0.2
+        assert np.allclose(new_state.thetas[k], average, rtol=0, atol=1e-14)
+    assert new_state.step_size == 0.2
+
+
+def _reference_diffusion_step(thetas, graph, z, labels, step_size):
+    """The per-node list loop the array step replaced, kept as written."""
+    predictions = [float(thetas[k] @ z[k]) for k in range(len(thetas))]
+    errors = np.array(predictions) - labels
+    stepped = [thetas[k] - step_size * 2.0 * errors[k] * z[k]
+               for k in range(len(thetas))]
+    combined = []
+    for k in range(len(thetas)):
+        members = (k,) + graph.neighbors[k]
+        combined.append(sum(stepped[m] for m in sorted(members)) / len(members))
+    return np.stack(combined)
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))),
+    Graph(6, ((3, 0), (3, 1), (3, 2), (3, 4), (3, 5))),
+], ids=["path", "star"])
+def test_diffusion_step_is_bitwise_the_per_node_reference(graph):
+    rng = np.random.default_rng(61)
+    dim = 100
+    state = DiffusionState.fresh(graph, dim, step_size=0.3)
+    # Signed zeros in the parameters and the features: a stepped entry
+    # of -0.0 must come out of the neighbor sums as the loop made it.
+    thetas = rng.normal(size=(6, dim)) / 10.0
+    thetas[:, ::7] = -0.0
+    state = dataclasses.replace(state, thetas=thetas)
+    want = thetas
+    for _ in range(5):
+        z = rng.normal(size=(6, dim)) / 10.0
+        z[:, ::5] = -0.0
+        labels = rng.normal(size=6)
+        want = _reference_diffusion_step(want, graph, z, labels, 0.3)
+        state = rff_dokl_step(state, (z, labels))
+        assert state.thetas.tobytes() == want.tobytes()
 
 
 def test_diffusion_validation():
     graph = Graph(3, ((0, 1), (1, 2)))
-    states = [DiffusionState.fresh(8) for _ in range(2)]
+    state = DiffusionState.fresh(graph, 8)
     with pytest.raises(ValueError):
-        rff_dokl_step(states, graph, (np.zeros((3, 8)), np.zeros(3)))
-    states = [DiffusionState.fresh(8) for _ in range(3)]
+        rff_dokl_step(state, (np.zeros((2, 8)), np.zeros(2)))
     with pytest.raises(ValueError):
-        rff_dokl_step(states, graph, (np.zeros((2, 8)), np.zeros(2)))
+        rff_dokl_step(state, (np.zeros((3, 8)), np.zeros(2)))
     with pytest.raises(ValueError):
-        rff_dokl_step(states, graph, (np.zeros((2, 8)), np.zeros(3)))
+        rff_dokl_step(state, (np.zeros((3, 6)), np.zeros(3)))
 
 
 def test_complete_graph_reaches_consensus_in_one_round():
     graph = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
     fmap = build_feature_map(KernelSpec(1.0), 2, 5, seed=6)
     rng = np.random.default_rng(5)
-    states = [DiffusionState.fresh(10) for _ in range(4)]
+    state = DiffusionState.fresh(graph, 10)
     # Break symmetry first with a structured round on a fresh start.
     inputs, labels = _batch(rng, 4, 2)
-    states = rff_dokl_step(states, graph, (fmap.map(inputs), labels))
+    state = rff_dokl_step(state, (fmap.map(inputs), labels))
     for k in range(1, 4):
-        assert np.array_equal(states[k].theta, states[0].theta)
+        assert np.array_equal(state.thetas[k], state.thetas[0])
 
 
 def test_diffusion_tracks_stationary_target():
@@ -193,7 +236,7 @@ def test_diffusion_tracks_stationary_target():
     fmap = build_feature_map(KernelSpec(1.0), 2, 40, seed=17)
     rng = np.random.default_rng(33)
     target = rng.normal(size=80)
-    states = [DiffusionState.fresh(80, step_size=0.3) for _ in range(3)]
+    state = DiffusionState.fresh(graph, 80, step_size=0.3)
     first_err = None
     for t in range(300):
         inputs = rng.normal(size=(3, 2))
@@ -201,12 +244,12 @@ def test_diffusion_tracks_stationary_target():
         labels = z @ target
         if t == 0:
             first_err = np.mean(
-                [(float(states[k].theta @ z[k]) - labels[k]) ** 2 for k in range(3)]
+                [(float(state.thetas[k] @ z[k]) - labels[k]) ** 2 for k in range(3)]
             )
-        states = rff_dokl_step(states, graph, (z, labels))
+        state = rff_dokl_step(state, (z, labels))
     final_err = np.mean(
         [
-            (float(states[k].theta @ fmap.map(np.ones(2))) - float(fmap.map(np.ones(2)) @ target)) ** 2
+            (float(state.thetas[k] @ fmap.map(np.ones(2))) - float(fmap.map(np.ones(2)) @ target)) ** 2
             for k in range(3)
         ]
     )
@@ -228,9 +271,9 @@ def test_diverging_diffusion_step_raises():
     graph = Graph(3, ((0, 1), (1, 2)))
     fmap = build_feature_map(KernelSpec(1.0), 2, 4, seed=2)
     rng = np.random.default_rng(13)
-    states = [DiffusionState.fresh(8, step_size=1e300) for _ in range(3)]
+    state = DiffusionState.fresh(graph, 8, step_size=1e300)
     inputs, labels = _batch(rng, 3, 2)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                   match="rff_dokl"):
         for _ in range(3):
-            states = rff_dokl_step(states, graph, (fmap.map(inputs), labels))
+            state = rff_dokl_step(state, (fmap.map(inputs), labels))

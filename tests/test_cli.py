@@ -115,13 +115,34 @@ def test_workers_below_one_exit_2(tmp_path, capsys):
     assert "config error: workers must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [
-    ("rho = 50", "rho = 0"),
-    ("connection_prob = 0.7", "connection_prob = 1.5"),
-    ("noise_std = 0.02", "noise_std = 0.02\n\n[algorithm.comkl]\nloss_mode = avg"),
-], ids=["rho", "connection_prob", "loss_mode"])
-def test_bad_values_exit_2(tmp_path, capsys, old, new):
-    text = _BASE_INI.replace(old, new)
+_TIMESERIES = [
+    ("task = synthetic", "task = timeseries"),
+    ("bandwidth = 0.1\nnoise_std = 0.02",
+     "ar_coefficients = 0.5 -0.2\nar_samples = 60"),
+]
+
+
+@pytest.mark.parametrize("edits", [
+    [("rho = 50", "rho = 0")],
+    [("connection_prob = 0.7", "connection_prob = 1.5")],
+    [("noise_std = 0.02", "noise_std = 0.02\n\n[algorithm.comkl]\nloss_mode = avg")],
+    [("noise_std = 0.02", "noise_std = 0.02\ninput_dim = 0")],
+    [("noise_std = 0.02", "noise_std = -1")],
+    [("bandwidth = 0.1", "bandwidth = 0")],
+    [("bandwidths = 0.05, 0.1", "bandwidths = -0.1")],
+    [("bandwidths = 0.05, 0.1", "bandwidths =")],
+    _TIMESERIES + [("ar_coefficients = 0.5 -0.2", "ar_coefficients =")],
+    _TIMESERIES + [("ar_samples = 60", "ar_samples = 60\nar_order = 0")],
+    _TIMESERIES + [("ar_samples = 60", "ar_samples = 3")],
+    _TIMESERIES + [("ar_samples = 60", "ar_samples = 60\nar_noise_std = -1")],
+], ids=["rho", "connection_prob", "loss_mode", "input_dim", "noise_std",
+        "bandwidth", "bandwidths", "bandwidths_empty", "ar_coefficients",
+        "ar_order", "ar_samples", "ar_noise_std"])
+def test_bad_values_exit_2(tmp_path, capsys, edits):
+    text = _BASE_INI
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
     assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "results.csv").exists()

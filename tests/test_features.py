@@ -12,6 +12,7 @@ from domkl.features import (
     build_feature_map,
     default_dictionary,
     gaussian_kernel,
+    map_batch,
 )
 
 
@@ -176,3 +177,27 @@ def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
     got = fmap.map(x)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+@pytest.mark.parametrize("batch", [1, 3, 10, 20])
+def test_map_batch_is_bitwise_the_stacked_maps(dim, batch):
+    maps = default_dictionary(shared_seed=5).build_maps(dim, 50)
+    rng = np.random.default_rng(100 * dim + batch)
+    for scale in (1e-2, 1.0, 3e1, 3e2):
+        x = scale * rng.uniform(-1.0, 1.0, size=(batch, dim))
+        want = np.stack([m.map(x) for m in maps])
+        got = map_batch(maps, x)
+        assert got.shape == (len(maps), batch, 100)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_map_batch_rejects_mismatched_maps():
+    spec = KernelSpec(1.0)
+    x = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="disagree"):
+        map_batch([build_feature_map(spec, 2, 5, seed=1),
+                   build_feature_map(spec, 2, 6, seed=2)], x)
+    with pytest.raises(ValueError, match="disagree"):
+        map_batch([build_feature_map(spec, 2, 5, seed=1),
+                   build_feature_map(spec, 3, 5, seed=2)], x)

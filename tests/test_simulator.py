@@ -2,6 +2,9 @@
 
 import dataclasses
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,11 +86,34 @@ def test_config_validation():
         (dict(comkl_loss_mode="avg"), "loss_mode"),
         (dict(comkl_step_size=0.0), "step_size"),
         (dict(diffusion_step_size=-0.5), "step_size"),
+        (dict(bandwidths=(0.1, -0.1)), "bandwidths"),
+        (dict(bandwidths=(0.0,)), "bandwidths"),
+        (dict(bandwidths=(float("nan"),)), "bandwidths"),
+        (dict(bandwidths=()), "bandwidths"),
+        (dict(task="timeseries", num_learners=4,
+              ar_synth=ArTaskConfig(num_samples=8, ar_order=5)), "ar_samples"),
     ]
     for overrides, key in bad_values:
         with pytest.raises(ConfigError) as info:
             _small_cfg(**overrides)
         assert info.value.key == key, overrides
+    bad_data = [
+        (SyntheticTaskConfig, dict(bandwidth=0.0), "bandwidth"),
+        (SyntheticTaskConfig, dict(bandwidth=-0.1), "bandwidth"),
+        (SyntheticTaskConfig, dict(input_dim=0), "input_dim"),
+        (SyntheticTaskConfig, dict(noise_std=-1.0), "noise_std"),
+        (SyntheticTaskConfig, dict(noise_std=float("nan")), "noise_std"),
+        (ArTaskConfig, dict(coefficients=()), "ar_coefficients"),
+        (ArTaskConfig, dict(noise_std=-1.0), "ar_noise_std"),
+        (ArTaskConfig, dict(ar_order=0), "ar_order"),
+        (ArTaskConfig, dict(num_samples=3), "ar_samples"),
+        (ArTaskConfig, dict(num_samples=5, ar_order=5), "ar_samples"),
+        (CsvTaskConfig, dict(path="series.csv", ar_order=0), "ar_order"),
+    ]
+    for cls, kwargs, key in bad_data:
+        with pytest.raises(ConfigError) as info:
+            cls(**kwargs)
+        assert info.value.key == key, (cls.__name__, kwargs)
     with pytest.raises(ConfigError):
         ExperimentConfig(task="regression", num_learners=3)
     with pytest.raises(ConfigError):
@@ -242,8 +268,8 @@ def test_baseline_traces_match_a_plain_step_loop():
         len(ctx.maps), dim, eta_local=cfg.comkl_step_size,
         eta_global=cfg.eta_global, loss_mode=cfg.comkl_loss_mode,
     )
-    diffusion = [DiffusionState.fresh(dim, step_size=cfg.diffusion_step_size)
-                 for _ in range(num_nodes)]
+    diffusion = DiffusionState.fresh(ctx.graph, dim,
+                                     step_size=cfg.diffusion_step_size)
     fields = ("predictions", "labels", "per_kernel_losses", "weights",
               "cross_predictions")
     expected = {alg: {name: [] for name in fields} for alg in cfg.algorithms}
@@ -260,14 +286,14 @@ def test_baseline_traces_match_a_plain_step_loop():
         rows["cross_predictions"].append(np.tile(preds[:, None], num_nodes))
 
         z = fmap.map(x)
-        cross = z @ np.stack([s.theta for s in diffusion]).T
+        cross = z @ diffusion.thetas.T
         rows = expected["rff_dokl"]
         rows["predictions"].append(np.diagonal(cross))
         rows["labels"].append(y)
         rows["per_kernel_losses"].append((np.diagonal(cross) - y)[:, None] ** 2)
         rows["weights"].append(np.ones((num_nodes, 1)))
         rows["cross_predictions"].append(cross)
-        diffusion = rff_dokl_step(diffusion, ctx.graph, (z, y))
+        diffusion = rff_dokl_step(diffusion, (z, y))
 
     for algorithm, by_field in expected.items():
         trace = result.traces[algorithm]
@@ -423,6 +449,32 @@ def test_benchmark_patch_points_resolve():
         if attr not in vars(owner):
             missing.append("%s.%s" % (module_name, attr_path))
     assert not missing
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    """The benchmark's own self-test: the call counts it pins per
+    node-round, and that tracing leaves every patched name restored."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "benchmarks/selftest.py"], cwd=root,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout
+    assert done.stdout.splitlines()[-1] == "all passed", done.stdout
+
+
+def test_import_loads_no_process_pool():
+    """One-process runs, the default, never pay for importing the pool."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, domkl; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_public_api_is_the_documented_one():
