@@ -13,23 +13,17 @@ Subcommands:
 ``validate``
     Run the fast invariant suite and print one pass/fail line per check.
 
-Config files are INI text with four sections.  Every key is optional
-unless the task needs it; unknown sections or keys are rejected so a
-typo cannot silently fall back to a default.
+Config files are INI text.  ``_KEYS`` lists every section and key, the
+config field each key sets and who reads it; a key left out keeps the
+field's dataclass default.  These are config errors, so a typo cannot
+silently fall back to a default:
 
-  [experiment]   task, algorithms, trials, rounds, seed, workers,
-                 accuracy_regret
-  [network]      num_nodes, connection_prob, topology, max_attempts
-  [algorithm.<name>]
-                 domkl: rho, eta_local, eta_global, num_features,
-                        bandwidths, kernel_index, hedge_variant,
-                        allow_cycles (dokl reads this section too)
-                 comkl: step_size, loss_mode
-                 rff_dokl: step_size
-  [data]         path, label_column, has_header, normalize, shuffle,
-                 ar_order (CSV tasks); bandwidth, input_dim, noise_std,
-                 theta_scale (synthetic); ar_coefficients, ar_intercept,
-                 ar_noise_std, ar_samples (synthetic time series)
+- an unknown section or key, or a value that does not parse;
+- a non-finite float, in a float key or in a list of floats;
+- a key that the run never reads, because its task's data source and
+  the selected algorithms are not among its readers.  ``[experiment]``
+  and ``[network]`` are read by every run and exempt from this rule;
+- a ``[data] path`` that cannot be read.
 
 Exit codes: 0 success, 1 runtime failure or failed invariant,
 2 config error.  Float cells are written with ``repr`` so identical
@@ -41,6 +35,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -48,6 +43,8 @@ from dataclasses import replace
 from .admm import AdmmConfig
 from .errors import ConfigError
 from .simulator import (
+    ALGORITHMS,
+    TASKS,
     ArTaskConfig,
     CsvTaskConfig,
     ExperimentConfig,
@@ -72,157 +69,156 @@ def _parse_names(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number: %r" % (text.strip(),))
+    return value
+
+
 def _parse_floats(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return tuple(_parse_float(tok) for tok in text.replace(",", " ").split())
 
 
-_SCHEMA = {
-    "experiment": {
-        "task": str,
-        "algorithms": _parse_names,
-        "trials": int,
-        "rounds": int,
-        "seed": int,
-        "workers": int,
-        "accuracy_regret": _parse_bool,
-    },
-    "network": {
-        "num_nodes": int,
-        "connection_prob": float,
-        "topology": str,
-        "max_attempts": int,
-    },
-    "algorithm.domkl": {
-        "rho": float,
-        "eta_local": float,
-        "eta_global": float,
-        "num_features": int,
-        "bandwidths": _parse_floats,
-        "kernel_index": int,
-        "hedge_variant": str,
-        "allow_cycles": _parse_bool,
-    },
-    "algorithm.comkl": {
-        "step_size": float,
-        "loss_mode": str,
-    },
-    "algorithm.rff_dokl": {
-        "step_size": float,
-    },
-    "data": {
-        "path": str,
-        "label_column": int,
-        "has_header": _parse_bool,
-        "normalize": _parse_bool,
-        "shuffle": _parse_bool,
-        "ar_order": int,
-        "bandwidth": float,
-        "input_dim": int,
-        "noise_std": float,
-        "theta_scale": float,
-        "ar_coefficients": _parse_floats,
-        "ar_intercept": float,
-        "ar_noise_std": float,
-        "ar_samples": int,
-    },
+# Each task's data source: the ExperimentConfig field that holds its data
+# config, the config's class, and the field whose key must be present for
+# the config to be built (None: always built).
+_SOURCES = {
+    "synthetic": ("synthetic", SyntheticTaskConfig, None),
+    "regression": ("csv_data", CsvTaskConfig, "path"),
+    "csv_timeseries": ("csv_data", CsvTaskConfig, "path"),
+    "ar_timeseries": ("ar_synth", ArTaskConfig, "coefficients"),
 }
 
+# Readers: the algorithms or data sources that read a key.  Keys of
+# [experiment] and [network] have none because every run reads them.  A
+# topology file does leave connection_prob and max_attempts unread, but
+# configs that keep both beside a topology load today, so they still do.
+_EVERY = ()
+_ADMM = ("domkl", "dokl")
+_DOMKL = ("domkl",)
+_CSV = ("regression", "csv_timeseries")
+_SYN = ("synthetic",)
+_AR = ("ar_timeseries",)
 
-def _read_sections(path):
+# (section, key) -> (parser, config, field, readers), where ``config``
+# names the object that holds the field: "experiment" (ExperimentConfig),
+# "admm" (AdmmConfig) or "data" (the data source's config).
+_KEYS = {
+    ("experiment", "task"): (str, "experiment", "task", _EVERY),
+    ("experiment", "algorithms"):
+        (_parse_names, "experiment", "algorithms", _EVERY),
+    ("experiment", "trials"): (int, "experiment", "trials", _EVERY),
+    ("experiment", "rounds"): (int, "experiment", "rounds", _EVERY),
+    ("experiment", "seed"): (int, "experiment", "master_seed", _EVERY),
+    ("experiment", "workers"): (int, "experiment", "workers", _EVERY),
+    ("experiment", "accuracy_regret"):
+        (_parse_bool, "experiment", "compute_accuracy_regret", _EVERY),
+    ("network", "num_nodes"): (int, "experiment", "num_learners", _EVERY),
+    ("network", "connection_prob"):
+        (_parse_float, "experiment", "connection_prob", _EVERY),
+    ("network", "topology"): (str, "experiment", "topology_path", _EVERY),
+    ("network", "max_attempts"): (int, "experiment", "max_attempts", _EVERY),
+    ("algorithm.domkl", "rho"): (_parse_float, "admm", "rho", _ADMM),
+    ("algorithm.domkl", "eta_local"):
+        (_parse_float, "admm", "eta_local", _ADMM),
+    ("algorithm.domkl", "eta_global"):
+        (_parse_float, "experiment", "eta_global", _ADMM + ("comkl",)),
+    ("algorithm.domkl", "num_features"):
+        (int, "experiment", "num_features", ALGORITHMS),
+    ("algorithm.domkl", "bandwidths"):
+        (_parse_floats, "experiment", "bandwidths", ALGORITHMS),
+    ("algorithm.domkl", "kernel_index"):
+        (int, "experiment", "kernel_index", ("dokl", "rff_dokl")),
+    ("algorithm.domkl", "hedge_variant"):
+        (str, "experiment", "hedge_variant", _DOMKL),
+    ("algorithm.domkl", "allow_cycles"):
+        (_parse_bool, "experiment", "allow_cycles", _DOMKL),
+    ("algorithm.comkl", "step_size"):
+        (_parse_float, "experiment", "comkl_step_size", ("comkl",)),
+    ("algorithm.comkl", "loss_mode"):
+        (str, "experiment", "comkl_loss_mode", ("comkl",)),
+    ("algorithm.rff_dokl", "step_size"):
+        (_parse_float, "experiment", "diffusion_step_size", ("rff_dokl",)),
+    ("data", "path"): (str, "data", "path", _CSV),
+    ("data", "label_column"): (int, "data", "label_column", _CSV),
+    ("data", "has_header"): (_parse_bool, "data", "has_header", _CSV),
+    ("data", "normalize"): (_parse_bool, "data", "normalize", _CSV),
+    ("data", "shuffle"): (_parse_bool, "data", "shuffle", ("regression",)),
+    ("data", "ar_order"): (int, "data", "ar_order", ("csv_timeseries",) + _AR),
+    ("data", "bandwidth"): (_parse_float, "data", "bandwidth", _SYN),
+    ("data", "input_dim"): (int, "data", "input_dim", _SYN),
+    ("data", "noise_std"): (_parse_float, "data", "noise_std", _SYN),
+    ("data", "theta_scale"): (_parse_float, "data", "theta_scale", _SYN),
+    ("data", "ar_coefficients"): (_parse_floats, "data", "coefficients", _AR),
+    ("data", "ar_intercept"): (_parse_float, "data", "intercept", _AR),
+    ("data", "ar_noise_std"): (_parse_float, "data", "noise_std", _AR),
+    ("data", "ar_samples"): (int, "data", "num_samples", _AR),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _read_keys(path):
+    """The parsed value of every key in the file, by (section, key)."""
     parser = configparser.ConfigParser(interpolation=None)
     with open(path) as handle:
         parser.read_file(handle, source=path)
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError("unknown section [%s]" % (section,), key=section)
-        table = _SCHEMA[section]
-        parsed = {}
         for key, raw in parser.items(section):
-            if key not in table:
+            if (section, key) not in _KEYS:
                 raise ConfigError(
                     "unknown key %r in [%s]" % (key, section), key=key
                 )
             try:
-                parsed[key] = table[key](raw)
+                values[section, key] = _KEYS[section, key][0](raw)
             except ValueError as exc:
                 raise ConfigError(
                     "bad value for %r in [%s]: %s" % (key, section, exc),
                     key=key,
                 ) from exc
-        values[section] = parsed
     return values
 
 
 def load_config(path):
     """Parse and validate an INI config into an ExperimentConfig."""
-    values = _read_sections(path)
-    experiment = values.get("experiment", {})
-    network = values.get("network", {})
-    consensus = values.get("algorithm.domkl", {})
-    comkl = values.get("algorithm.comkl", {})
-    rff = values.get("algorithm.rff_dokl", {})
-    data = values.get("data", {})
+    values = _read_keys(path)
+    task = values.get(("experiment", "task"), ExperimentConfig.task)
+    algorithms = values.get(("experiment", "algorithms"),
+                            ExperimentConfig.algorithms)
+    if task not in TASKS:
+        raise ConfigError("unknown task %r" % (task,), key="task")
+    source = task
+    if task == "timeseries":
+        from_csv = ("data", "path") in values
+        source = "csv_timeseries" if from_csv else "ar_timeseries"
+    selected = {source}.union(algorithms)
 
-    task = experiment.get("task", "synthetic")
-    synthetic = None
-    csv_data = None
-    ar_synth = None
-    if task == "synthetic":
-        synthetic = SyntheticTaskConfig(
-            bandwidth=data.get("bandwidth", 0.01),
-            input_dim=data.get("input_dim", 2),
-            noise_std=data.get("noise_std", 0.05),
-            theta_scale=data.get("theta_scale", 1.0),
-        )
-    elif "path" in data:
-        csv_data = CsvTaskConfig(
-            path=data["path"],
-            label_column=data.get("label_column", -1),
-            has_header=data.get("has_header", False),
-            normalize=data.get("normalize", True),
-            shuffle=data.get("shuffle", True),
-            ar_order=data.get("ar_order", 5),
-        )
-    elif task == "timeseries" and "ar_coefficients" in data:
-        ar_synth = ArTaskConfig(
-            coefficients=data["ar_coefficients"],
-            intercept=data.get("ar_intercept", 0.2),
-            noise_std=data.get("ar_noise_std", 0.05),
-            num_samples=data.get("ar_samples", 2000),
-            ar_order=data.get("ar_order", 5),
-        )
+    fields = {"experiment": {}, "admm": {}, "data": {}}
+    for (section, key), value in values.items():
+        _, config, field, readers = _KEYS[section, key]
+        if readers and selected.isdisjoint(readers):
+            raise ConfigError(
+                "%r in [%s] is read only by %s; this run is %s with %s"
+                % (key, section, ", ".join(readers), source,
+                   ", ".join(algorithms)), key=key)
+        fields[config][field] = value
 
-    admm = AdmmConfig(
-        rho=consensus.get("rho", 100.0),
-        eta_local=consensus.get("eta_local", 10.0),
-    )
-    return ExperimentConfig(
-        task=task,
-        algorithms=experiment.get("algorithms", ("domkl",)),
-        num_learners=network.get("num_nodes", 5),
-        connection_prob=network.get("connection_prob", 0.25),
-        topology_path=network.get("topology"),
-        max_attempts=network.get("max_attempts", 50),
-        admm=admm,
-        eta_global=consensus.get("eta_global", 10.0),
-        num_features=consensus.get("num_features", 50),
-        bandwidths=consensus.get("bandwidths"),
-        kernel_index=consensus.get("kernel_index", 8),
-        hedge_variant=consensus.get("hedge_variant", "product"),
-        allow_cycles=consensus.get("allow_cycles", False),
-        trials=experiment.get("trials", 1),
-        master_seed=experiment.get("seed", 0),
-        rounds=experiment.get("rounds"),
-        synthetic=synthetic,
-        csv_data=csv_data,
-        ar_synth=ar_synth,
-        comkl_step_size=comkl.get("step_size", 0.5),
-        comkl_loss_mode=comkl.get("loss_mode", "sum"),
-        diffusion_step_size=rff.get("step_size", 0.5),
-        workers=experiment.get("workers", 1),
-        compute_accuracy_regret=experiment.get("accuracy_regret", False),
-    )
+    data_field, data_class, required = _SOURCES[source]
+    if required is None or required in fields["data"]:
+        fields["experiment"][data_field] = data_class(**fields["data"])
+    cfg = ExperimentConfig(admm=AdmmConfig(**fields["admm"]),
+                           **fields["experiment"])
+    if cfg.csv_data is not None:
+        try:
+            with open(cfg.csv_data.path, "rb"):
+                pass
+        except OSError as exc:
+            raise ConfigError("cannot read [data] path: %s" % (exc,),
+                              key="path") from exc
+    return cfg
 
 
 def _fmt(value):

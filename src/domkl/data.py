@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .features import KernelSpec, build_feature_map
 
 
@@ -44,7 +45,8 @@ def load_csv(path, label_column=-1, has_header=False):
 
     ``label_column`` indexes the label column (negative indices count
     from the right); the remaining columns become features in file
-    order.  Parse problems are reported with their row and column.
+    order.  Parse problems are reported with their row and column; a
+    ``label_column`` outside the table raises ``ConfigError``.
     """
     rows = []
     with open(path, newline="") as handle:
@@ -75,8 +77,8 @@ def load_csv(path, label_column=-1, has_header=False):
     width = table.shape[1]
     label_index = label_column if label_column >= 0 else width + label_column
     if not 0 <= label_index < width:
-        raise ValueError("label_column %d out of range for %d columns"
-                         % (label_column, width))
+        raise ConfigError("label_column %d out of range for %d columns"
+                          % (label_column, width), key="label_column")
     labels = table[:, label_index]
     features = np.delete(table, label_index, axis=1)
     return Dataset(features=features, labels=labels, name=str(path))

@@ -1,13 +1,24 @@
 """Tests for the config loader and the command-line entry points."""
 
 import csv
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import domkl.learners
+from domkl import cli
+from domkl.admm import AdmmConfig
 from domkl.cli import cmd_run, cmd_sweep, cmd_validate, load_config, main
 from domkl.errors import ConfigError
+from domkl.simulator import (
+    ArTaskConfig,
+    CsvTaskConfig,
+    ExperimentConfig,
+    SyntheticTaskConfig,
+)
 
 _BASE_INI = """\
 [experiment]
@@ -280,3 +291,233 @@ def test_validate_catches_injected_dual_fault(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "check(s) failed" in captured.err
+
+
+def _edit(edits, **subs):
+    text = _BASE_INI
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    for name, value in subs.items():
+        text = text.replace("{%s}" % name, str(value))
+    return text
+
+
+def _write_data_csv(tmp_path):
+    """A 3-column, 60-row numeric CSV: enough rows for 3 nodes x 12 rounds."""
+    path = tmp_path / "data.csv"
+    rows = np.random.default_rng(5).random((60, 3))
+    path.write_text("".join("%f,%f,%f\n" % tuple(row) for row in rows))
+    return path
+
+
+_SYNTH_DATA = "bandwidth = 0.1\nnoise_std = 0.02"
+_REGRESSION = [("task = synthetic", "task = regression"),
+               (_SYNTH_DATA, "path = {csv}")]
+_CSV_TIMESERIES = [("task = synthetic", "task = timeseries"),
+                   (_SYNTH_DATA, "path = {csv}")]
+
+
+def _after(line, added):
+    return (line, line + "\n" + added)
+
+
+@pytest.mark.parametrize("edits, key", [
+    ([_after("noise_std = 0.02", "label_column = 3")], "label_column"),
+    ([_after("noise_std = 0.02", "ar_samples = 100")], "ar_samples"),
+    (_TIMESERIES + [_after("ar_samples = 60", "path = {csv}")],
+     "ar_coefficients"),
+    (_TIMESERIES + [_after("ar_samples = 60", "input_dim = 7")], "input_dim"),
+    (_REGRESSION + [_after("path = {csv}", "ar_order = 3")], "ar_order"),
+    (_CSV_TIMESERIES + [_after("path = {csv}", "shuffle = false")], "shuffle"),
+    ([_after("noise_std = 0.02", "\n[algorithm.comkl]\nstep_size = 0.3")],
+     "step_size"),
+    ([_after("noise_std = 0.02", "\n[algorithm.rff_dokl]\nstep_size = 0.3")],
+     "step_size"),
+    ([("algorithms = domkl", "algorithms = dokl"),
+      _after("bandwidths = 0.05, 0.1",
+             "kernel_index = 0\nhedge_variant = message_passing")],
+     "hedge_variant"),
+    ([_after("bandwidths = 0.05, 0.1", "kernel_index = 0")], "kernel_index"),
+], ids=["synthetic_label_column", "synthetic_ar_samples",
+        "timeseries_path_and_ar", "ar_input_dim", "regression_ar_order",
+        "csv_timeseries_shuffle", "comkl_section_unselected",
+        "rff_dokl_section_unselected", "hedge_variant_without_domkl",
+        "kernel_index_without_dokl"])
+def test_unread_keys_exit_2(tmp_path, capsys, edits, key):
+    text = _edit(edits, csv=_write_data_csv(tmp_path))
+    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %r in [" % key)
+    assert "is read only by " in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("edits, key", [
+    ([_after("noise_std = 0.02", "theta_scale = nan")], "theta_scale"),
+    ([_after("noise_std = 0.02", "theta_scale = inf")], "theta_scale"),
+    ([("noise_std = 0.02", "noise_std = inf")], "noise_std"),
+    ([("bandwidth = 0.1", "bandwidth = inf")], "bandwidth"),
+    ([("bandwidths = 0.05, 0.1", "bandwidths = inf")], "bandwidths"),
+    (_TIMESERIES + [_after("ar_samples = 60", "ar_intercept = nan")],
+     "ar_intercept"),
+    (_TIMESERIES + [("ar_coefficients = 0.5 -0.2",
+                     "ar_coefficients = 0.5 nan")],
+     "ar_coefficients"),
+    (_TIMESERIES + [_after("ar_samples = 60", "ar_noise_std = inf")],
+     "ar_noise_std"),
+], ids=["theta_scale_nan", "theta_scale_inf", "noise_std_inf",
+        "bandwidth_inf", "bandwidths_inf", "ar_intercept_nan",
+        "ar_coefficients_nan", "ar_noise_std_inf"])
+def test_non_finite_values_exit_2(tmp_path, capsys, edits, key):
+    text = _edit(edits)
+    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for %r" % key)
+    assert "not a finite number" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_non_finite_grid_flag_exit_2(tmp_path, capsys):
+    path = _write_ini(tmp_path)
+    assert main(["sweep", "--config", path, "--rho", "10,inf",
+                 "--eta-g", "10", "--out", str(tmp_path)]) == 2
+    assert "bad grid flag: not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["missing_path", "label_column"])
+def test_csv_errors_exit_2(tmp_path, capsys, case):
+    csv_path = _write_data_csv(tmp_path)
+    for task_edits in (_REGRESSION, _CSV_TIMESERIES):
+        if case == "missing_path":
+            text = _edit(task_edits, csv=tmp_path / "absent.csv")
+            expected = "config error: cannot read [data] path: "
+        else:
+            text = _edit(
+                task_edits + [_after("path = {csv}", "label_column = 9")],
+                csv=csv_path)
+            expected = "config error: trial 0: label_column 9 out of range"
+        path = _write_ini(tmp_path, text)
+        assert cmd_run(path, out_dir=str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(expected)
+        assert main(["sweep", "--config", path, "--rho", "10",
+                     "--eta-g", "10", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "results.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_unread_key_error_names_the_run(tmp_path, capsys):
+    # A misspelt algorithm leaves its section unread; the error shows why.
+    text = _edit([("algorithms = domkl", "algorithms = domk")])
+    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: 'rho' in [algorithm.domkl] is read only by domkl, dokl;"
+        " this run is synthetic with domk")
+
+
+def test_loss_mode_checked_when_comkl_selected(tmp_path, capsys):
+    text = _edit([("algorithms = domkl", "algorithms = domkl, comkl"),
+                  _after("noise_std = 0.02",
+                         "\n[algorithm.comkl]\nloss_mode = avg")])
+    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown comkl loss mode 'avg'")
+
+
+def _config_classes(config, readers):
+    """The config classes a row of the key table sets a field of."""
+    if config == "experiment":
+        return {ExperimentConfig}
+    if config == "admm":
+        return {AdmmConfig}
+    return {cli._SOURCES[source][1] for source in readers}
+
+
+def test_every_config_field_has_one_key():
+    nested = {"admm", "synthetic", "csv_data", "ar_synth"}
+    classes = (ExperimentConfig, AdmmConfig, SyntheticTaskConfig,
+               CsvTaskConfig, ArTaskConfig)
+    for cls in classes:
+        for field in dataclasses.fields(cls):
+            if cls is ExperimentConfig and field.name in nested:
+                continue
+            rows = [
+                row for row, (_, config, name, readers) in cli._KEYS.items()
+                if name == field.name
+                and cls in _config_classes(config, readers)
+            ]
+            assert len(rows) == 1, (cls.__name__, field.name, rows)
+
+
+# A value unlike the dataclass default for every key, as INI text.
+_SAMPLE_VALUES = {
+    "task": "regression", "algorithms": "comkl", "trials": "3",
+    "rounds": "7", "seed": "9", "workers": "2", "accuracy_regret": "yes",
+    "num_nodes": "4", "connection_prob": "0.5", "topology": "net.txt",
+    "max_attempts": "7", "rho": "7.5", "eta_local": "2.5",
+    "eta_global": "3.5", "num_features": "9", "bandwidths": "0.3 0.7",
+    "kernel_index": "1", "hedge_variant": "message_passing",
+    "allow_cycles": "true", "loss_mode": "mean", "path": "series.csv",
+    "label_column": "0",
+    "has_header": "true", "normalize": "false", "shuffle": "false",
+    "ar_order": "3", "bandwidth": "0.2", "input_dim": "4",
+    "noise_std": "0.1", "theta_scale": "2.0", "ar_coefficients": "0.4",
+    "ar_intercept": "0.1", "ar_noise_std": "0.2", "ar_samples": "50",
+    "algorithm.comkl.step_size": "0.25",
+    "algorithm.rff_dokl.step_size": "0.75",
+}
+# The task and the [data] keys that select each data source.
+_SOURCE_CONTEXT = {
+    "synthetic": ("synthetic", {}),
+    "regression": ("regression", {"path": "data.csv"}),
+    "csv_timeseries": ("timeseries", {"path": "data.csv"}),
+    "ar_timeseries": ("timeseries", {"ar_coefficients": "0.5"}),
+}
+
+
+@pytest.mark.parametrize("row", sorted(cli._KEYS),
+                         ids=["%s.%s" % row for row in sorted(cli._KEYS)])
+def test_key_sets_its_field(tmp_path, monkeypatch, row):
+    monkeypatch.chdir(tmp_path)  # load_config checks that [data] path reads
+    for name in ("data.csv", "series.csv"):
+        (tmp_path / name).write_text("1,2\n")
+    section, key = row
+    parse, config, field, readers = cli._KEYS[row]
+    raw = _SAMPLE_VALUES.get("%s.%s" % row, _SAMPLE_VALUES.get(key))
+    if section == "data":
+        sources = readers
+    else:
+        sources = ("regression" if key == "task" else "synthetic",)
+    algorithm = readers[0] if section.startswith("algorithm.") else "domkl"
+    for source in sources:
+        task, data = _SOURCE_CONTEXT[source]
+        sections = {
+            "experiment": {"task": task, "algorithms": algorithm,
+                           "rounds": "5"},
+            "data": dict(data),
+        }
+        sections.setdefault(section, {})[key] = raw
+        text = "".join(
+            "[%s]\n%s\n" % (name, "".join("%s = %s\n" % kv
+                                          for kv in keys.items()))
+            for name, keys in sections.items())
+        cfg = load_config(_write_ini(tmp_path, text))
+        if config == "experiment":
+            target = cfg
+        elif config == "admm":
+            target = cfg.admm
+        else:
+            target = getattr(cfg, cli._SOURCES[source][0])
+        default = {f.name: f.default for f in dataclasses.fields(target)}
+        assert getattr(target, field) == parse(raw)
+        assert getattr(target, field) != default[field]
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = load_config(_write_ini(tmp_path, blocks[0]))
+    assert cfg.task == "synthetic" and cfg.rounds is not None
