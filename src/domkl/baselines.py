@@ -1,7 +1,8 @@
 """Comparison algorithms: centralized mini-batch OMKL and diffusion OGD.
 
 COMKL learns one central multi-kernel function from the whole network's
-round batch (mini-batch gradient step per kernel, single hedge state).
+round batch: a mini-batch gradient step per kernel, run one kernel at a
+time over the whole trace, and one hedge over the kernels' losses.
 RFF-DOKL keeps a single-kernel parameter per node, takes a local
 gradient step, then averages over the closed neighborhood
 (adapt-then-combine diffusion).
@@ -13,92 +14,89 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import map_batch
-from .hedge import softmax_from_scores
 
+def comkl_step(theta, samples, step_size):
+    """Run one kernel of the central learner through a whole trace.
 
-@dataclass(frozen=True)
-class ComklState:
-    """Central multi-kernel learner state.
-
-    ``loss_mode`` chooses whether the hedge sees the summed or the
-    averaged per-kernel batch loss each round; summing is the default.
+    ``samples`` pairs the kernel's (T, K, D) features of every learner's
+    round-t sample with their (T, K) labels.  Each round steps on the
+    round's summed squared loss, scaled by ``step_size / K``.  Returns
+    the (T, K) dot products made before each step and the final
+    parameters; raises ``FloatingPointError`` naming the first round
+    with a non-finite dot product or parameter.
     """
-
-    thetas: np.ndarray
-    cumulative_loss: np.ndarray
-    weights: np.ndarray
-    eta_local: float = 0.5
-    eta_global: float = 10.0
-    loss_mode: str = "sum"
-    expected_batch: int | None = None
-
-    def __post_init__(self):
-        if self.loss_mode not in ("sum", "mean"):
-            raise ValueError("loss_mode must be 'sum' or 'mean'")
-        if not self.eta_local > 0.0 or not self.eta_global > 0.0:
-            raise ValueError("step sizes must be positive")
-
-    @classmethod
-    def fresh(cls, num_kernels, dim, eta_local=0.5, eta_global=10.0,
-              loss_mode="sum", expected_batch=None):
-        return cls(
-            thetas=np.zeros((num_kernels, dim)),
-            cumulative_loss=np.zeros(num_kernels),
-            weights=np.full(num_kernels, 1.0 / num_kernels),
-            eta_local=eta_local,
-            eta_global=eta_global,
-            loss_mode=loss_mode,
-            expected_batch=expected_batch,
-        )
-
-
-def comkl_step(state, batch, feature_maps):
-    """Advance the central learner by one round batch.
-
-    ``batch`` is an (inputs, labels) pair covering every learner's
-    sample for the round.  Returns the combined predictions for the
-    batch and the (batch, kernels) squared errors of every kernel's
-    prediction, both made before any update, and the new state.
-    Raises ``FloatingPointError`` when the predictions or the new
-    parameters are not finite.
-    """
-    inputs, labels = batch
-    inputs = np.asarray(inputs, dtype=np.float64)
+    z, labels = samples
+    z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if inputs.ndim != 2 or len(inputs) != len(labels):
-        raise ValueError("batch size mismatch")
-    if state.expected_batch is not None and len(labels) != state.expected_batch:
-        raise ValueError(
-            "batch size mismatch: expected %d, got %d"
-            % (state.expected_batch, len(labels))
-        )
-    batch_size = len(labels)
+    theta = np.asarray(theta, dtype=np.float64)
+    if not step_size > 0.0:
+        raise ValueError("step_size must be positive")
+    if z.shape[:2] != labels.shape or z.shape[2:] != theta.shape:
+        raise ValueError("need (T, K, D) features, (T, K) labels and a "
+                         "(D,) parameter vector")
+    num_rounds, num_nodes = labels.shape
+    scale = step_size / num_nodes
+    dots = np.empty((num_rounds, num_nodes))
+    # Bitwise the rows of a step over all kernels at once: per-row dot
+    # products, and a gradient summed over learners in order.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(num_rounds):
+            dots[t] = (z[t] * theta).sum(axis=-1)
+            errors = dots[t] - labels[t]
+            gradient = 2.0 * (errors[:, None] * z[t]).sum(axis=0)
+            theta = theta - scale * gradient
+    # Feature vectors have unit norm, so a non-finite parameter makes
+    # every later dot product non-finite: the first non-finite dot
+    # product is the first round that either value went non-finite.
+    finite = np.isfinite(dots).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            "comkl_step: non-finite dot product or parameter at round %d of %d"
+            % (np.argmin(finite) + 1, num_rounds))
+    if not np.isfinite(theta).all():
+        raise FloatingPointError(
+            "comkl_step: non-finite parameter after round %d of %d"
+            % (num_rounds, num_rounds))
+    return dots, theta
 
-    round_weights = softmax_from_scores(
-        -state.cumulative_loss / state.eta_global
-    )
-    z = map_batch(feature_maps, inputs)                     # (P, K, D)
-    dots = (z * state.thetas[:, None, :]).sum(axis=-1)      # (P, K)
-    predictions = (round_weights[:, None] * dots).sum(axis=0)
 
-    errors = dots - labels[None, :]
-    squared_errors = errors ** 2
-    batch_losses = squared_errors.sum(axis=1)
-    if state.loss_mode == "mean":
-        batch_losses = batch_losses / batch_size
-    gradients = 2.0 * (errors[:, :, None] * z).sum(axis=1)  # (P, D)
-    new_thetas = state.thetas - (state.eta_local / batch_size) * gradients
-    if not (np.isfinite(predictions).all() and np.isfinite(new_thetas).all()):
-        raise FloatingPointError("comkl step produced non-finite values")
+def comkl_hedge(dots, labels, eta_global, loss_mode="sum"):
+    """Kernel weights and combined predictions of the central learner.
 
-    new_state = replace(
-        state,
-        thetas=new_thetas,
-        cumulative_loss=state.cumulative_loss + batch_losses,
-        weights=round_weights,
-    )
-    return predictions, squared_errors.T, new_state
+    Round t weights the kernels' (T, P, K) ``dots`` by the softmax of
+    minus their batch losses before t over ``eta_global``; a batch loss
+    sums, or in "mean" ``loss_mode`` averages, the learners' squared
+    errors.  Returns the (T, K) predictions, (T, P) weights and (T, P, K)
+    squared errors; raises ``FloatingPointError`` naming the first round
+    with a non-finite prediction.
+    """
+    if loss_mode not in ("sum", "mean"):
+        raise ValueError("loss_mode must be 'sum' or 'mean'")
+    if not eta_global > 0.0:
+        raise ValueError("eta_global must be positive")
+    if dots.ndim != 3 or dots[:, 0].shape != labels.shape:
+        raise ValueError("need (T, P, K) dot products and (T, K) labels")
+    # Bitwise a round-by-round hedge: each round's batch loss sums a
+    # contiguous row, the running totals add in round order, and each
+    # round's softmax subtracts its own maximum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared_errors = (dots - labels[:, None, :]) ** 2
+        batch_losses = squared_errors.sum(axis=-1)
+        if loss_mode == "mean":
+            batch_losses = batch_losses / labels.shape[1]
+        cumulative = np.zeros_like(batch_losses)
+        np.cumsum(batch_losses[:-1], axis=0, out=cumulative[1:])
+        weights = -cumulative / eta_global
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=1, keepdims=True)
+        predictions = (weights[:, :, None] * dots).sum(axis=1)
+    finite = np.isfinite(predictions).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            "comkl_hedge: non-finite prediction at round %d of %d"
+            % (np.argmin(finite) + 1, len(finite)))
+    return predictions, weights, squared_errors
 
 
 @dataclass(frozen=True)

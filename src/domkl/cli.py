@@ -211,13 +211,16 @@ def load_config(path):
         fields["experiment"][data_field] = data_class(**fields["data"])
     cfg = ExperimentConfig(admm=AdmmConfig(**fields["admm"]),
                            **fields["experiment"])
-    if cfg.csv_data is not None:
+    for section, key, file_path in (
+            ("data", "path", cfg.csv_data and cfg.csv_data.path),
+            ("network", "topology", cfg.topology_path)):
         try:
-            with open(cfg.csv_data.path, "rb"):
-                pass
+            if file_path is not None:
+                with open(file_path, "rb"):
+                    pass
         except OSError as exc:
-            raise ConfigError("cannot read [data] path: %s" % (exc,),
-                              key="path") from exc
+            raise ConfigError("cannot read [%s] %s: %s" % (section, key, exc),
+                              key=key) from exc
     return cfg
 
 

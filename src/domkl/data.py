@@ -45,8 +45,10 @@ def load_csv(path, label_column=-1, has_header=False):
 
     ``label_column`` indexes the label column (negative indices count
     from the right); the remaining columns become features in file
-    order.  Parse problems are reported with their row and column; a
-    ``label_column`` outside the table raises ``ConfigError``.
+    order.  Every problem with the file's contents raises
+    ``ConfigError``: a parse problem names its row and column under the
+    key ``path``, or ``has_header`` when row 1 holds text and no header
+    was declared; a ``label_column`` outside the table names that key.
     """
     rows = []
     with open(path, newline="") as handle:
@@ -61,18 +63,21 @@ def load_csv(path, label_column=-1, has_header=False):
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise ValueError(
-                        "%s: row %d, column %d: non-numeric cell %r"
-                        % (path, rownum, colnum, cell)
-                    ) from None
+                    message = ("%s: row %d, column %d: non-numeric cell %r"
+                               % (path, rownum, colnum, cell))
+                    if rownum == 1:
+                        raise ConfigError(
+                            message + "; if row 1 is a header, set "
+                            "has_header = true", key="has_header") from None
+                    raise ConfigError(message, key="path") from None
             if rows and len(values) != len(rows[0]):
-                raise ValueError(
+                raise ConfigError(
                     "%s: row %d: expected %d columns, got %d"
-                    % (path, rownum, len(rows[0]), len(values))
+                    % (path, rownum, len(rows[0]), len(values)), key="path"
                 )
             rows.append(values)
     if not rows:
-        raise ValueError("%s: no data rows" % path)
+        raise ConfigError("%s: no data rows" % path, key="path")
     table = np.asarray(rows, dtype=np.float64)
     width = table.shape[1]
     label_index = label_column if label_column >= 0 else width + label_column

@@ -102,36 +102,11 @@ class FeatureMap:
 
 def map_stack(maps, x):
     """Feature vectors of one input under every map, as a (P, D) block."""
-    # One FeatureMap.map call per kernel, not map_batch: the benchmark's
-    # self-test pins the number of map calls per domkl node-round.
+    # One FeatureMap.map call per kernel: the benchmark's self-test pins
+    # the number of map calls per domkl node-round.
     out = np.empty((len(maps), 2 * maps[0].num_features))
     for p, fmap in enumerate(maps):
         out[p] = fmap.map(x)
-    return out
-
-
-def map_batch(maps, x):
-    """Every map applied to a batch ``x`` of shape (B, d), as a (P, B, 2M) block.
-
-    Bitwise equal to ``np.stack([m.map(x) for m in maps])``: each map
-    keeps its own ``x @ W^T`` product (one fused (P*M, d) product rounds
-    differently for some d and B), then one sin, one cos and one scale
-    cover the whole block.  Raises ``ValueError`` when the maps disagree
-    on ``num_features`` or ``input_dim``.
-    """
-    first = maps[0]
-    m = first.num_features
-    if any(f.num_features != m or f.input_dim != first.input_dim
-           for f in maps):
-        raise ValueError("maps disagree on num_features or input_dim")
-    x = np.asarray(x, dtype=np.float64)
-    projected = np.empty((len(maps), len(x), m))
-    for p, fmap in enumerate(maps):
-        np.matmul(x, fmap._weights_t, out=projected[p])
-    out = np.empty((len(maps), len(x), 2 * m))
-    np.sin(projected, out=out[..., :m])
-    np.cos(projected, out=out[..., m:])
-    out *= first._scale
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import oracle
 from .admm import AdmmConfig
-from .baselines import ComklState, DiffusionState, comkl_step, rff_dokl_step
+from .baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
 from .data import (
     ARSpec,
     Dataset,
@@ -244,9 +244,13 @@ class TrialContext:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's traces and, for the accuracy regrets, the hindsight
+    fit (see ``_hindsight_fits``) of every kernel in their scopes."""
+
     trial_index: int
     context: TrialContext
     traces: dict
+    fits: dict
 
 
 @dataclass(frozen=True)
@@ -460,21 +464,31 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
 
 
 def _run_comkl(ctx, cfg):
+    """comkl's trace and, when accuracy regret is asked for, every
+    kernel's hindsight fit, both from one pooled feature block per kernel."""
+    horizon, num_nodes = ctx.labels.shape
+    pooled_x, pooled_y = _pool(ctx, horizon)
+    dots = np.empty((horizon, len(ctx.maps), num_nodes))
+    fits = {}
+    for p, fmap in enumerate(ctx.maps):
+        block = fmap.map(pooled_x)
+        # The pool is stream-major: round t's rows are z[t], shape (K, D).
+        z = block.reshape(num_nodes, horizon, -1).transpose(1, 0, 2)
+        try:
+            dots[:, p], _ = comkl_step(np.zeros(block.shape[1]),
+                                       (z, ctx.labels), cfg.comkl_step_size)
+        except FloatingPointError as exc:
+            raise FloatingPointError("comkl kernel %d: %s" % (p, exc)) from None
+        if cfg.compute_accuracy_regret:
+            fits[p] = _fit(block, pooled_y, num_nodes, horizon)
     trace = _empty_trace(ctx, cfg, "comkl", len(ctx.maps))
-    state = ComklState.fresh(
-        len(ctx.maps), 2 * cfg.num_features, eta_local=cfg.comkl_step_size,
-        eta_global=cfg.eta_global, loss_mode=cfg.comkl_loss_mode,
-        expected_batch=ctx.graph.num_nodes,
-    )
-    for t in range(ctx.horizon):
-        preds, trace.per_kernel_losses[t], state = comkl_step(
-            state, (ctx.inputs[t], ctx.labels[t]), ctx.maps
-        )
-        trace.predictions[t] = preds
-        trace.weights[t] = state.weights
-        # One central function: the same value in every column.
-        trace.cross_predictions[t] = preds[:, None]
-    return trace
+    trace.predictions[:], weights, squared_errors = comkl_hedge(
+        dots, ctx.labels, cfg.eta_global, cfg.comkl_loss_mode)
+    trace.per_kernel_losses[:] = squared_errors.transpose(0, 2, 1)
+    trace.weights[:] = weights[:, None, :]
+    # One central function: the same value in every column.
+    trace.cross_predictions[:] = trace.predictions[:, :, None]
+    return trace, fits
 
 
 def _run_rff_dokl(ctx, cfg):
@@ -501,7 +515,7 @@ def run_trial(cfg, trial_index, node_order_seed=None):
     cannot affect results, and is never set by normal runs.
     """
     ctx = build_trial_context(cfg, trial_index)
-    traces = {}
+    traces, fits = {}, {}
     for algorithm in cfg.algorithms:
         order_rng = (np.random.default_rng(node_order_seed)
                      if node_order_seed is not None else None)
@@ -515,10 +529,16 @@ def run_trial(cfg, trial_index, node_order_seed=None):
                 ctx, cfg, [cfg.kernel_index], "dokl", order_rng=order_rng,
             )
         elif algorithm == "comkl":
-            traces[algorithm] = _run_comkl(ctx, cfg)
+            traces[algorithm], fits = _run_comkl(ctx, cfg)
         else:
             traces[algorithm] = _run_rff_dokl(ctx, cfg)
-    return TrialResult(trial_index=trial_index, context=ctx, traces=traces)
+    if cfg.compute_accuracy_regret:
+        # One fit per kernel, shared by every algorithm whose scope holds it.
+        scope = set().union(*(_regret_scope(cfg, alg, len(ctx.maps))
+                              for alg in cfg.algorithms))
+        fits.update(_hindsight_fits(ctx, ctx.horizon, sorted(scope - set(fits))))
+    return TrialResult(trial_index=trial_index, context=ctx, traces=traces,
+                       fits=fits)
 
 
 def _hindsight_fits(ctx, horizon, kernel_indices):
@@ -530,18 +550,24 @@ def _hindsight_fits(ctx, horizon, kernel_indices):
     k's round-t sample.  The pool is stream-major, so each stream's
     losses are one row block of the pooled residual.
     """
-    pooled_x = np.concatenate(
-        [s.features[:horizon] for s in ctx.streams], axis=0
-    )
-    pooled_y = np.concatenate([s.labels[:horizon] for s in ctx.streams])
-    fits = {}
-    for index in kernel_indices:
-        z = ctx.maps[index].map(pooled_x)
-        theta, cum = oracle.hindsight_best(z, pooled_y)
-        losses = (z @ theta - pooled_y) ** 2
-        fits[index] = (cum, np.ascontiguousarray(
-            losses.reshape(len(ctx.streams), horizon).T))
-    return fits
+    pooled_x, pooled_y = _pool(ctx, horizon)
+    return {index: _fit(ctx.maps[index].map(pooled_x), pooled_y,
+                        len(ctx.streams), horizon)
+            for index in kernel_indices}
+
+
+def _pool(ctx, horizon):
+    """The first ``horizon`` samples of every stream, stream after stream."""
+    pooled_x = ctx.inputs[:horizon].transpose(1, 0, 2).reshape(
+        -1, ctx.inputs.shape[2])
+    return pooled_x, ctx.labels[:horizon].T.ravel()
+
+
+def _fit(z, pooled_y, num_streams, horizon):
+    """The hindsight fit to one kernel's mapped pool ``z``."""
+    theta, cum = oracle.hindsight_best(z, pooled_y)
+    losses = (z @ theta - pooled_y) ** 2
+    return cum, np.ascontiguousarray(losses.reshape(num_streams, horizon).T)
 
 
 def _regret_against_best(trace, fits, kernel_indices):
@@ -613,15 +639,6 @@ def aggregate(cfg, results):
     final_regret_d = {}
     final_regret_a = {} if cfg.compute_accuracy_regret else None
     rounds = results[0].context.horizon
-    if final_regret_a is not None:
-        # One hindsight fit per trial and kernel, shared by every
-        # algorithm whose scope holds that kernel.
-        num_kernels = len(results[0].context.maps)
-        scopes = {alg: _regret_scope(cfg, alg, num_kernels)
-                  for alg in cfg.algorithms}
-        union = sorted(set().union(*scopes.values()))
-        fits = [_hindsight_fits(r.context, r.context.horizon, union)
-                for r in results]
     for algorithm in cfg.algorithms:
         mse_rows = np.stack(
             [mse_curve(r.traces[algorithm]).values for r in results]
@@ -637,11 +654,11 @@ def aggregate(cfg, results):
             [regret_discrepancy(r.traces[algorithm]).mean() for r in results]
         ))
         if final_regret_a is not None:
+            scope = _regret_scope(cfg, algorithm,
+                                  len(results[0].context.maps))
             final_regret_a[algorithm] = float(np.mean([
-                _regret_against_best(
-                    r.traces[algorithm], trial_fits, scopes[algorithm]
-                ).mean()
-                for r, trial_fits in zip(results, fits)
+                _regret_against_best(r.traces[algorithm], r.fits, scope).mean()
+                for r in results
             ]))
     return AggregateResult(
         algorithms=tuple(cfg.algorithms), rounds=rounds, trials=cfg.trials,

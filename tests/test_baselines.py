@@ -1,11 +1,12 @@
 """Tests for the centralized and diffusion baselines."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from domkl.baselines import ComklState, DiffusionState, comkl_step, rff_dokl_step
+from domkl.baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
 from domkl.features import KernelSpec, build_feature_map
 from domkl.graph import Graph
 from domkl.hedge import softmax_from_scores
@@ -23,119 +24,137 @@ def _batch(rng, num_nodes, dim):
     return rng.normal(size=(num_nodes, dim)), rng.normal(size=num_nodes)
 
 
-def test_fresh_state_shapes():
-    state = ComklState.fresh(4, 9)
-    assert state.thetas.shape == (4, 9)
-    assert not state.thetas.any()
-    assert not state.cumulative_loss.any()
-    assert np.array_equal(state.weights, np.full(4, 0.25))
+def _trace(rng, maps, rounds, num_nodes, dim):
+    """Labels (T, K) and every kernel's (T, K, D) features of a random trace."""
+    inputs = rng.normal(size=(rounds, num_nodes, dim))
+    labels = rng.normal(size=(rounds, num_nodes))
+    return labels, [m.map(inputs) for m in maps]
+
+
+def _run_kernels(features, labels, step_size):
+    """comkl_step on every kernel from zero parameters: (T, P, K) dots."""
+    passes = [comkl_step(np.zeros(z.shape[-1]), (z, labels), step_size)
+              for z in features]
+    return np.stack([dots for dots, _ in passes], axis=1), [
+        theta for _, theta in passes]
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        ComklState.fresh(3, 5, loss_mode="median")
-    with pytest.raises(ValueError):
-        ComklState.fresh(3, 5, eta_local=0.0)
-    with pytest.raises(ValueError):
-        ComklState.fresh(3, 5, eta_global=-1.0)
+    z, labels = np.zeros((4, 3, 6)), np.zeros((4, 3))
+    with pytest.raises(ValueError, match="step_size"):
+        comkl_step(np.zeros(6), (z, labels), 0.0)
+    dots = np.zeros((4, 2, 3))
+    with pytest.raises(ValueError, match="loss_mode"):
+        comkl_hedge(dots, labels, 10.0, loss_mode="median")
+    with pytest.raises(ValueError, match="eta_global"):
+        comkl_hedge(dots, labels, -1.0)
 
 
 def test_batch_validation():
-    maps = _maps(2, 3)
-    state = ComklState.fresh(2, 7)
+    z, labels = np.zeros((4, 3, 6)), np.zeros((4, 3))
     with pytest.raises(ValueError):
-        comkl_step(state, (np.zeros(3), np.zeros(3)), maps)
+        comkl_step(np.zeros(6), (z, np.zeros((4, 2))), 0.5)
     with pytest.raises(ValueError):
-        comkl_step(state, (np.zeros((4, 3)), np.zeros(3)), maps)
-    fixed = ComklState.fresh(2, 7, expected_batch=5)
-    with pytest.raises(ValueError, match="expected 5, got 3"):
-        comkl_step(fixed, (np.zeros((3, 3)), np.zeros(3)), maps)
+        comkl_step(np.zeros(6), (z[0], labels[0]), 0.5)
+    with pytest.raises(ValueError):
+        comkl_step(np.zeros(5), (z, labels), 0.5)
+    with pytest.raises(ValueError):
+        comkl_hedge(np.zeros((4, 2, 2)), labels, 10.0)
+    with pytest.raises(ValueError):
+        comkl_hedge(np.zeros((4, 3)), labels, 10.0)
 
 
 def test_first_round_predictions_are_zero():
     rng = np.random.default_rng(0)
     maps = _maps(3, 2)
-    state = ComklState.fresh(3, 14)
-    preds, _, new_state = comkl_step(state, _batch(rng, 5, 2), maps)
-    assert np.array_equal(preds, np.zeros(5))
-    assert new_state.thetas.any()
+    labels, features = _trace(rng, maps, 4, 5, 2)
+    dots, thetas = _run_kernels(features, labels, 0.5)
+    assert not dots[0].any()
+    assert all(theta.any() for theta in thetas)
+    predictions, weights, _ = comkl_hedge(dots, labels, 10.0)
+    assert np.array_equal(predictions[0], np.zeros(5))
+    assert np.array_equal(weights[0], np.full(3, 1.0 / 3.0))
 
 
 def test_step_matches_naive_ogd_oracle():
-    # Recompute one round with plain Python loops and compare.
+    # Recompute every round with plain Python loops and compare.
     rng = np.random.default_rng(11)
-    num_kernels, num_nodes, dim, num_feat = 3, 4, 2, 5
+    num_kernels, num_nodes, dim, num_feat, rounds = 3, 4, 2, 5, 4
     maps = _maps(num_kernels, dim, num_features=num_feat, seed=40)
-    state = ComklState.fresh(num_kernels, 2 * num_feat, eta_local=0.3)
-    inputs, labels = _batch(rng, num_nodes, dim)
-    for _ in range(3):
-        preds, _, state = comkl_step(state, (inputs, labels), maps)
+    labels, features = _trace(rng, maps, rounds, num_nodes, dim)
+    dots, thetas = _run_kernels(features, labels, 0.3)
+    predictions, weights, squared_errors = comkl_hedge(dots, labels, 10.0)
 
-    weights = softmax_from_scores(-state.cumulative_loss / state.eta_global)
-    expected_preds = np.zeros(num_nodes)
-    expected_thetas = np.array(state.thetas)
-    expected_losses = np.zeros(num_kernels)
-    expected_errors = np.zeros((num_nodes, num_kernels))
-    for p in range(num_kernels):
-        grad = np.zeros(2 * num_feat)
+    expected_thetas = np.zeros((num_kernels, 2 * num_feat))
+    cumulative = np.zeros(num_kernels)
+    for t in range(rounds):
+        scores = np.exp(-cumulative / 10.0)
+        round_weights = scores / scores.sum()
+        assert np.allclose(weights[t], round_weights, rtol=0, atol=1e-12)
+        new_thetas = np.array(expected_thetas)
         for k in range(num_nodes):
-            zk = maps[p].map(inputs[k])
-            err = float(state.thetas[p] @ zk) - labels[k]
-            expected_preds[k] += weights[p] * float(state.thetas[p] @ zk)
-            expected_losses[p] += err ** 2
-            expected_errors[k, p] = err ** 2
-            grad += 2.0 * err * zk
-        expected_thetas[p] = state.thetas[p] - (0.3 / num_nodes) * grad
-
-    preds, kernel_losses, new_state = comkl_step(state, (inputs, labels), maps)
-    assert np.allclose(preds, expected_preds, rtol=0, atol=1e-12)
-    assert np.allclose(kernel_losses, expected_errors, rtol=0, atol=1e-12)
-    assert np.allclose(new_state.thetas, expected_thetas, rtol=0, atol=1e-12)
-    assert np.allclose(
-        new_state.cumulative_loss,
-        state.cumulative_loss + expected_losses,
-        rtol=0,
-        atol=1e-12,
-    )
-    assert np.array_equal(new_state.weights, weights)
+            prediction = 0.0
+            for p in range(num_kernels):
+                zk = features[p][t, k]
+                dot = float(expected_thetas[p] @ zk)
+                err = dot - labels[t, k]
+                assert dots[t, p, k] == pytest.approx(dot, rel=0, abs=1e-12)
+                assert squared_errors[t, p, k] == pytest.approx(
+                    err ** 2, rel=0, abs=1e-12)
+                prediction += round_weights[p] * dot
+                cumulative[p] += err ** 2
+                new_thetas[p] -= (0.3 / num_nodes) * 2.0 * err * zk
+            assert predictions[t, k] == pytest.approx(prediction, rel=0,
+                                                      abs=1e-12)
+        expected_thetas = new_thetas
+    assert np.allclose(np.stack(thetas), expected_thetas, rtol=0, atol=1e-12)
 
 
 def test_loss_mode_mean_scales_losses_only():
     rng = np.random.default_rng(3)
     maps = _maps(2, 2)
-    batch = _batch(rng, 6, 2)
-    sum_state = ComklState.fresh(2, 14, loss_mode="sum")
-    mean_state = ComklState.fresh(2, 14, loss_mode="mean")
-    _, _, sum_state = comkl_step(sum_state, batch, maps)
-    _, _, mean_state = comkl_step(mean_state, batch, maps)
-    # Parameter updates ignore the loss mode, only the hedge feed changes.
-    assert np.array_equal(sum_state.thetas, mean_state.thetas)
-    assert np.allclose(
-        mean_state.cumulative_loss, sum_state.cumulative_loss / 6.0
-    )
+    labels, features = _trace(rng, maps, 5, 6, 2)
+    dots, _ = _run_kernels(features, labels, 0.5)
+    sum_mode = comkl_hedge(dots, labels, 10.0, loss_mode="sum")
+    mean_mode = comkl_hedge(dots, labels, 10.0, loss_mode="mean")
+    # The errors ignore the loss mode; only the hedge feed changes, as if
+    # the summed losses met a six times larger eta_global.
+    assert np.array_equal(sum_mode[2], mean_mode[2])
+    assert not np.array_equal(sum_mode[1], mean_mode[1])
+    assert np.allclose(mean_mode[1], comkl_hedge(dots, labels, 60.0)[1],
+                       rtol=0, atol=1e-12)
 
 
 def test_stored_weights_are_the_round_weights():
+    # Each round's weights are bitwise a softmax of the running losses of
+    # the rounds before it, accumulated one round at a time.
     rng = np.random.default_rng(8)
-    maps = _maps(3, 2)
-    state = ComklState.fresh(3, 14)
-    for _ in range(4):
-        before = softmax_from_scores(-state.cumulative_loss / state.eta_global)
-        _, _, state = comkl_step(state, _batch(rng, 5, 2), maps)
-        assert np.array_equal(state.weights, before)
+    maps = _maps(9, 2)
+    labels, features = _trace(rng, maps, 6, 11, 2)
+    dots, _ = _run_kernels(features, labels, 0.5)
+    for loss_mode in ("sum", "mean"):
+        _, weights, squared_errors = comkl_hedge(dots, labels, 10.0,
+                                                 loss_mode=loss_mode)
+        cumulative = np.zeros(len(maps))
+        for t in range(len(labels)):
+            want = softmax_from_scores(-cumulative / 10.0)
+            assert weights[t].tobytes() == want.tobytes()
+            batch_losses = squared_errors[t].sum(axis=1)
+            if loss_mode == "mean":
+                batch_losses = batch_losses / labels.shape[1]
+            cumulative = cumulative + batch_losses
 
 
 def test_comkl_determinism():
-    rng_a = np.random.default_rng(21)
-    rng_b = np.random.default_rng(21)
     maps = _maps(2, 3)
-    state_a = ComklState.fresh(2, 14)
-    state_b = ComklState.fresh(2, 14)
-    for _ in range(5):
-        preds_a, _, state_a = comkl_step(state_a, _batch(rng_a, 4, 3), maps)
-        preds_b, _, state_b = comkl_step(state_b, _batch(rng_b, 4, 3), maps)
-        assert np.array_equal(preds_a, preds_b)
-        assert np.array_equal(state_a.thetas, state_b.thetas)
+    labels, features = _trace(np.random.default_rng(21), maps, 5, 4, 3)
+    dots_a, thetas_a = _run_kernels(features, labels, 0.5)
+    dots_b, thetas_b = _run_kernels(features, labels, 0.5)
+    assert dots_a.tobytes() == dots_b.tobytes()
+    assert np.stack(thetas_a).tobytes() == np.stack(thetas_b).tobytes()
+    for got, want in zip(comkl_hedge(dots_a, labels, 10.0),
+                         comkl_hedge(dots_b, labels, 10.0)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_diffusion_state_validation():
@@ -259,12 +278,47 @@ def test_diffusion_tracks_stationary_target():
 def test_diverging_comkl_step_raises():
     rng = np.random.default_rng(12)
     maps = _maps(2, 2)
-    state = ComklState.fresh(2, 14, eta_local=1e300)
-    batch = _batch(rng, 4, 2)
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
-                                                  match="comkl"):
-        for _ in range(3):
-            _, _, state = comkl_step(state, batch, maps)
+    labels, features = _trace(rng, maps, 6, 4, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^comkl_step: .* at round \d of 6$"):
+            comkl_step(np.zeros(14), (features[0], labels), 1e300)
+
+
+@pytest.mark.parametrize("bad_round, message", [
+    (0, "non-finite dot product or parameter at round 2 of 6"),
+    (3, "non-finite dot product or parameter at round 5 of 6"),
+    (5, "non-finite parameter after round 6 of 6"),
+], ids=["first_round", "middle_round", "last_round"])
+def test_comkl_step_names_the_first_non_finite_round(bad_round, message):
+    # A non-finite label in a round spoils the parameters it steps to, and
+    # through them every later round's dot products.
+    rng = np.random.default_rng(4)
+    maps = _maps(1, 2)
+    labels, features = _trace(rng, maps, 6, 3, 2)
+    labels[bad_round, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^comkl_step: %s$"
+                           % message):
+            comkl_step(np.zeros(14), (features[0], labels), 0.5)
+        theta = np.zeros(14)
+        theta[3] = np.nan
+        with pytest.raises(FloatingPointError, match="at round 1 of 6$"):
+            comkl_step(theta, (features[0], labels), 0.5)
+
+
+def test_non_finite_hedge_prediction_raises():
+    # Finite but huge dot products overflow their squared errors, so from
+    # round 2 on every kernel's running loss is infinite.
+    dots = np.full((4, 3, 2), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="^comkl_hedge: non-finite prediction at "
+                                 "round 2 of 4$"):
+            comkl_hedge(dots, np.zeros((4, 2)), 10.0)
 
 
 def test_diverging_diffusion_step_raises():

@@ -386,18 +386,38 @@ def test_non_finite_grid_flag_exit_2(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["missing_path", "label_column"])
+# CSV texts that do not parse, and the start of the error each one gives
+# after "config error: trial 0: <path>: ".
+_BAD_CSV = {
+    "non_numeric": ("0.1,0.2,0.3\n0.4,x,0.6\n",
+                    "row 2, column 2: non-numeric cell 'x'"),
+    "ragged": ("0.1,0.2,0.3\n0.4,0.5\n", "row 2: expected 3 columns, got 2"),
+    "no_rows": ("\n\n", "no data rows"),
+    "header": ("a,b,c\n0.1,0.2,0.3\n",
+               "row 1, column 1: non-numeric cell 'a'; if row 1 is a header,"
+               " set has_header = true"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing_path", "label_column"]
+                         + sorted(_BAD_CSV))
 def test_csv_errors_exit_2(tmp_path, capsys, case):
     csv_path = _write_data_csv(tmp_path)
     for task_edits in (_REGRESSION, _CSV_TIMESERIES):
         if case == "missing_path":
             text = _edit(task_edits, csv=tmp_path / "absent.csv")
             expected = "config error: cannot read [data] path: "
-        else:
+        elif case == "label_column":
             text = _edit(
                 task_edits + [_after("path = {csv}", "label_column = 9")],
                 csv=csv_path)
             expected = "config error: trial 0: label_column 9 out of range"
+        else:
+            contents, error = _BAD_CSV[case]
+            bad_path = tmp_path / "bad.csv"
+            bad_path.write_text(contents)
+            text = _edit(task_edits, csv=bad_path)
+            expected = "config error: trial 0: %s: %s" % (bad_path, error)
         path = _write_ini(tmp_path, text)
         assert cmd_run(path, out_dir=str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith(expected)
@@ -406,6 +426,21 @@ def test_csv_errors_exit_2(tmp_path, capsys, case):
         assert capsys.readouterr().err.startswith(expected)
     assert not (tmp_path / "results.csv").exists()
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_missing_topology_exits_2(tmp_path, capsys):
+    text = _BASE_INI.replace(
+        "num_nodes = 3", "num_nodes = 3\ntopology = %s" % (tmp_path / "no.txt"))
+    path = _write_ini(tmp_path, text)
+    expected = "config error: cannot read [network] topology: "
+    assert cmd_run(path, out_dir=str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(expected)
+    assert main(["sweep", "--config", path, "--rho", "10",
+                 "--eta-g", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(expected)
+    with pytest.raises(ConfigError, match="topology") as info:
+        load_config(path)
+    assert info.value.key == "topology"
 
 
 def test_unread_key_error_names_the_run(tmp_path, capsys):
@@ -480,8 +515,9 @@ _SOURCE_CONTEXT = {
 @pytest.mark.parametrize("row", sorted(cli._KEYS),
                          ids=["%s.%s" % row for row in sorted(cli._KEYS)])
 def test_key_sets_its_field(tmp_path, monkeypatch, row):
-    monkeypatch.chdir(tmp_path)  # load_config checks that [data] path reads
-    for name in ("data.csv", "series.csv"):
+    # load_config checks that [data] path and [network] topology read.
+    monkeypatch.chdir(tmp_path)
+    for name in ("data.csv", "series.csv", "net.txt"):
         (tmp_path / name).write_text("1,2\n")
     section, key = row
     parse, config, field, readers = cli._KEYS[row]

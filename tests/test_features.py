@@ -12,7 +12,6 @@ from domkl.features import (
     build_feature_map,
     default_dictionary,
     gaussian_kernel,
-    map_batch,
 )
 
 
@@ -180,24 +179,20 @@ def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 8])
-@pytest.mark.parametrize("batch", [1, 3, 10, 20])
-def test_map_batch_is_bitwise_the_stacked_maps(dim, batch):
+@pytest.mark.parametrize("rounds", [1, 3, 10, 20])
+def test_map_batch_is_bitwise_the_stacked_maps(dim, rounds):
+    # comkl maps a kernel's whole stream-major pool in one call; round t's
+    # rows of that block must be bitwise the map of round t's batch.  A
+    # batch of one row takes another BLAS kernel and may round otherwise,
+    # but a network has at least two learners.
     maps = default_dictionary(shared_seed=5).build_maps(dim, 50)
-    rng = np.random.default_rng(100 * dim + batch)
-    for scale in (1e-2, 1.0, 3e1, 3e2):
-        x = scale * rng.uniform(-1.0, 1.0, size=(batch, dim))
-        want = np.stack([m.map(x) for m in maps])
-        got = map_batch(maps, x)
-        assert got.shape == (len(maps), batch, 100)
-        assert got.tobytes() == want.tobytes()
-
-
-def test_map_batch_rejects_mismatched_maps():
-    spec = KernelSpec(1.0)
-    x = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="disagree"):
-        map_batch([build_feature_map(spec, 2, 5, seed=1),
-                   build_feature_map(spec, 2, 6, seed=2)], x)
-    with pytest.raises(ValueError, match="disagree"):
-        map_batch([build_feature_map(spec, 2, 5, seed=1),
-                   build_feature_map(spec, 3, 5, seed=2)], x)
+    rng = np.random.default_rng(100 * dim + rounds)
+    for learners in (2, 5, 10, 33):
+        for scale in (1e-2, 1.0, 3e1, 3e2):
+            x = scale * rng.uniform(-1.0, 1.0, size=(learners, rounds, dim))
+            pooled = x.reshape(learners * rounds, dim)
+            for fmap in maps:
+                got = fmap.map(pooled).reshape(learners, rounds, 100)
+                want = np.stack([fmap.map(x[:, t]) for t in range(rounds)],
+                                axis=1)
+                assert got.tobytes() == want.tobytes()

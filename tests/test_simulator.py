@@ -5,12 +5,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from domkl.baselines import ComklState, DiffusionState, comkl_step, rff_dokl_step
+from domkl.baselines import DiffusionState, rff_dokl_step
 from domkl.errors import ConfigError
 from domkl.graph import sample_connected_er
 from domkl.simulator import (
@@ -20,6 +21,7 @@ from domkl.simulator import (
     SyntheticTaskConfig,
     _DATA,
     _MAPS,
+    _hindsight_fits,
     _regret_scope,
     accuracy_regret_for_trace,
     build_trial_context,
@@ -31,6 +33,8 @@ from domkl.simulator import (
     aggregate,
 )
 from domkl.data import generating_map
+from domkl.features import FeatureMap
+from domkl.hedge import softmax_from_scores
 from domkl.metrics import regret_accuracy
 from domkl.oracle import hindsight_best
 
@@ -255,35 +259,74 @@ def test_cross_diagonal_repeats_predictions():
         )
 
 
-def test_baseline_traces_match_a_plain_step_loop():
+def _reference_comkl(ctx, cfg):
+    """comkl's trace arrays from the round-major loop that the kernel by
+    kernel pass replaced, kept as written: each round maps its batch
+    under every kernel, steps every kernel and updates one hedge."""
+    num_kernels, num_nodes = len(ctx.maps), ctx.graph.num_nodes
+    thetas = np.zeros((num_kernels, 2 * cfg.num_features))
+    cumulative_loss = np.zeros(num_kernels)
+    rows = {"predictions": [], "per_kernel_losses": [], "weights": [],
+            "cross_predictions": []}
+    for t in range(ctx.horizon):
+        inputs = np.stack([s.features[t] for s in ctx.streams])
+        labels = np.array([s.labels[t] for s in ctx.streams])
+        round_weights = softmax_from_scores(-cumulative_loss / cfg.eta_global)
+        z = np.stack([m.map(inputs) for m in ctx.maps])        # (P, K, D)
+        dots = (z * thetas[:, None, :]).sum(axis=-1)            # (P, K)
+        predictions = (round_weights[:, None] * dots).sum(axis=0)
+        errors = dots - labels[None, :]
+        squared_errors = errors ** 2
+        batch_losses = squared_errors.sum(axis=1)
+        if cfg.comkl_loss_mode == "mean":
+            batch_losses = batch_losses / num_nodes
+        gradients = 2.0 * (errors[:, :, None] * z).sum(axis=1)  # (P, D)
+        thetas = thetas - (cfg.comkl_step_size / num_nodes) * gradients
+        cumulative_loss = cumulative_loss + batch_losses
+        rows["predictions"].append(predictions)
+        rows["per_kernel_losses"].append(squared_errors.T)
+        rows["weights"].append(np.tile(round_weights, (num_nodes, 1)))
+        rows["cross_predictions"].append(np.tile(predictions[:, None],
+                                                 num_nodes))
+    return rows
+
+
+def test_baseline_traces_match_a_plain_step_loop(tmp_path):
     """comkl and rff_dokl traces, recomputed round by round from the
-    public step functions, equal the simulator's bit for bit."""
-    cfg = _small_cfg(algorithms=("comkl", "rff_dokl"), kernel_index=1,
-                     num_learners=4, comkl_loss_mode="mean")
+    round-major comkl loop and the public diffusion step, equal the
+    simulator's bit for bit."""
+    csv_path = tmp_path / "d.csv"
+    table = np.random.default_rng(2).random((120, 5))
+    csv_path.write_text("".join(",".join(map(repr, row.tolist())) + "\n"
+                                for row in table))
+    configs = [
+        _small_cfg(algorithms=("comkl", "rff_dokl"), kernel_index=1,
+                   num_learners=4, comkl_loss_mode=mode)
+        for mode in ("sum", "mean")
+    ] + [ExperimentConfig(
+        task="regression", algorithms=("comkl", "rff_dokl"),
+        num_learners=9, bandwidths=(0.05, 0.3, 1.0, 4.0), num_features=12,
+        kernel_index=2, master_seed=3, csv_data=CsvTaskConfig(path=str(csv_path)),
+    )]
+    for cfg in configs:
+        _check_baseline_traces(cfg)
+
+
+def _check_baseline_traces(cfg):
     result = run_trial(cfg, 0)
     ctx = result.context
     num_nodes, dim = cfg.num_learners, 2 * cfg.num_features
     fmap = ctx.maps[cfg.kernel_index]
-    central = ComklState.fresh(
-        len(ctx.maps), dim, eta_local=cfg.comkl_step_size,
-        eta_global=cfg.eta_global, loss_mode=cfg.comkl_loss_mode,
-    )
     diffusion = DiffusionState.fresh(ctx.graph, dim,
                                      step_size=cfg.diffusion_step_size)
     fields = ("predictions", "labels", "per_kernel_losses", "weights",
               "cross_predictions")
     expected = {alg: {name: [] for name in fields} for alg in cfg.algorithms}
+    expected["comkl"].update(_reference_comkl(ctx, cfg))
     for t in range(ctx.horizon):
         x = np.stack([s.features[t] for s in ctx.streams])
         y = np.array([s.labels[t] for s in ctx.streams])
-
-        preds, kernel_losses, central = comkl_step(central, (x, y), ctx.maps)
-        rows = expected["comkl"]
-        rows["predictions"].append(preds)
-        rows["labels"].append(y)
-        rows["per_kernel_losses"].append(kernel_losses)
-        rows["weights"].append(np.tile(central.weights, (num_nodes, 1)))
-        rows["cross_predictions"].append(np.tile(preds[:, None], num_nodes))
+        expected["comkl"]["labels"].append(y)
 
         z = fmap.map(x)
         cross = z @ diffusion.thetas.T
@@ -298,8 +341,18 @@ def test_baseline_traces_match_a_plain_step_loop():
     for algorithm, by_field in expected.items():
         trace = result.traces[algorithm]
         for name, rows in by_field.items():
-            assert np.array_equal(getattr(trace, name), np.stack(rows)), (
-                algorithm, name)
+            assert getattr(trace, name).tobytes() == np.stack(rows).tobytes(), (
+                cfg.task, cfg.comkl_loss_mode, algorithm, name)
+
+
+def test_diverging_comkl_names_kernel_and_round():
+    cfg = _small_cfg(algorithms=("comkl",), comkl_step_size=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^comkl kernel 0: comkl_step: non-finite "
+                                 r".* round \d+ of 25$"):
+            run_trial(cfg, 0)
 
 
 def test_node_order_cannot_affect_results():
@@ -330,13 +383,15 @@ def test_contexts_are_algorithm_independent():
 
 
 def test_parallel_matches_sequential():
-    cfg = _small_cfg(trials=2, rounds=15, algorithms=("domkl", "comkl"))
+    cfg = _small_cfg(trials=2, rounds=15, algorithms=("domkl", "comkl"),
+                     compute_accuracy_regret=True)
     seq = run_experiment(dataclasses.replace(cfg, workers=1))
     par = run_experiment(dataclasses.replace(cfg, workers=2))
     for algorithm in cfg.algorithms:
         assert np.array_equal(seq.mse_mean[algorithm], par.mse_mean[algorithm])
         assert np.array_equal(seq.cv_mean[algorithm], par.cv_mean[algorithm])
         assert seq.final_regret_d[algorithm] == par.final_regret_d[algorithm]
+        assert seq.final_regret_a[algorithm] == par.final_regret_a[algorithm]
 
 
 def test_trial_failures_carry_the_trial_index():
@@ -399,6 +454,45 @@ def test_accuracy_regret_is_bitwise_the_per_stream_refit():
             assert got.tobytes() == want.tobytes()
             per_trial.append(want.mean())
         assert aggregated.final_regret_a[algorithm] == float(np.mean(per_trial))
+
+
+_AR_CFG = dict(
+    task="timeseries", num_learners=5, connection_prob=0.5, num_features=10,
+    bandwidths=(0.05, 0.3, 1.0), kernel_index=1, master_seed=6,
+    compute_accuracy_regret=True, ar_synth=ArTaskConfig(num_samples=166),
+)
+
+
+@pytest.mark.parametrize("algorithms", [
+    ("comkl", "rff_dokl"), ("domkl",), ("dokl", "rff_dokl"),
+], ids=["comkl", "domkl", "single_kernel"])
+def test_trial_fits_are_bitwise_the_hindsight_refit(algorithms):
+    cfg = ExperimentConfig(algorithms=algorithms, **_AR_CFG)
+    result = run_trial(cfg, 0)
+    scope = [1] if algorithms[0] == "dokl" else [0, 1, 2]
+    assert sorted(result.fits) == scope
+    refit = _hindsight_fits(result.context, result.context.horizon, scope)
+    for index in scope:
+        assert result.fits[index][0] == refit[index][0]
+        assert result.fits[index][1].tobytes() == refit[index][1].tobytes()
+    plain = run_trial(dataclasses.replace(cfg, compute_accuracy_regret=False), 0)
+    assert plain.fits == {}
+
+
+def test_comkl_trial_maps_each_kernel_once(monkeypatch):
+    cfg = ExperimentConfig(algorithms=("comkl",), **_AR_CFG)
+    rows = []
+    original = FeatureMap.map
+
+    def counting_map(fmap, x):
+        rows.append(np.size(x) // fmap.input_dim)
+        return original(fmap, x)
+
+    monkeypatch.setattr(FeatureMap, "map", counting_map)
+    result = run_trial(cfg, 0)
+    ctx = result.context
+    assert len(result.fits) == len(ctx.maps)
+    assert rows == [cfg.num_learners * ctx.horizon] * len(ctx.maps)
 
 
 def test_aggregate_counts_results():
