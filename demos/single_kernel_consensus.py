@@ -41,8 +41,8 @@ def main():
         [graph.degree(k) for k in range(graph.num_nodes)],
     ))
 
-    mse = mse_curve(trace).values
-    cv = cv_curve(trace).values
+    mse = mse_curve(trace)
+    cv = cv_curve(trace)
     print("\n%8s %12s %14s" % ("round", "running MSE", "running CV"))
     for t in (10, 50, 200, 500, 1000, 2000):
         print("%8d %12.5f %14.3e" % (t, mse[t - 1], cv[t - 1]))

@@ -47,6 +47,6 @@ persistence /= len(result.context.streams)
 print("rounds per learner: %d (order-5 lag features)" % horizon)
 print("%12s %14s" % ("predictor", "final MSE"))
 for algorithm in cfg.algorithms:
-    final = mse_curve(result.traces[algorithm]).values[-1]
+    final = mse_curve(result.traces[algorithm])[-1]
     print("%12s %14.6f" % (algorithm, final))
 print("%12s %14.6f" % ("persistence", persistence))

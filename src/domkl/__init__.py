@@ -15,7 +15,7 @@ names below are the documented surface; everything else stays
 importable from its submodule as ``domkl.<module>.<name>``.
 """
 
-from .admm import AdmmConfig, run_single_kernel
+from .admm import AdmmConfig
 from .baselines import comkl_step, rff_dokl_step
 from .errors import ConfigError
 from .features import KernelSpec, build_feature_map, gaussian_kernel
@@ -55,7 +55,6 @@ __all__ = [
     "mse_curve",
     "rff_dokl_step",
     "run_experiment",
-    "run_single_kernel",
     "run_trial",
     "sample_connected_er",
     "step",

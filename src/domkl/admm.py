@@ -112,40 +112,3 @@ def lambda_update(lam, own_theta, neighbor_thetas, rho):
     total *= 0.5 * rho
     total += lam
     return total
-
-
-def run_single_kernel(graph, feature_map, features, labels, cfg):
-    """Reference loop for the single-kernel protocol on a full network.
-
-    ``features`` has shape (rounds, num_nodes, input_dim) and ``labels``
-    (rounds, num_nodes).  Every node predicts, updates theta against the
-    neighbors' previous parameters, then all duals move using the new
-    parameters.  Returns (predictions, thetas, lams) with predictions of
-    shape (rounds, num_nodes) and the final parameter blocks.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    rounds, num_nodes = labels.shape
-    dim = 2 * feature_map.num_features
-    thetas = np.zeros((num_nodes, dim))
-    lams = np.zeros((num_nodes, dim))
-    predictions = np.zeros((rounds, num_nodes))
-    for t in range(rounds):
-        # Map one node at a time so the arithmetic matches a node that
-        # only ever sees its own sample.
-        z = np.stack([feature_map.map(features[t, k]) for k in range(num_nodes)])
-        predictions[t] = (thetas * z).sum(axis=-1)
-        new_thetas = np.empty_like(thetas)
-        for k in range(num_nodes):
-            nbrs = graph.neighbors[k]
-            gam = gamma_hat(thetas[k], [thetas[l] for l in nbrs])
-            new_thetas[k] = theta_update_quadratic(
-                thetas[k], lams[k], z[k], labels[t, k], gam, len(nbrs), cfg
-            )
-        for k in range(num_nodes):
-            nbrs = graph.neighbors[k]
-            lams[k] = lambda_update(
-                lams[k], new_thetas[k], [new_thetas[l] for l in nbrs], cfg.rho
-            )
-        thetas = new_thetas
-    return predictions, thetas, lams

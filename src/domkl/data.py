@@ -89,6 +89,14 @@ def load_csv(path, label_column=-1, has_header=False):
     return Dataset(features=features, labels=labels, name=str(path))
 
 
+def scale_unit(column):
+    """Scale a series affinely onto [0, 1]; a constant one maps to zero."""
+    lo, hi = column.min(), column.max()
+    if hi == lo:
+        return np.zeros_like(column)
+    return (column - lo) / (hi - lo)
+
+
 def normalize_minmax(ds):
     """Scale every feature column and the label affinely onto [0, 1].
 
@@ -97,17 +105,28 @@ def normalize_minmax(ds):
     """
     if len(ds) < 2:
         raise ValueError("need at least 2 rows to normalize")
-
-    def scale(column):
-        lo, hi = column.min(), column.max()
-        if hi == lo:
-            return np.zeros_like(column)
-        return (column - lo) / (hi - lo)
-
     features = np.column_stack(
-        [scale(ds.features[:, j]) for j in range(ds.features.shape[1])]
+        [scale_unit(ds.features[:, j]) for j in range(ds.features.shape[1])]
     )
-    return Dataset(features=features, labels=scale(ds.labels), name=ds.name)
+    return Dataset(features=features, labels=scale_unit(ds.labels),
+                   name=ds.name)
+
+
+def _deal(ds, num_learners, rows):
+    """One stream per learner, of T = floor(N / num_learners) samples;
+    learner k gets the rows ``rows(k, T)`` of ``ds``."""
+    if num_learners < 1:
+        raise ValueError("num_learners must be at least 1")
+    horizon = len(ds) // num_learners
+    if horizon < 1:
+        raise ValueError("more learners than samples")
+    streams = []
+    for k in range(num_learners):
+        idx = rows(k, horizon)
+        streams.append(Dataset(features=ds.features[idx].copy(),
+                               labels=ds.labels[idx].copy(),
+                               name="%s[%d]" % (ds.name, k)))
+    return streams
 
 
 def partition_regression(ds, num_learners):
@@ -116,23 +135,8 @@ def partition_regression(ds, num_learners):
     Each learner receives T = floor(N / num_learners) samples; the
     trailing remainder is dropped.
     """
-    if num_learners < 1:
-        raise ValueError("num_learners must be at least 1")
-    horizon = len(ds) // num_learners
-    if horizon < 1:
-        raise ValueError("more learners than samples")
-    streams = []
-    for k in range(num_learners):
-        lo = k * horizon
-        hi = lo + horizon
-        streams.append(
-            Dataset(
-                features=ds.features[lo:hi].copy(),
-                labels=ds.labels[lo:hi].copy(),
-                name="%s[%d]" % (ds.name, k),
-            )
-        )
-    return streams
+    return _deal(ds, num_learners,
+                 lambda k, horizon: slice(k * horizon, (k + 1) * horizon))
 
 
 def partition_timeseries_interleaved(ds, num_learners):
@@ -143,22 +147,8 @@ def partition_timeseries_interleaved(ds, num_learners):
     is global sample K(t-1) + k".  Within-stream temporal order is
     preserved.
     """
-    if num_learners < 1:
-        raise ValueError("num_learners must be at least 1")
-    horizon = len(ds) // num_learners
-    if horizon < 1:
-        raise ValueError("more learners than samples")
-    streams = []
-    for k in range(num_learners):
-        idx = k + num_learners * np.arange(horizon)
-        streams.append(
-            Dataset(
-                features=ds.features[idx].copy(),
-                labels=ds.labels[idx].copy(),
-                name="%s[%d]" % (ds.name, k),
-            )
-        )
-    return streams
+    return _deal(ds, num_learners,
+                 lambda k, horizon: k + num_learners * np.arange(horizon))
 
 
 def ar_embed(series, order, name="ar"):

@@ -35,18 +35,18 @@ class Graph:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
-        canonical = []
-        for edge in self.edges:
-            k, l = edge
+        canonical = set()
+        for k, l in self.edges:
             if k == l:
                 raise ValueError("self loop at node %d" % k)
             if k > l:
                 k, l = l, k
             if not (0 <= k < l < self.num_nodes):
-                raise ValueError("edge (%d, %d) out of range" % (k, l))
-            canonical.append((k, l))
-        if len(set(canonical)) != len(canonical):
-            raise ValueError("duplicate edges")
+                raise ValueError("edge (%d, %d) out of range for %d nodes"
+                                 % (k, l, self.num_nodes))
+            if (k, l) in canonical:
+                raise ValueError("duplicate edge (%d, %d)" % (k, l))
+            canonical.add((k, l))
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
         adjacency = [[] for _ in range(self.num_nodes)]
         for k, l in self.edges:

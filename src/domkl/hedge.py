@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import is_forest
 
 
@@ -96,8 +97,22 @@ class MessageBoard:
     messages: dict
 
     @classmethod
-    def initial(cls, graph, num_kernels):
-        """All-zero messages (multiplicative identity) on both edge directions."""
+    def initial(cls, graph, num_kernels, allow_cycles=False):
+        """All-zero messages (multiplicative identity) on both edge directions.
+
+        Relaying is exact on forests only, so a cyclic graph is refused
+        unless ``allow_cycles`` is set, and then warned about.
+        """
+        if not is_forest(graph):
+            if not allow_cycles:
+                raise ConfigError(
+                    "message passing on a cyclic graph double counts "
+                    "losses; set allow_cycles = true to run it anyway",
+                    key="allow_cycles")
+            warnings.warn(
+                "message passing on a cyclic graph double counts losses",
+                RuntimeWarning,
+            )
         messages = {}
         for k, l in graph.edges:
             messages[(k, l)] = np.zeros(num_kernels)
@@ -105,24 +120,13 @@ class MessageBoard:
         return cls(num_kernels=num_kernels, messages=messages)
 
 
-def mp_update_messages(board, graph, latest_log_w, allow_cycles=False):
+def mp_update_messages(board, graph, latest_log_w):
     """One relay round: each edge forwards the sender's fresh log weight
     plus everything previously received from the sender's other edges.
 
-    Exact loss relaying holds on forests only; on cyclic graphs the same
-    loss can arrive along several walks, so the call refuses unless
-    ``allow_cycles`` is set, and then warns.
+    ``board`` must come from ``MessageBoard.initial`` on the same graph,
+    which decides once whether the graph may carry messages.
     """
-    if not is_forest(graph):
-        if not allow_cycles:
-            raise ValueError(
-                "message passing on a cyclic graph duplicates losses; "
-                "pass allow_cycles=True to proceed anyway"
-            )
-        warnings.warn(
-            "message passing on a cyclic graph double counts losses",
-            RuntimeWarning,
-        )
     updated = {}
     for k, l in board.messages:
         total = np.array(latest_log_w[k], dtype=np.float64)

@@ -7,11 +7,13 @@ refits every kernel's parameters, and emits a new broadcast.  Running
 the dual/weight finalization on arrival instead of after the exchange
 produces the exact same trajectory as the mid-round-exchange ordering,
 while keeping the step a single call fed only by previous-round output.
+With one feature map a network of nodes runs the single-kernel consensus
+round that ``oracle.joint_round`` solves as one dense system; the
+validation suite and the tests check ``step`` against it.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,35 +30,14 @@ VARIANTS = ("product", "message_passing")
 class RoundExchange:
     """What a node broadcasts after a round: parameters and loss totals.
 
-    Serialized field order (all little-endian): sender as int64, number
-    of kernels P as int64, feature dimension D as int64, then the P*D
-    theta block as float64 row-major, then the P cumulative losses as
-    float64.  Raw samples never enter an exchange.
+    ``thetas`` is the node's (P, D) block of refitted parameters and
+    ``cumulative_losses`` its (P,) running kernel losses.  Raw samples
+    never enter an exchange.
     """
 
     sender: int
     thetas: np.ndarray
     cumulative_losses: np.ndarray
-
-    def to_bytes(self):
-        p, d = self.thetas.shape
-        header = struct.pack("<qqq", self.sender, p, d)
-        body = np.ascontiguousarray(self.thetas, dtype="<f8").tobytes()
-        tail = np.ascontiguousarray(self.cumulative_losses, dtype="<f8").tobytes()
-        return header + body + tail
-
-    @classmethod
-    def from_bytes(cls, blob):
-        sender, p, d = struct.unpack_from("<qqq", blob, 0)
-        offset = struct.calcsize("<qqq")
-        thetas = np.frombuffer(blob, dtype="<f8", count=p * d, offset=offset)
-        offset += p * d * 8
-        cumulative = np.frombuffer(blob, dtype="<f8", count=p, offset=offset)
-        return cls(
-            sender=sender,
-            thetas=thetas.reshape(p, d).copy(),
-            cumulative_losses=cumulative.copy(),
-        )
 
 
 def _combined_prediction(thetas, weights, z_stack):

@@ -3,9 +3,9 @@
 A trace records, per round and learner, the own-sample prediction, the
 label, per-kernel losses, the combination weights, and the full cross
 matrix of every learner's function evaluated on every learner's sample.
-The running mean-square error and consensus violation follow the
-convention that their value at t=1 is pinned to 1, regardless of what
-the formulas would give there.
+The running mean-square error and consensus violation are plain (T,)
+arrays and follow the convention that their value at t=1 is pinned to
+1, regardless of what the formulas would give there.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class RunTrace:
     """
 
     algorithm: str
-    trial_seed: int
     graph: object
     predictions: np.ndarray        # (T, K)
     labels: np.ndarray             # (T, K)
@@ -52,22 +51,12 @@ class RunTrace:
         return self.predictions.shape[1]
 
 
-@dataclass(frozen=True)
-class MetricCurve:
-    """A per-round scalar series tagged with its origin."""
-
-    values: np.ndarray
-    algorithm: str
-    trial_seed: int
-
-
 def truncate_trace(trace, rounds):
     """The prefix of a trace, for horizon-dependent quantities."""
     if not 1 <= rounds <= trace.num_rounds:
         raise ValueError("rounds out of range")
     return RunTrace(
         algorithm=trace.algorithm,
-        trial_seed=trace.trial_seed,
         graph=trace.graph,
         predictions=trace.predictions[:rounds],
         labels=trace.labels[:rounds],
@@ -81,7 +70,7 @@ def mse_curve(trace):
     """Running mean of squared own-sample errors, value 1 at t=1.
 
     MSE(t) = (1/(t K)) sum over rounds up to t and learners of the
-    squared prediction error.
+    squared prediction error.  Returns the (T,) array of values.
     """
     learners = trace.num_learners
     per_round = ((trace.predictions - trace.labels) ** 2).sum(axis=1)
@@ -89,8 +78,7 @@ def mse_curve(trace):
     t = np.arange(1, trace.num_rounds + 1)
     values = running / (t * learners)
     values[0] = 1.0
-    return MetricCurve(values=values, algorithm=trace.algorithm,
-                       trial_seed=trace.trial_seed)
+    return values
 
 
 def cv_curve(trace):
@@ -98,7 +86,7 @@ def cv_curve(trace):
 
     CV(t) = (1/(t K (K-1))) sum over rounds up to t, learners k, and
     other learners l of (f_k(x_k) - f_l(x_k))^2.  Undefined for a
-    single learner.
+    single learner.  Returns the (T,) array of values.
     """
     learners = trace.num_learners
     if learners < 2:
@@ -112,8 +100,7 @@ def cv_curve(trace):
     t = np.arange(1, trace.num_rounds + 1)
     values = running / (t * learners * (learners - 1))
     values[0] = 1.0
-    return MetricCurve(values=values, algorithm=trace.algorithm,
-                       trial_seed=trace.trial_seed)
+    return values
 
 
 def regret_accuracy(trace, hindsight_losses):

@@ -165,8 +165,9 @@ def hindsight_best(z_pool, y_pool, ridge=1e-8):
     """Best fixed parameter vector for the pooled samples.
 
     Solves the normal equations with a tiny ridge so degenerate pools
-    still give the minimum-norm interpolant.  Returns the minimizer and
-    its unregularized cumulative squared loss on the pool.
+    still give the minimum-norm interpolant.  Returns the minimizer, its
+    unregularized cumulative squared loss on the pool, and the residual
+    ``z_pool @ theta - y_pool`` that loss sums.
     """
     z_pool = np.asarray(z_pool, dtype=np.float64)
     y_pool = np.asarray(y_pool, dtype=np.float64)
@@ -176,7 +177,7 @@ def hindsight_best(z_pool, y_pool, ridge=1e-8):
     gram = z_pool.T @ z_pool + ridge * np.eye(dim)
     theta = np.linalg.solve(gram, z_pool.T @ y_pool)
     residual = z_pool @ theta - y_pool
-    return theta, float(residual @ residual)
+    return theta, float(residual @ residual), residual
 
 
 def exhaustive_best_kernel(cfg):

@@ -33,6 +33,7 @@ from .data import (
     normalize_minmax,
     partition_regression,
     partition_timeseries_interleaved,
+    scale_unit,
     synth_ar,
     synth_regression,
 )
@@ -277,18 +278,16 @@ class SweepRow:
     final_cv: float
 
 
-def _scale_unit(series):
-    lo, hi = series.min(), series.max()
-    if hi == lo:
-        return np.zeros_like(series)
-    return (series - lo) / (hi - lo)
-
-
 def build_trial_context(cfg, trial_index):
     """Sample graph, maps, and streams for one trial."""
     if cfg.topology_path is not None:
         with open(cfg.topology_path) as handle:
-            graph = from_edge_list(handle.read(), num_nodes=cfg.num_learners)
+            text = handle.read()
+        try:
+            graph = from_edge_list(text, num_nodes=cfg.num_learners)
+        except ValueError as exc:
+            raise ConfigError("topology %s: %s" % (cfg.topology_path, exc),
+                              key="topology") from None
         components = connected_components(graph)
         if len(components) > 1:
             named = ", ".join(str(list(c)) for c in components)
@@ -343,6 +342,13 @@ def build_trial_context(cfg, trial_index):
     elif cfg.task == "regression":
         ds = load_csv(cfg.csv_data.path, cfg.csv_data.label_column,
                       cfg.csv_data.has_header)
+        if cfg.csv_data.normalize and len(ds) < 2:
+            raise ConfigError("normalize needs at least 2 rows; %s has %d"
+                              % (cfg.csv_data.path, len(ds)), key="normalize")
+        if len(ds) < cfg.num_learners:
+            raise ConfigError("%s has %d rows, fewer than num_nodes = %d"
+                              % (cfg.csv_data.path, len(ds), cfg.num_learners),
+                              key="num_nodes")
         if cfg.csv_data.normalize:
             ds = normalize_minmax(ds)
         if cfg.csv_data.shuffle:
@@ -360,8 +366,14 @@ def build_trial_context(cfg, trial_index):
                            cfg.csv_data.has_header)
             series = raw.labels
             if cfg.csv_data.normalize:
-                series = _scale_unit(series)
+                series = scale_unit(series)
             order = cfg.csv_data.ar_order
+            if len(series) - order < cfg.num_learners:
+                raise ConfigError(
+                    "%s has %d values; ar_order = %d leaves fewer windows"
+                    " than num_nodes = %d" % (cfg.csv_data.path, len(series),
+                                              order, cfg.num_learners),
+                    key="ar_order")
         else:
             ar = cfg.ar_synth
             spec = ARSpec(order=len(ar.coefficients), intercept=ar.intercept,
@@ -371,7 +383,7 @@ def build_trial_context(cfg, trial_index):
                 spec, ar.num_samples,
                 seed=derive_seed(cfg.master_seed, trial_index, _DATA),
             )
-            series = _scale_unit(series)
+            series = scale_unit(series)
             order = ar.ar_order
         embedded = ar_embed(series, order)
         streams = partition_timeseries_interleaved(embedded, cfg.num_learners)
@@ -398,13 +410,12 @@ def build_trial_context(cfg, trial_index):
     )
 
 
-def _empty_trace(ctx, cfg, algorithm, num_kernels):
+def _empty_trace(ctx, algorithm, num_kernels):
     """A zeroed trace over the trial's horizon that a round loop fills in."""
     horizon, num_nodes = ctx.labels.shape
     return RunTrace(
-        algorithm=algorithm, trial_seed=cfg.master_seed ^ ctx.trial_index,
-        graph=ctx.graph, predictions=np.zeros((horizon, num_nodes)),
-        labels=ctx.labels,
+        algorithm=algorithm, graph=ctx.graph,
+        predictions=np.zeros((horizon, num_nodes)), labels=ctx.labels,
         per_kernel_losses=np.zeros((horizon, num_nodes, num_kernels)),
         cross_predictions=np.zeros((horizon, num_nodes, num_nodes)),
         weights=np.zeros((horizon, num_nodes, num_kernels)),
@@ -417,14 +428,14 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph = ctx.graph
     num_nodes = graph.num_nodes
-    trace = _empty_trace(ctx, cfg, algorithm, len(maps))
+    trace = _empty_trace(ctx, algorithm, len(maps))
 
     nodes = [
         LearnerNode(k, maps, graph.neighbors[k], eta_global=cfg.eta_global)
         for k in range(num_nodes)
     ]
     exchanges = {k: nodes[k].initial_exchange() for k in range(num_nodes)}
-    board = (MessageBoard.initial(graph, len(maps))
+    board = (MessageBoard.initial(graph, len(maps), cfg.allow_cycles)
              if variant == "message_passing" else None)
 
     for t in range(ctx.horizon):
@@ -433,8 +444,7 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
                 -exchanges[k].cumulative_losses / cfg.eta_global
                 for k in range(num_nodes)
             ]
-            board = mp_update_messages(board, graph, log_w,
-                                       allow_cycles=cfg.allow_cycles)
+            board = mp_update_messages(board, graph, log_w)
         order = (list(range(num_nodes)) if order_rng is None
                  else list(order_rng.permutation(num_nodes)))
         fresh = {}
@@ -481,7 +491,7 @@ def _run_comkl(ctx, cfg):
             raise FloatingPointError("comkl kernel %d: %s" % (p, exc)) from None
         if cfg.compute_accuracy_regret:
             fits[p] = _fit(block, pooled_y, num_nodes, horizon)
-    trace = _empty_trace(ctx, cfg, "comkl", len(ctx.maps))
+    trace = _empty_trace(ctx, "comkl", len(ctx.maps))
     trace.predictions[:], weights, squared_errors = comkl_hedge(
         dots, ctx.labels, cfg.eta_global, cfg.comkl_loss_mode)
     trace.per_kernel_losses[:] = squared_errors.transpose(0, 2, 1)
@@ -493,7 +503,7 @@ def _run_comkl(ctx, cfg):
 
 def _run_rff_dokl(ctx, cfg):
     fmap = ctx.maps[cfg.kernel_index]
-    trace = _empty_trace(ctx, cfg, "rff_dokl", 1)
+    trace = _empty_trace(ctx, "rff_dokl", 1)
     trace.weights.fill(1.0)
     state = DiffusionState.fresh(ctx.graph, 2 * cfg.num_features,
                                  step_size=cfg.diffusion_step_size)
@@ -565,8 +575,8 @@ def _pool(ctx, horizon):
 
 def _fit(z, pooled_y, num_streams, horizon):
     """The hindsight fit to one kernel's mapped pool ``z``."""
-    theta, cum = oracle.hindsight_best(z, pooled_y)
-    losses = (z @ theta - pooled_y) ** 2
+    _, cum, residual = oracle.hindsight_best(z, pooled_y)
+    losses = residual ** 2
     return cum, np.ascontiguousarray(losses.reshape(num_streams, horizon).T)
 
 
@@ -640,12 +650,8 @@ def aggregate(cfg, results):
     final_regret_a = {} if cfg.compute_accuracy_regret else None
     rounds = results[0].context.horizon
     for algorithm in cfg.algorithms:
-        mse_rows = np.stack(
-            [mse_curve(r.traces[algorithm]).values for r in results]
-        )
-        cv_rows = np.stack(
-            [cv_curve(r.traces[algorithm]).values for r in results]
-        )
+        mse_rows = np.stack([mse_curve(r.traces[algorithm]) for r in results])
+        cv_rows = np.stack([cv_curve(r.traces[algorithm]) for r in results])
         mse_mean[algorithm] = mse_rows.mean(axis=0)
         mse_std[algorithm] = mse_rows.std(axis=0)
         cv_mean[algorithm] = cv_rows.mean(axis=0)

@@ -152,7 +152,7 @@ def test_discrepancy_regret_decays_and_consensus_tightens(consensus_run):
     ok = True
     for k in range(cfg.num_learners):
         ok &= rates[500][k] > rates[2000][k] > rates[8000][k]
-    final_cv = cv_curve(trace).values[-1]
+    final_cv = cv_curve(trace)[-1]
     ok &= final_cv <= 1e-2
     assert _report(ok, "discrepancy-regret-decays",
                    "per-round rate falls at every learner, CV(8000)=%.1e (<= 1e-2)"
@@ -221,8 +221,8 @@ def test_best_kernel_recovery_and_multikernel_match():
         multi_trace = run_trial(
             dataclasses.replace(cfg, algorithms=("domkl",)), 0
         ).traces["domkl"]
-        best_final = mse_curve(best_trace).values[-1]
-        multi_final = mse_curve(multi_trace).values[-1]
+        best_final = mse_curve(best_trace)[-1]
+        multi_final = mse_curve(multi_trace)[-1]
         match_hits += multi_final <= 1.10 * best_final
     ok = recovery_hits >= 18 and match_hits >= 18
     assert _report(ok, "best-kernel-recovery",

@@ -5,11 +5,9 @@ from domkl.admm import (
     AdmmConfig,
     gamma_hat,
     lambda_update,
-    run_single_kernel,
     theta_update_quadratic,
 )
-from domkl.features import KernelSpec, build_feature_map
-from domkl.graph import Graph, sample_connected_er
+from domkl.graph import sample_connected_er
 
 
 def _round_objective(theta, theta_old, lam, z, label, gamma, degree, cfg):
@@ -179,33 +177,3 @@ def test_network_dual_sum_stays_zero():
         ])
         assert np.abs(updated.sum(axis=0)).max() < 1e-12
 
-
-def test_reference_loop_first_round_predictions_are_zero():
-    graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
-    fmap = build_feature_map(KernelSpec(0.5), input_dim=2, num_features=4,
-                             seed=3)
-    rng = np.random.default_rng(53)
-    features = rng.standard_normal((6, 3, 2))
-    labels = rng.standard_normal((6, 3))
-    predictions, thetas, lams = run_single_kernel(
-        graph, fmap, features, labels, AdmmConfig()
-    )
-    assert predictions.shape == (6, 3)
-    assert np.array_equal(predictions[0], np.zeros(3))
-    assert thetas.shape == (3, 8)
-    # round 2 predictions depend only on round 1 data, so they are not zero
-    assert np.abs(predictions[1]).max() > 0.0
-
-
-def test_reference_loop_is_deterministic():
-    graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
-    fmap = build_feature_map(KernelSpec(0.5), input_dim=2, num_features=4,
-                             seed=3)
-    rng = np.random.default_rng(59)
-    features = rng.standard_normal((10, 3, 2))
-    labels = rng.standard_normal((10, 3))
-    a = run_single_kernel(graph, fmap, features, labels, AdmmConfig())
-    b = run_single_kernel(graph, fmap, features, labels, AdmmConfig())
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
-    assert np.array_equal(a[2], b[2])

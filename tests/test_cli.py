@@ -159,6 +159,18 @@ def test_bad_values_exit_2(tmp_path, capsys, edits):
     assert not (tmp_path / "results.csv").exists()
 
 
+def _run_and_sweep_exit_2(tmp_path, capsys, text, expected):
+    """Both commands stop with exit 2 and an error starting ``expected``."""
+    path = _write_ini(tmp_path, text)
+    assert cmd_run(path, out_dir=str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(expected)
+    assert main(["sweep", "--config", path, "--rho", "10",
+                 "--eta-g", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "results.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def _trial_setup_errors(tmp_path):
     """INI texts that load cleanly but fail while trial 0 is set up."""
     topo = tmp_path / "split.txt"
@@ -173,16 +185,8 @@ def _trial_setup_errors(tmp_path):
 
 def test_trial_setup_config_errors_exit_2(tmp_path, capsys):
     for text, named in _trial_setup_errors(tmp_path):
-        path = _write_ini(tmp_path, text)
-        assert cmd_run(path, out_dir=str(tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: trial 0: %s" % named)
-        assert main(["sweep", "--config", path, "--rho", "10",
-                     "--eta-g", "10", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: trial 0: %s" % named)
-    assert not (tmp_path / "results.csv").exists()
-    assert not (tmp_path / "sweep.csv").exists()
+        _run_and_sweep_exit_2(tmp_path, capsys, text,
+                              "config error: trial 0: %s" % named)
 
 
 def test_run_writes_results(tmp_path, capsys):
@@ -418,29 +422,86 @@ def test_csv_errors_exit_2(tmp_path, capsys, case):
             bad_path.write_text(contents)
             text = _edit(task_edits, csv=bad_path)
             expected = "config error: trial 0: %s: %s" % (bad_path, error)
-        path = _write_ini(tmp_path, text)
-        assert cmd_run(path, out_dir=str(tmp_path)) == 2
-        assert capsys.readouterr().err.startswith(expected)
-        assert main(["sweep", "--config", path, "--rho", "10",
-                     "--eta-g", "10", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(expected)
-    assert not (tmp_path / "results.csv").exists()
-    assert not (tmp_path / "sweep.csv").exists()
+        _run_and_sweep_exit_2(tmp_path, capsys, text, expected)
 
 
 def test_missing_topology_exits_2(tmp_path, capsys):
     text = _BASE_INI.replace(
         "num_nodes = 3", "num_nodes = 3\ntopology = %s" % (tmp_path / "no.txt"))
-    path = _write_ini(tmp_path, text)
-    expected = "config error: cannot read [network] topology: "
-    assert cmd_run(path, out_dir=str(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith(expected)
-    assert main(["sweep", "--config", path, "--rho", "10",
-                 "--eta-g", "10", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(expected)
+    _run_and_sweep_exit_2(tmp_path, capsys, text,
+                          "config error: cannot read [network] topology: ")
     with pytest.raises(ConfigError, match="topology") as info:
-        load_config(path)
+        load_config(_write_ini(tmp_path, text))
     assert info.value.key == "topology"
+
+
+# Topology files for 3 nodes that do not parse, and the error each gives.
+_BAD_TOPOLOGY = {
+    "out_of_range": ("0 1\n1 5\n", "edge (1, 5) out of range for 3 nodes"),
+    "one_index": ("0 1\n2\n", "line 2: expected two indices"),
+    "non_integer": ("0 1\n1 x\n", "line 2: non-integer index"),
+    "self_loop": ("0 1\n1 1\n", "self loop at node 1"),
+    "duplicate": ("0 1\n1 2\n1 0\n", "duplicate edge (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TOPOLOGY))
+def test_malformed_topology_exits_2(tmp_path, capsys, case):
+    contents, error = _BAD_TOPOLOGY[case]
+    topo = tmp_path / "net.txt"
+    topo.write_text(contents)
+    text = _BASE_INI.replace("num_nodes = 3",
+                             "num_nodes = 3\ntopology = %s" % topo)
+    _run_and_sweep_exit_2(tmp_path, capsys, text,
+                          "config error: trial 0: topology %s: %s"
+                          % (topo, error))
+
+
+def test_message_passing_on_a_cycle_exits_2(tmp_path, capsys):
+    topo = tmp_path / "triangle.txt"
+    topo.write_text("0 1\n1 2\n0 2\n")
+    text = _edit([("num_nodes = 3", "num_nodes = 3\ntopology = %s" % topo),
+                  _after("bandwidths = 0.05, 0.1",
+                         "hedge_variant = message_passing")])
+    _run_and_sweep_exit_2(
+        tmp_path, capsys, text,
+        "config error: trial 0: message passing on a cyclic graph double"
+        " counts losses; set allow_cycles = true to run it anyway")
+    allowed = text.replace("hedge_variant = message_passing",
+                           "hedge_variant = message_passing\n"
+                           "allow_cycles = true")
+    with pytest.warns(RuntimeWarning, match="cyclic graph"):
+        assert cmd_run(_write_ini(tmp_path, allowed),
+                       out_dir=str(tmp_path)) == 0
+
+
+# CSV contents too short for a 3-node run, the task edits, and the error
+# each gives after "config error: trial 0: ".
+_SHORT_CSV = {
+    "regression_rows_below_nodes": (2, _REGRESSION,
+                                    "{csv} has 2 rows, fewer than"
+                                    " num_nodes = 3"),
+    "normalize_one_row": (1, _REGRESSION,
+                          "normalize needs at least 2 rows; {csv} has 1"),
+    "timeseries_below_ar_order": (4, _CSV_TIMESERIES,
+                                  "{csv} has 4 values; ar_order = 5 leaves"
+                                  " fewer windows than num_nodes = 3"),
+    "timeseries_windows_below_nodes": (7, _CSV_TIMESERIES,
+                                       "{csv} has 7 values; ar_order = 5"
+                                       " leaves fewer windows than"
+                                       " num_nodes = 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHORT_CSV))
+def test_csv_too_short_for_the_run_exits_2(tmp_path, capsys, case):
+    rows, task_edits, error = _SHORT_CSV[case]
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("".join("0.%d,0.5,0.%d\n" % (i, 9 - i)
+                                for i in range(rows)))
+    _run_and_sweep_exit_2(tmp_path, capsys, _edit(task_edits, csv=csv_path),
+                          "config error: trial 0: "
+                          + error.format(csv=csv_path))
 
 
 def test_unread_key_error_names_the_run(tmp_path, capsys):

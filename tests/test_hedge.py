@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from domkl.errors import ConfigError
 from domkl.graph import Graph
 from domkl.hedge import (
     HedgeState,
@@ -196,13 +199,18 @@ def test_star_center_relays_every_leaf():
 
 
 def test_cycle_gate_raises_then_warns_when_overridden():
+    """The board decides acyclicity once; relay rounds do not re-check."""
     triangle = Graph(num_nodes=3, edges=((0, 1), (1, 2), (0, 2)))
-    board = MessageBoard.initial(triangle, 2)
-    logs = [np.zeros(2)] * 3
-    with pytest.raises(ValueError):
-        mp_update_messages(board, triangle, logs)
+    with pytest.raises(ConfigError, match="allow_cycles = true") as info:
+        MessageBoard.initial(triangle, 2)
+    assert info.value.key == "allow_cycles"
     with pytest.warns(RuntimeWarning):
-        mp_update_messages(board, triangle, logs, allow_cycles=True)
+        board = MessageBoard.initial(triangle, 2, allow_cycles=True)
+    logs = [np.zeros(2)] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            board = mp_update_messages(board, triangle, logs)
 
 
 def test_mp_combination_equals_product_rule_on_one_edge():

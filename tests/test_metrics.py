@@ -23,7 +23,6 @@ def _trace(rng, rounds=7, learners=3, kernels=2, graph=None):
     cross[:, idx, idx] = predictions
     return RunTrace(
         algorithm="test",
-        trial_seed=0,
         graph=graph,
         predictions=predictions,
         labels=rng.normal(size=(rounds, learners)),
@@ -38,7 +37,7 @@ def test_trace_shape_validation():
     good = _trace(rng)
     with pytest.raises(ValueError):
         RunTrace(
-            algorithm="t", trial_seed=0, graph=good.graph,
+            algorithm="t", graph=good.graph,
             predictions=good.predictions,
             labels=good.labels[:, :2],
             per_kernel_losses=good.per_kernel_losses,
@@ -47,7 +46,7 @@ def test_trace_shape_validation():
         )
     with pytest.raises(ValueError):
         RunTrace(
-            algorithm="t", trial_seed=0, graph=good.graph,
+            algorithm="t", graph=good.graph,
             predictions=good.predictions,
             labels=good.labels,
             per_kernel_losses=good.per_kernel_losses,
@@ -56,7 +55,7 @@ def test_trace_shape_validation():
         )
     with pytest.raises(ValueError):
         RunTrace(
-            algorithm="t", trial_seed=0, graph=good.graph,
+            algorithm="t", graph=good.graph,
             predictions=good.predictions,
             labels=good.labels,
             per_kernel_losses=good.per_kernel_losses,
@@ -82,20 +81,20 @@ def test_mse_curve_matches_naive_sum():
     rng = np.random.default_rng(2)
     trace = _trace(rng, rounds=6, learners=4)
     curve = mse_curve(trace)
-    assert curve.values[0] == 1.0
+    assert curve[0] == 1.0
     for t in range(1, 6):
         total = 0.0
         for s in range(t + 1):
             for k in range(4):
                 total += (trace.predictions[s, k] - trace.labels[s, k]) ** 2
-        assert abs(curve.values[t] - total / ((t + 1) * 4)) < 1e-12
-    assert curve.algorithm == "test"
+        assert abs(curve[t] - total / ((t + 1) * 4)) < 1e-12
+    assert curve.shape == (6,)
 
 
 def test_mse_convention_pins_first_round():
     trace = _trace(np.random.default_rng(3), rounds=1)
-    assert mse_curve(trace).values[0] == 1.0
-    assert cv_curve(trace).values[0] == 1.0
+    assert mse_curve(trace)[0] == 1.0
+    assert cv_curve(trace)[0] == 1.0
 
 
 def test_cv_curve_matches_naive_sum():
@@ -112,14 +111,14 @@ def test_cv_curve_matches_naive_sum():
                     gap = (trace.cross_predictions[s, k, k]
                            - trace.cross_predictions[s, k, l])
                     total += gap ** 2
-        assert abs(curve.values[t] - total / ((t + 1) * 3 * 2)) < 1e-12
+        assert abs(curve[t] - total / ((t + 1) * 3 * 2)) < 1e-12
 
 
 def test_cv_requires_two_learners():
     rng = np.random.default_rng(5)
     graph = Graph(1, ())
     trace = RunTrace(
-        algorithm="t", trial_seed=0, graph=graph,
+        algorithm="t", graph=graph,
         predictions=rng.normal(size=(4, 1)),
         labels=rng.normal(size=(4, 1)),
         per_kernel_losses=rng.random((4, 1, 2)),
@@ -135,12 +134,12 @@ def test_cv_zero_when_functions_agree():
     trace = _trace(rng, rounds=4, learners=3)
     cross = np.repeat(trace.predictions[:, :, None], 3, axis=2)
     agreed = RunTrace(
-        algorithm="t", trial_seed=0, graph=trace.graph,
+        algorithm="t", graph=trace.graph,
         predictions=trace.predictions, labels=trace.labels,
         per_kernel_losses=trace.per_kernel_losses,
         cross_predictions=cross, weights=trace.weights,
     )
-    values = cv_curve(agreed).values
+    values = cv_curve(agreed)
     assert values[0] == 1.0
     assert not values[1:].any()
 
@@ -186,7 +185,7 @@ def test_regret_discrepancy_gaps_cancel_within_round():
     cross[:, 1, 0] = 0.4   # f_0 on node 1's sample
     cross[:, 2, 0] = -0.3  # f_0 on node 2's sample
     trace = RunTrace(
-        algorithm="t", trial_seed=0, graph=graph,
+        algorithm="t", graph=graph,
         predictions=predictions, labels=np.zeros((3, 3)),
         per_kernel_losses=np.zeros((3, 3, 1)),
         cross_predictions=cross, weights=np.ones((3, 3, 1)),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from domkl.admm import AdmmConfig, run_single_kernel
+from domkl.admm import AdmmConfig
 from domkl.features import KernelSpec, build_feature_map
 from domkl.graph import Graph
+from domkl.learners import LearnerNode, step
 from domkl.oracle import (
     JointStepProblem,
     edge_dual_step,
@@ -143,6 +144,12 @@ def test_dual_step_moves_along_residual():
 
 
 def test_joint_rounds_match_distributed_single_kernel():
+    """``step`` with one feature map is the dense joint round, node by node.
+
+    ``step`` finalizes round t's dual only when round t+1's exchanges
+    arrive, so the node duals after step t+1 are the oracle's after
+    round t.
+    """
     rng = np.random.default_rng(6)
     graph = _path3()
     fmap = build_feature_map(KernelSpec(0.5), input_dim=2, num_features=3, seed=8)
@@ -150,22 +157,36 @@ def test_joint_rounds_match_distributed_single_kernel():
     features = rng.random((rounds, 3, 2))
     labels = rng.normal(size=(rounds, 3))
     cfg = AdmmConfig(rho=5.0, eta_local=3.0)
-    predictions, thetas, lams = run_single_kernel(graph, fmap, features, labels, cfg)
+    nodes = [LearnerNode(k, (fmap,), graph.neighbors[k]) for k in range(3)]
+    exchanges = [node.initial_exchange() for node in nodes]
 
     problem = JointStepProblem.initial(graph, dim=6, rho=5.0, eta_local=3.0)
     for t in range(rounds):
         z = np.stack([fmap.map(features[t, k]) for k in range(3)])
+        outputs = [
+            step(nodes[k], [exchanges[l] for l in graph.neighbors[k]],
+                 (features[t, k], labels[t, k]), cfg)
+            for k in range(3)
+        ]
+        exchanges = [out[2] for out in outputs]
+        predictions = [out[0] for out in outputs]
+        assert np.allclose(predictions, (problem.prev_thetas * z).sum(axis=1),
+                           rtol=0, atol=1e-8)
+        for k in range(3):
+            assert np.allclose(nodes[k].lams[0], problem.aggregated_dual(k),
+                               rtol=0, atol=1e-8)
         problem = joint_round(problem, z, labels[t])
-    assert np.allclose(problem.prev_thetas, thetas, rtol=0, atol=1e-8)
-    for k in range(3):
-        assert np.allclose(problem.aggregated_dual(k), lams[k], rtol=0, atol=1e-8)
+        thetas = np.stack([node.thetas[0] for node in nodes])
+        assert np.allclose(problem.prev_thetas, thetas, rtol=0, atol=1e-8)
+    assert np.abs(problem.prev_thetas).max() > 1e-3
 
 
 def test_hindsight_best_normal_equations():
     rng = np.random.default_rng(9)
     z_pool = rng.normal(size=(40, 6))
     y_pool = rng.normal(size=40)
-    theta, loss = hindsight_best(z_pool, y_pool)
+    theta, loss, residual = hindsight_best(z_pool, y_pool)
+    assert np.array_equal(residual, z_pool @ theta - y_pool)
     naive = float(np.sum((z_pool @ theta - y_pool) ** 2))
     assert abs(loss - naive) < 1e-9
     for _ in range(30):
@@ -178,7 +199,7 @@ def test_hindsight_best_interpolates_realizable_pool():
     target = rng.normal(size=5)
     z_pool = rng.normal(size=(30, 5))
     y_pool = z_pool @ target
-    theta, loss = hindsight_best(z_pool, y_pool)
+    theta, loss, _ = hindsight_best(z_pool, y_pool)
     assert loss < 1e-10
     assert np.allclose(theta, target, rtol=0, atol=1e-5)
     with pytest.raises(ValueError):

@@ -422,7 +422,7 @@ def _refit_per_stream_regret(ctx, trace, kernel_indices):
     pooled_y = np.concatenate([s.labels[:horizon] for s in ctx.streams])
     best = None
     for index in kernel_indices:
-        theta, cum = hindsight_best(ctx.maps[index].map(pooled_x), pooled_y)
+        theta, cum, _ = hindsight_best(ctx.maps[index].map(pooled_x), pooled_y)
         if best is None or cum < best[0]:
             best = (cum, index, theta)
     _, index, theta = best
@@ -582,8 +582,7 @@ def test_public_api_is_the_documented_one():
         "MessageBoard", "SyntheticTaskConfig", "build_feature_map",
         "combine_weights", "comkl_step", "cv_curve", "gaussian_kernel",
         "mp_combine_weights", "mse_curve", "rff_dokl_step", "run_experiment",
-        "run_single_kernel", "run_trial", "sample_connected_er", "step",
-        "sweep",
+        "run_trial", "sample_connected_er", "step", "sweep",
     ]
     for name in domkl.__all__:
         assert getattr(domkl, name) is not None
