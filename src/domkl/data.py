@@ -11,6 +11,7 @@ function and autoregressive label sequences.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,9 +47,10 @@ def load_csv(path, label_column=-1, has_header=False):
     ``label_column`` indexes the label column (negative indices count
     from the right); the remaining columns become features in file
     order.  Every problem with the file's contents raises
-    ``ConfigError``: a parse problem names its row and column under the
-    key ``path``, or ``has_header`` when row 1 holds text and no header
-    was declared; a ``label_column`` outside the table names that key.
+    ``ConfigError``: a parse problem or a non-finite cell (``nan``,
+    ``inf``) names its row and column under the key ``path``, or
+    ``has_header`` when row 1 holds text and no header was declared; a
+    ``label_column`` outside the table names that key.
     """
     rows = []
     with open(path, newline="") as handle:
@@ -61,7 +63,7 @@ def load_csv(path, label_column=-1, has_header=False):
             values = []
             for colnum, cell in enumerate(row, start=1):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     message = ("%s: row %d, column %d: non-numeric cell %r"
                                % (path, rownum, colnum, cell))
@@ -70,6 +72,10 @@ def load_csv(path, label_column=-1, has_header=False):
                             message + "; if row 1 is a header, set "
                             "has_header = true", key="has_header") from None
                     raise ConfigError(message, key="path") from None
+                if not math.isfinite(value):
+                    raise ConfigError("%s: row %d, column %d: non-finite cell %r"
+                                      % (path, rownum, colnum, cell), key="path")
+                values.append(value)
             if rows and len(values) != len(rows[0]):
                 raise ConfigError(
                     "%s: row %d: expected %d columns, got %d"

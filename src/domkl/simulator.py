@@ -278,8 +278,23 @@ class SweepRow:
     final_cv: float
 
 
-def build_trial_context(cfg, trial_index):
-    """Sample graph, maps, and streams for one trial."""
+@dataclass(frozen=True)
+class ExperimentInputs:
+    """What every trial of an experiment reads from files, loaded once.
+
+    ``graph`` is the topology file's graph; ``dataset`` is the CSV task's
+    data, min-max scaled (when ``normalize``) for regression and embedded
+    into lagged windows for a time series.  Each is None when the config
+    names no such file.
+    """
+
+    graph: object = None
+    dataset: Dataset | None = None
+
+
+def load_inputs(cfg):
+    """Parse the topology file and the CSV data of ``cfg`` and check them."""
+    graph = dataset = None
     if cfg.topology_path is not None:
         with open(cfg.topology_path) as handle:
             text = handle.read()
@@ -293,6 +308,54 @@ def build_trial_context(cfg, trial_index):
             named = ", ".join(str(list(c)) for c in components)
             raise ConfigError("topology %s is disconnected: components %s"
                               % (cfg.topology_path, named), key="topology")
+    if cfg.task == "regression":
+        dataset = _load_regression(cfg.csv_data, cfg.num_learners)
+    elif cfg.task == "timeseries" and cfg.csv_data is not None:
+        dataset = _load_timeseries(cfg.csv_data, cfg.num_learners)
+    return ExperimentInputs(graph=graph, dataset=dataset)
+
+
+def _load_regression(csv_data, num_learners):
+    ds = load_csv(csv_data.path, csv_data.label_column, csv_data.has_header)
+    if ds.features.shape[1] == 0:
+        raise ConfigError("%s has no feature column: a regression task needs"
+                          " one besides the label column" % csv_data.path,
+                          key="path")
+    if csv_data.normalize and len(ds) < 2:
+        raise ConfigError("normalize needs at least 2 rows; %s has %d"
+                          % (csv_data.path, len(ds)), key="normalize")
+    if len(ds) < num_learners:
+        raise ConfigError("%s has %d rows, fewer than num_nodes = %d"
+                          % (csv_data.path, len(ds), num_learners),
+                          key="num_nodes")
+    return normalize_minmax(ds) if csv_data.normalize else ds
+
+
+def _load_timeseries(csv_data, num_learners):
+    series = load_csv(csv_data.path, csv_data.label_column,
+                      csv_data.has_header).labels
+    if csv_data.normalize:
+        series = scale_unit(series)
+    order = csv_data.ar_order
+    if len(series) - order < num_learners:
+        raise ConfigError(
+            "%s has %d values; ar_order = %d leaves fewer windows"
+            " than num_nodes = %d" % (csv_data.path, len(series),
+                                      order, num_learners),
+            key="ar_order")
+    return ar_embed(series, order)
+
+
+def build_trial_context(cfg, trial_index, inputs=None):
+    """Sample graph, maps, and streams for one trial.
+
+    ``inputs`` are the experiment's files as ``load_inputs(cfg)`` returns
+    them; when omitted they are loaded here.
+    """
+    if inputs is None:
+        inputs = load_inputs(cfg)
+    if inputs.graph is not None:
+        graph = inputs.graph
     else:
         graph = sample_connected_er(
             cfg.num_learners, cfg.connection_prob,
@@ -340,17 +403,7 @@ def build_trial_context(cfg, trial_index):
         streams = partition_regression(ds, cfg.num_learners)
         input_dim = spec_cfg.input_dim
     elif cfg.task == "regression":
-        ds = load_csv(cfg.csv_data.path, cfg.csv_data.label_column,
-                      cfg.csv_data.has_header)
-        if cfg.csv_data.normalize and len(ds) < 2:
-            raise ConfigError("normalize needs at least 2 rows; %s has %d"
-                              % (cfg.csv_data.path, len(ds)), key="normalize")
-        if len(ds) < cfg.num_learners:
-            raise ConfigError("%s has %d rows, fewer than num_nodes = %d"
-                              % (cfg.csv_data.path, len(ds), cfg.num_learners),
-                              key="num_nodes")
-        if cfg.csv_data.normalize:
-            ds = normalize_minmax(ds)
+        ds = inputs.dataset
         if cfg.csv_data.shuffle:
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, trial_index, _SHUFFLE)
@@ -361,19 +414,8 @@ def build_trial_context(cfg, trial_index):
         streams = partition_regression(ds, cfg.num_learners)
         input_dim = ds.features.shape[1]
     else:  # timeseries
-        if cfg.csv_data is not None:
-            raw = load_csv(cfg.csv_data.path, cfg.csv_data.label_column,
-                           cfg.csv_data.has_header)
-            series = raw.labels
-            if cfg.csv_data.normalize:
-                series = scale_unit(series)
-            order = cfg.csv_data.ar_order
-            if len(series) - order < cfg.num_learners:
-                raise ConfigError(
-                    "%s has %d values; ar_order = %d leaves fewer windows"
-                    " than num_nodes = %d" % (cfg.csv_data.path, len(series),
-                                              order, cfg.num_learners),
-                    key="ar_order")
+        if inputs.dataset is not None:
+            embedded = inputs.dataset
         else:
             ar = cfg.ar_synth
             spec = ARSpec(order=len(ar.coefficients), intercept=ar.intercept,
@@ -383,11 +425,9 @@ def build_trial_context(cfg, trial_index):
                 spec, ar.num_samples,
                 seed=derive_seed(cfg.master_seed, trial_index, _DATA),
             )
-            series = scale_unit(series)
-            order = ar.ar_order
-        embedded = ar_embed(series, order)
+            embedded = ar_embed(scale_unit(series), ar.ar_order)
         streams = partition_timeseries_interleaved(embedded, cfg.num_learners)
-        input_dim = order
+        input_dim = embedded.features.shape[1]
 
     horizon = min(len(s) for s in streams)
     if cfg.rounds is not None:
@@ -481,16 +521,9 @@ def _run_comkl(ctx, cfg):
     dots = np.empty((horizon, len(ctx.maps), num_nodes))
     fits = {}
     for p, fmap in enumerate(ctx.maps):
-        block = fmap.map(pooled_x)
-        # The pool is stream-major: round t's rows are z[t], shape (K, D).
-        z = block.reshape(num_nodes, horizon, -1).transpose(1, 0, 2)
-        try:
-            dots[:, p], _ = comkl_step(np.zeros(block.shape[1]),
-                                       (z, ctx.labels), cfg.comkl_step_size)
-        except FloatingPointError as exc:
-            raise FloatingPointError("comkl kernel %d: %s" % (p, exc)) from None
-        if cfg.compute_accuracy_regret:
-            fits[p] = _fit(block, pooled_y, num_nodes, horizon)
+        fit = _comkl_kernel(ctx, cfg, fmap, pooled_x, pooled_y, dots[:, p])
+        if fit is not None:
+            fits[p] = fit
     trace = _empty_trace(ctx, "comkl", len(ctx.maps))
     trace.predictions[:], weights, squared_errors = comkl_hedge(
         dots, ctx.labels, cfg.eta_global, cfg.comkl_loss_mode)
@@ -499,6 +532,26 @@ def _run_comkl(ctx, cfg):
     # One central function: the same value in every column.
     trace.cross_predictions[:] = trace.predictions[:, :, None]
     return trace, fits
+
+
+def _comkl_kernel(ctx, cfg, fmap, pooled_x, pooled_y, dots):
+    """Run comkl's learner of one kernel into its (T, K) ``dots`` and
+    return the kernel's hindsight fit, or None when accuracy regret is
+    off.  The (K*T, D) block is mapped here so that it dies on return,
+    before the next kernel's block is mapped."""
+    horizon, num_nodes = ctx.labels.shape
+    block = fmap.map(pooled_x)
+    # The pool is stream-major: round t's rows are z[t], shape (K, D).
+    z = block.reshape(num_nodes, horizon, -1).transpose(1, 0, 2)
+    try:
+        dots[:], _ = comkl_step(np.zeros(block.shape[1]), (z, ctx.labels),
+                                cfg.comkl_step_size)
+    except FloatingPointError as exc:
+        raise FloatingPointError("comkl kernel %d: %s"
+                                 % (fmap.kernel_index, exc)) from None
+    if not cfg.compute_accuracy_regret:
+        return None
+    return _fit(block, pooled_y, num_nodes, horizon)
 
 
 def _run_rff_dokl(ctx, cfg):
@@ -517,14 +570,15 @@ def _run_rff_dokl(ctx, cfg):
     return trace
 
 
-def run_trial(cfg, trial_index, node_order_seed=None):
+def run_trial(cfg, trial_index, node_order_seed=None, inputs=None):
     """Run every configured algorithm on one shared trial setup.
 
     ``node_order_seed`` scrambles the within-round execution order of
     the consensus algorithms; it exists to demonstrate that the order
-    cannot affect results, and is never set by normal runs.
+    cannot affect results, and is never set by normal runs.  ``inputs``
+    is passed on to ``build_trial_context``.
     """
-    ctx = build_trial_context(cfg, trial_index)
+    ctx = build_trial_context(cfg, trial_index, inputs)
     traces, fits = {}, {}
     for algorithm in cfg.algorithms:
         order_rng = (np.random.default_rng(node_order_seed)
@@ -604,8 +658,8 @@ def _regret_scope(cfg, algorithm, num_kernels):
 
 
 def _trial_worker(payload):
-    cfg, index = payload
-    return run_trial(cfg, index)
+    cfg, index, inputs = payload
+    return run_trial(cfg, index, inputs=inputs)
 
 
 def _trial_failure(index, exc):
@@ -618,13 +672,19 @@ def _trial_failure(index, exc):
 def run_experiment(cfg):
     """Run all trials (in ``cfg.workers`` processes) and aggregate."""
     indices = list(range(cfg.trials))
+    try:
+        inputs = load_inputs(cfg)
+    except Exception as exc:
+        # Every trial reads the same files; trial 0 is the first to fail.
+        raise _trial_failure(0, exc) from exc
     if cfg.workers > 1:
         # Imported here: the pool modules take tens of ms to import and
         # the default run uses one process.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_trial_worker, (cfg, i)) for i in indices]
+            futures = [pool.submit(_trial_worker, (cfg, i, inputs))
+                       for i in indices]
             results = []
             for i, fut in zip(indices, futures):
                 try:
@@ -635,7 +695,7 @@ def run_experiment(cfg):
         results = []
         for i in indices:
             try:
-                results.append(run_trial(cfg, i))
+                results.append(run_trial(cfg, i, inputs=inputs))
             except Exception as exc:
                 raise _trial_failure(i, exc) from exc
     return aggregate(cfg, results)

@@ -397,6 +397,10 @@ _BAD_CSV = {
                     "row 2, column 2: non-numeric cell 'x'"),
     "ragged": ("0.1,0.2,0.3\n0.4,0.5\n", "row 2: expected 3 columns, got 2"),
     "no_rows": ("\n\n", "no data rows"),
+    "nan": ("0.1,0.2,0.3\n0.4,nan,0.6\n",
+            "row 2, column 2: non-finite cell 'nan'"),
+    "inf": ("0.1,0.2,0.3\n0.4,0.5,-inf\n",
+            "row 2, column 3: non-finite cell '-inf'"),
     "header": ("a,b,c\n0.1,0.2,0.3\n",
                "row 1, column 1: non-numeric cell 'a'; if row 1 is a header,"
                " set has_header = true"),
@@ -423,6 +427,22 @@ def test_csv_errors_exit_2(tmp_path, capsys, case):
             text = _edit(task_edits, csv=bad_path)
             expected = "config error: trial 0: %s: %s" % (bad_path, error)
         _run_and_sweep_exit_2(tmp_path, capsys, text, expected)
+
+
+@pytest.mark.parametrize("normalize", ["true", "false"])
+def test_regression_csv_without_feature_column_exits_2(tmp_path, capsys,
+                                                       normalize):
+    # A time series needs only the label column; a regression does not.
+    csv_path = tmp_path / "labels.csv"
+    csv_path.write_text("".join("0.%d\n" % i for i in range(9)))
+    text = _edit(_REGRESSION + [_after("path = {csv}",
+                                       "normalize = %s" % normalize)],
+                 csv=csv_path)
+    _run_and_sweep_exit_2(tmp_path, capsys, text,
+                          "config error: trial 0: %s has no feature column"
+                          % csv_path)
+    assert cmd_run(_write_ini(tmp_path, _edit(_CSV_TIMESERIES, csv=csv_path)),
+                   out_dir=str(tmp_path)) == 0
 
 
 def test_missing_topology_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from domkl.data import (
     synth_ar,
     synth_regression,
 )
+from domkl.errors import ConfigError
 
 
 def test_dataset_validation():
@@ -50,6 +51,16 @@ def test_load_csv_locates_bad_cell(tmp_path):
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(ValueError, match="row 2, column 2"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_locates_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2\n3,4\n%s,5\n" % cell)
+    match = "row 3, column 1: non-finite cell '%s'" % cell
+    with pytest.raises(ConfigError, match=match) as info:
+        load_csv(path)
+    assert info.value.key == "path"
 
 
 def test_load_csv_ragged_rows(tmp_path):

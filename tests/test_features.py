@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,11 +164,20 @@ def test_dictionary_rejects_empty_specs():
         KernelDictionary(specs=(), shared_seed=0)
 
 
+# A single input, a batch, a long batch and a stacked batch at each input
+# dim; the map projects into a strided half of its output, which must
+# not change the rounding for any of them.  d = 2 comes first, so the ids
+# shape0-shape2 still name the d = 2 cases they named before.
+_MAP_SHAPES = [shape for d in (2, 1, 3, 5, 8)
+               for shape in ((d,), (10, d), (4000, d), (7, 3, d))]
+
+
 @pytest.mark.parametrize("kernel", [0, 8, 16])
-@pytest.mark.parametrize("shape", [(2,), (10, 2), (4000, 2)])
+@pytest.mark.parametrize("shape", _MAP_SHAPES)
 def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
-    """Smallest, middle and largest stock bandwidth, single and batched."""
-    fmap = default_dictionary(shared_seed=11).build_maps(2, 50)[kernel]
+    """Smallest, middle and largest stock bandwidth, single, batched and
+    stacked."""
+    fmap = default_dictionary(shared_seed=11).build_maps(shape[-1], 50)[kernel]
     x = np.random.default_rng(kernel).uniform(size=shape)
     projected = x @ fmap.weights.T
     want = np.concatenate(
@@ -176,6 +186,18 @@ def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
     got = fmap.map(x)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_map_allocates_only_its_output():
+    fmap = default_dictionary(shared_seed=3).build_maps(5, 50)[8]
+    x = np.random.default_rng(0).uniform(size=(20000, 5))
+    tracemalloc.start()
+    try:
+        out = fmap.map(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes, peak / out.nbytes
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 8])

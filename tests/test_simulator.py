@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from domkl.baselines import DiffusionState, rff_dokl_step
+from domkl import simulator
 from domkl.errors import ConfigError
 from domkl.graph import sample_connected_er
 from domkl.simulator import (
@@ -23,6 +25,7 @@ from domkl.simulator import (
     _MAPS,
     _hindsight_fits,
     _regret_scope,
+    _run_comkl,
     accuracy_regret_for_trace,
     build_trial_context,
     config_dictionary,
@@ -493,6 +496,66 @@ def test_comkl_trial_maps_each_kernel_once(monkeypatch):
     ctx = result.context
     assert len(result.fits) == len(ctx.maps)
     assert rows == [cfg.num_learners * ctx.horizon] * len(ctx.maps)
+
+
+def test_comkl_holds_one_feature_block_at_a_time():
+    """Each kernel's pooled (K*T, 2M) block is freed before the next one is
+    mapped, and mapping it allocates nothing beside the block."""
+    cfg = ExperimentConfig(
+        task="timeseries", algorithms=("comkl",), num_learners=4,
+        num_features=50, compute_accuracy_regret=True,
+        ar_synth=ArTaskConfig(num_samples=2005, ar_order=5),
+    )
+    ctx = build_trial_context(cfg, 0)
+    assert ctx.labels.shape == (500, 4)
+    block = ctx.labels.size * 2 * cfg.num_features * 8
+    tracemalloc.start()
+    try:
+        _run_comkl(ctx, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * block, peak / block
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("task", ["regression", "timeseries"])
+def test_experiment_reads_its_files_once(tmp_path, monkeypatch, task,
+                                         workers):
+    topology = tmp_path / "path.txt"
+    topology.write_text("0 1\n1 2\n")
+    data = tmp_path / "d.csv"
+    rows = np.random.default_rng(2).random((40, 3))
+    data.write_text("".join("%f,%f,%f\n" % tuple(r) for r in rows))
+    cfg = ExperimentConfig(
+        task=task, algorithms=("comkl", "rff_dokl"), num_learners=3,
+        topology_path=str(topology), bandwidths=(0.1, 1.0), kernel_index=1,
+        num_features=4, trials=3, master_seed=7, workers=workers,
+        compute_accuracy_regret=True,
+        csv_data=CsvTaskConfig(path=str(data), ar_order=2),
+    )
+    # Each trial set up on its own, reading the files itself.
+    separate = aggregate(cfg, [run_trial(cfg, i) for i in range(cfg.trials)])
+    calls = {"from_edge_list": 0, "load_csv": 0}
+    parent = os.getpid()
+    for name in calls:
+        original = getattr(simulator, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            # A forked worker inherits this patch; it must not read at all.
+            assert os.getpid() == parent, "%s called in a worker" % _name
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, counting)
+    result = run_experiment(cfg)
+    assert calls == {"from_edge_list": 1, "load_csv": 1}
+    for algorithm in cfg.algorithms:
+        for field in ("mse_mean", "mse_std", "cv_mean", "cv_std"):
+            got = getattr(result, field)[algorithm]
+            assert got.tobytes() == getattr(separate, field)[algorithm].tobytes()
+        assert result.final_regret_d[algorithm] == separate.final_regret_d[algorithm]
+        assert result.final_regret_a[algorithm] == separate.final_regret_a[algorithm]
 
 
 def test_aggregate_counts_results():
