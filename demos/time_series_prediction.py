@@ -36,13 +36,11 @@ cfg = ExperimentConfig(
 )
 result = run_trial(cfg, 0)
 
-# Per-stream persistence baseline: guess the most recent lag.
-persistence = 0.0
-horizon = result.context.horizon
-for stream in result.context.streams:
-    guesses = stream.features[:horizon, 0]
-    persistence += np.mean((guesses - stream.labels[:horizon]) ** 2)
-persistence /= len(result.context.streams)
+# Persistence baseline on every learner's stream: guess the most recent
+# lag.  Column k of the round-major arrays is learner k's stream.
+ctx = result.context
+horizon = ctx.horizon
+persistence = np.mean((ctx.inputs[:, :, 0] - ctx.labels) ** 2)
 
 print("rounds per learner: %d (order-5 lag features)" % horizon)
 print("%12s %14s" % ("predictor", "final MSE"))

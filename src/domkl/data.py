@@ -27,7 +27,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -92,7 +91,7 @@ def load_csv(path, label_column=-1, has_header=False):
                           % (label_column, width), key="label_column")
     labels = table[:, label_index]
     features = np.delete(table, label_index, axis=1)
-    return Dataset(features=features, labels=labels, name=str(path))
+    return Dataset(features=features, labels=labels)
 
 
 def scale_unit(column):
@@ -114,35 +113,32 @@ def normalize_minmax(ds):
     features = np.column_stack(
         [scale_unit(ds.features[:, j]) for j in range(ds.features.shape[1])]
     )
-    return Dataset(features=features, labels=scale_unit(ds.labels),
-                   name=ds.name)
+    return Dataset(features=features, labels=scale_unit(ds.labels))
 
 
-def _deal(ds, num_learners, rows):
-    """One stream per learner, of T = floor(N / num_learners) samples;
-    learner k gets the rows ``rows(k, T)`` of ``ds``."""
+def _rounds(ds, num_learners):
+    """T = floor(N / num_learners), the samples each learner receives."""
     if num_learners < 1:
         raise ValueError("num_learners must be at least 1")
     horizon = len(ds) // num_learners
     if horizon < 1:
         raise ValueError("more learners than samples")
-    streams = []
-    for k in range(num_learners):
-        idx = rows(k, horizon)
-        streams.append(Dataset(features=ds.features[idx].copy(),
-                               labels=ds.labels[idx].copy(),
-                               name="%s[%d]" % (ds.name, k)))
-    return streams
+    return horizon
 
 
 def partition_regression(ds, num_learners):
     """Cut the dataset into contiguous equal blocks, one per learner.
 
     Each learner receives T = floor(N / num_learners) samples; the
-    trailing remainder is dropped.
+    trailing remainder is dropped.  Returns the round-major (T, K, d)
+    features and (T, K) labels, views of ``ds``: learner k's round-t
+    sample is row kT + t.
     """
-    return _deal(ds, num_learners,
-                 lambda k, horizon: slice(k * horizon, (k + 1) * horizon))
+    horizon = _rounds(ds, num_learners)
+    used = num_learners * horizon
+    inputs = ds.features[:used].reshape(
+        num_learners, horizon, ds.features.shape[1]).transpose(1, 0, 2)
+    return inputs, ds.labels[:used].reshape(num_learners, horizon).T
 
 
 def partition_timeseries_interleaved(ds, num_learners):
@@ -151,13 +147,17 @@ def partition_timeseries_interleaved(ds, num_learners):
     Learner k (0-based) receives global rows k, k + K, k + 2K, ... for
     K = num_learners, which is the 1-based rule "sample t of learner k
     is global sample K(t-1) + k".  Within-stream temporal order is
-    preserved.
+    preserved.  Returns the round-major (T, K, d) features and (T, K)
+    labels, views of ``ds``, with T = floor(N / K).
     """
-    return _deal(ds, num_learners,
-                 lambda k, horizon: k + num_learners * np.arange(horizon))
+    horizon = _rounds(ds, num_learners)
+    used = num_learners * horizon
+    inputs = ds.features[:used].reshape(
+        horizon, num_learners, ds.features.shape[1])
+    return inputs, ds.labels[:used].reshape(horizon, num_learners)
 
 
-def ar_embed(series, order, name="ar"):
+def ar_embed(series, order):
     """Turn a label sequence into lagged-feature pairs.
 
     Sample t (0-based, t >= order) gets features
@@ -173,7 +173,7 @@ def ar_embed(series, order, name="ar"):
     features = np.empty((count, order))
     for lag in range(1, order + 1):
         features[:, lag - 1] = series[order - lag:order - lag + count]
-    return Dataset(features=features, labels=series[order:].copy(), name=name)
+    return Dataset(features=features, labels=series[order:].copy())
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def synth_regression(spec, num_samples, seed, noise_seed=None):
     y = z @ spec.true_theta
     if spec.noise_std > 0.0:
         y = y + spec.noise_std * noise_rng.standard_normal(num_samples)
-    return Dataset(features=x, labels=y, name="synthetic")
+    return Dataset(features=x, labels=y)
 
 
 @dataclass(frozen=True)

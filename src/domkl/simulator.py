@@ -4,10 +4,10 @@ A trial fixes one connected topology, one set of feature maps, and one
 partition of the data, then runs every configured algorithm over the
 same T rounds.  Rounds are strictly synchronous: a learner's step-t
 inputs are its own sample and the round t-1 broadcasts of its
-neighbors, so intra-round execution order cannot matter (a scrambling
-knob exists to prove it).  Trials are independent and may run in
-worker processes (``ExperimentConfig.workers``, or the INI ``workers``
-key; one process by default); results are identical either way.
+neighbors, so intra-round execution order cannot matter.  Trials are
+independent and may run in worker processes (``ExperimentConfig.workers``,
+or the INI ``workers`` key; one process by default); results are
+identical either way.  Each trial is aggregated as soon as it finishes.
 
 Seed discipline: the graph for trial i is sampled with seed
 ``master_seed XOR i``; feature maps, data, noise, and row shuffling each
@@ -17,6 +17,7 @@ any one randomness source can be frozen independently.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,15 +229,14 @@ class TrialContext:
     """Shared inputs every algorithm of one trial consumes.
 
     ``inputs`` (T, K, d) and ``labels`` (T, K) hold the first ``horizon``
-    samples of every stream in round-major order; they are read-only
-    because every trace of the trial shares ``labels``.
+    samples of every learner's stream in round-major: column k is
+    learner k's stream.  They are read-only because every trace of the
+    trial shares ``labels``.
     """
 
-    trial_index: int
     graph: object
     dictionary: KernelDictionary
     maps: tuple
-    streams: tuple
     horizon: int
     synthetic_spec: SyntheticRegressionSpec | None
     inputs: np.ndarray
@@ -248,7 +248,6 @@ class TrialResult:
     """One trial's traces and, for the accuracy regrets, the hindsight
     fit (see ``_hindsight_fits``) of every kernel in their scopes."""
 
-    trial_index: int
     context: TrialContext
     traces: dict
     fits: dict
@@ -347,7 +346,7 @@ def _load_timeseries(csv_data, num_learners):
 
 
 def build_trial_context(cfg, trial_index, inputs=None):
-    """Sample graph, maps, and streams for one trial.
+    """Sample graph, maps, and the learners' data for one trial.
 
     ``inputs`` are the experiment's files as ``load_inputs(cfg)`` returns
     them; when omitted they are loaded here.
@@ -400,8 +399,7 @@ def build_trial_context(cfg, trial_index, inputs=None):
             seed=derive_seed(cfg.master_seed, trial_index, _DATA, 1),
             noise_seed=derive_seed(cfg.master_seed, trial_index, _NOISE),
         )
-        streams = partition_regression(ds, cfg.num_learners)
-        input_dim = spec_cfg.input_dim
+        inputs, labels = partition_regression(ds, cfg.num_learners)
     elif cfg.task == "regression":
         ds = inputs.dataset
         if cfg.csv_data.shuffle:
@@ -409,10 +407,8 @@ def build_trial_context(cfg, trial_index, inputs=None):
                 derive_seed(cfg.master_seed, trial_index, _SHUFFLE)
             )
             perm = rng.permutation(len(ds))
-            ds = Dataset(features=ds.features[perm], labels=ds.labels[perm],
-                         name=ds.name)
-        streams = partition_regression(ds, cfg.num_learners)
-        input_dim = ds.features.shape[1]
+            ds = Dataset(features=ds.features[perm], labels=ds.labels[perm])
+        inputs, labels = partition_regression(ds, cfg.num_learners)
     else:  # timeseries
         if inputs.dataset is not None:
             embedded = inputs.dataset
@@ -426,23 +422,22 @@ def build_trial_context(cfg, trial_index, inputs=None):
                 seed=derive_seed(cfg.master_seed, trial_index, _DATA),
             )
             embedded = ar_embed(scale_unit(series), ar.ar_order)
-        streams = partition_timeseries_interleaved(embedded, cfg.num_learners)
-        input_dim = embedded.features.shape[1]
+        inputs, labels = partition_timeseries_interleaved(embedded,
+                                                          cfg.num_learners)
 
-    horizon = min(len(s) for s in streams)
+    horizon = len(labels)
     if cfg.rounds is not None:
         horizon = min(horizon, cfg.rounds)
-    maps = dictionary.build_maps(input_dim, cfg.num_features)
-    inputs = np.stack([s.features[:horizon] for s in streams], axis=1)
-    labels = np.stack([s.labels[:horizon] for s in streams], axis=1)
+    maps = dictionary.build_maps(inputs.shape[2], cfg.num_features)
+    # Copies: the partitions are views of a dataset that trials may share.
+    inputs = inputs[:horizon].copy()
+    labels = labels[:horizon].copy()
     inputs.setflags(write=False)
     labels.setflags(write=False)
     return TrialContext(
-        trial_index=trial_index,
         graph=graph,
         dictionary=dictionary,
         maps=maps,
-        streams=tuple(streams),
         horizon=horizon,
         synthetic_spec=synthetic_spec,
         inputs=inputs,
@@ -462,9 +457,12 @@ def _empty_trace(ctx, algorithm, num_kernels):
     )
 
 
-def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
-                     order_rng=None):
-    """Round loop shared by the multi-kernel and single-kernel runs."""
+def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product"):
+    """Round loop shared by the multi-kernel and single-kernel runs.
+
+    Raises ``FloatingPointError`` naming the learner and round whose
+    step met a non-finite loss or parameter.
+    """
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph = ctx.graph
     num_nodes = graph.num_nodes
@@ -478,38 +476,43 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product",
     board = (MessageBoard.initial(graph, len(maps), cfg.allow_cycles)
              if variant == "message_passing" else None)
 
-    for t in range(ctx.horizon):
-        if board is not None:
-            log_w = [
-                -exchanges[k].cumulative_losses / cfg.eta_global
-                for k in range(num_nodes)
-            ]
-            board = mp_update_messages(board, graph, log_w)
-        order = (list(range(num_nodes)) if order_rng is None
-                 else list(order_rng.permutation(num_nodes)))
-        fresh = {}
-        for k in order:
-            inbox = [exchanges[l] for l in graph.neighbors[k]]
-            messages = (
-                [board.messages[(l, k)] for l in graph.neighbors[k]]
-                if board is not None else None
-            )
-            pred, kernel_losses, outgoing = step(
-                nodes[k], inbox, (ctx.inputs[t, k], ctx.labels[t, k]),
-                cfg.admm, variant=variant, incoming_messages=messages,
-            )
-            trace.predictions[t, k] = pred
-            trace.per_kernel_losses[t, k] = kernel_losses
-            trace.weights[t, k] = nodes[k].round_weights
-            fresh[k] = outgoing
-        snap_thetas = np.stack([nodes[l].round_thetas for l in range(num_nodes)])
-        snap_weights = np.stack([nodes[l].round_weights for l in range(num_nodes)])
-        for k in range(num_nodes):
-            z_stack = _map_stack(maps, ctx.inputs[t, k])
-            _, trace.cross_predictions[t, k] = _combined_prediction(
-                snap_thetas, snap_weights, z_stack[None, :, :]
-            )
-        exchanges = fresh
+    try:
+        for t in range(ctx.horizon):
+            if board is not None:
+                log_w = [
+                    -exchanges[k].cumulative_losses / cfg.eta_global
+                    for k in range(num_nodes)
+                ]
+                board = mp_update_messages(board, graph, log_w)
+            fresh = {}
+            for k in range(num_nodes):
+                inbox = [exchanges[l] for l in graph.neighbors[k]]
+                messages = (
+                    [board.messages[(l, k)] for l in graph.neighbors[k]]
+                    if board is not None else None
+                )
+                pred, kernel_losses, outgoing = step(
+                    nodes[k], inbox, (ctx.inputs[t, k], ctx.labels[t, k]),
+                    cfg.admm, variant=variant, incoming_messages=messages,
+                )
+                trace.predictions[t, k] = pred
+                trace.per_kernel_losses[t, k] = kernel_losses
+                trace.weights[t, k] = nodes[k].round_weights
+                fresh[k] = outgoing
+            snap_thetas = np.stack([nodes[l].round_thetas
+                                    for l in range(num_nodes)])
+            snap_weights = np.stack([nodes[l].round_weights
+                                     for l in range(num_nodes)])
+            for k in range(num_nodes):
+                z_stack = _map_stack(maps, ctx.inputs[t, k])
+                _, trace.cross_predictions[t, k] = _combined_prediction(
+                    snap_thetas, snap_weights, z_stack[None, :, :]
+                )
+            exchanges = fresh
+    except FloatingPointError as exc:
+        raise FloatingPointError("%s learner %d: %s at round %d of %d"
+                                 % (algorithm, k, exc, t + 1,
+                                    ctx.horizon)) from None
     return trace
 
 
@@ -555,54 +558,64 @@ def _comkl_kernel(ctx, cfg, fmap, pooled_x, pooled_y, dots):
 
 
 def _run_rff_dokl(ctx, cfg):
+    """rff_dokl's trace; raises ``FloatingPointError`` naming the first
+    round with a non-finite loss, or else the round whose step failed."""
     fmap = ctx.maps[cfg.kernel_index]
     trace = _empty_trace(ctx, "rff_dokl", 1)
     trace.weights.fill(1.0)
     state = DiffusionState.fresh(ctx.graph, 2 * cfg.num_features,
                                  step_size=cfg.diffusion_step_size)
-    for t in range(ctx.horizon):
-        z = fmap.map(ctx.inputs[t])                       # (K, D)
-        trace.cross_predictions[t] = z @ state.thetas.T   # [k, l] = theta_l . z_k
-        trace.predictions[t] = np.diagonal(trace.cross_predictions[t])
-        trace.per_kernel_losses[t, :, 0] = (trace.predictions[t]
-                                            - ctx.labels[t]) ** 2
-        state = rff_dokl_step(state, (z, ctx.labels[t]))
+    failure, rounds = None, ctx.horizon
+    try:
+        for t in range(ctx.horizon):
+            z = fmap.map(ctx.inputs[t])                       # (K, D)
+            trace.cross_predictions[t] = z @ state.thetas.T   # [k, l] = theta_l . z_k
+            trace.predictions[t] = np.diagonal(trace.cross_predictions[t])
+            trace.per_kernel_losses[t, :, 0] = (trace.predictions[t]
+                                                - ctx.labels[t]) ** 2
+            state = rff_dokl_step(state, (z, ctx.labels[t]))
+    except FloatingPointError as exc:
+        failure, rounds = exc, t + 1
+    finite = np.isfinite(trace.per_kernel_losses[:rounds]).all(axis=(1, 2))
+    if not finite.all():
+        raise FloatingPointError("rff_dokl: non-finite loss at round %d of %d"
+                                 % (np.argmin(finite) + 1, ctx.horizon))
+    if failure is not None:
+        raise FloatingPointError("rff_dokl: %s at round %d of %d"
+                                 % (failure, rounds, ctx.horizon))
     return trace
 
 
-def run_trial(cfg, trial_index, node_order_seed=None, inputs=None):
+def run_trial(cfg, trial_index, inputs=None):
     """Run every configured algorithm on one shared trial setup.
 
-    ``node_order_seed`` scrambles the within-round execution order of
-    the consensus algorithms; it exists to demonstrate that the order
-    cannot affect results, and is never set by normal runs.  ``inputs``
-    is passed on to ``build_trial_context``.
+    ``inputs`` is passed on to ``build_trial_context``.
     """
     ctx = build_trial_context(cfg, trial_index, inputs)
     traces, fits = {}, {}
-    for algorithm in cfg.algorithms:
-        order_rng = (np.random.default_rng(node_order_seed)
-                     if node_order_seed is not None else None)
-        if algorithm == "domkl":
-            traces[algorithm] = _run_admm_family(
-                ctx, cfg, list(range(len(ctx.maps))), "domkl",
-                variant=cfg.hedge_variant, order_rng=order_rng,
-            )
-        elif algorithm == "dokl":
-            traces[algorithm] = _run_admm_family(
-                ctx, cfg, [cfg.kernel_index], "dokl", order_rng=order_rng,
-            )
-        elif algorithm == "comkl":
-            traces[algorithm], fits = _run_comkl(ctx, cfg)
-        else:
-            traces[algorithm] = _run_rff_dokl(ctx, cfg)
+    # An overflow stops a run with a located FloatingPointError; numpy's
+    # warning before it would be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for algorithm in cfg.algorithms:
+            if algorithm == "domkl":
+                traces[algorithm] = _run_admm_family(
+                    ctx, cfg, list(range(len(ctx.maps))), "domkl",
+                    variant=cfg.hedge_variant,
+                )
+            elif algorithm == "dokl":
+                traces[algorithm] = _run_admm_family(
+                    ctx, cfg, [cfg.kernel_index], "dokl",
+                )
+            elif algorithm == "comkl":
+                traces[algorithm], fits = _run_comkl(ctx, cfg)
+            else:
+                traces[algorithm] = _run_rff_dokl(ctx, cfg)
     if cfg.compute_accuracy_regret:
         # One fit per kernel, shared by every algorithm whose scope holds it.
         scope = set().union(*(_regret_scope(cfg, alg, len(ctx.maps))
                               for alg in cfg.algorithms))
         fits.update(_hindsight_fits(ctx, ctx.horizon, sorted(scope - set(fits))))
-    return TrialResult(trial_index=trial_index, context=ctx, traces=traces,
-                       fits=fits)
+    return TrialResult(context=ctx, traces=traces, fits=fits)
 
 
 def _hindsight_fits(ctx, horizon, kernel_indices):
@@ -616,7 +629,7 @@ def _hindsight_fits(ctx, horizon, kernel_indices):
     """
     pooled_x, pooled_y = _pool(ctx, horizon)
     return {index: _fit(ctx.maps[index].map(pooled_x), pooled_y,
-                        len(ctx.streams), horizon)
+                        ctx.labels.shape[1], horizon)
             for index in kernel_indices}
 
 
@@ -669,78 +682,99 @@ def _trial_failure(index, exc):
     return RuntimeError("trial %d failed: %s" % (index, exc))
 
 
-def run_experiment(cfg):
-    """Run all trials (in ``cfg.workers`` processes) and aggregate."""
-    indices = list(range(cfg.trials))
+def _experiment_inputs(cfg):
+    """``load_inputs(cfg)``, its errors reported as trial 0's."""
     try:
-        inputs = load_inputs(cfg)
+        return load_inputs(cfg)
     except Exception as exc:
         # Every trial reads the same files; trial 0 is the first to fail.
         raise _trial_failure(0, exc) from exc
-    if cfg.workers > 1:
-        # Imported here: the pool modules take tens of ms to import and
-        # the default run uses one process.
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_trial_worker, (cfg, i, inputs))
-                       for i in indices]
-            results = []
-            for i, fut in zip(indices, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise _trial_failure(i, exc) from exc
-    else:
-        results = []
-        for i in indices:
+
+def _trial_results(cfg, inputs):
+    """Every trial's result in trial order (run in ``cfg.workers``
+    processes), each trial run or collected only when asked for."""
+    payloads = [(cfg, i, inputs) for i in range(cfg.trials)]
+    with contextlib.ExitStack() as stack:
+        if cfg.workers > 1:
+            # Imported here: the pool modules take tens of ms to import
+            # and the default run uses one process.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=cfg.workers))
+            results = pool.map(_trial_worker, payloads)
+        else:
+            results = map(_trial_worker, payloads)
+        for i in range(cfg.trials):
             try:
-                results.append(run_trial(cfg, i, inputs=inputs))
+                # Yielded unnamed, so this frame keeps no finished trial.
+                yield next(results)
             except Exception as exc:
                 raise _trial_failure(i, exc) from exc
-    return aggregate(cfg, results)
+
+
+def run_experiment(cfg):
+    """Run all trials (in ``cfg.workers`` processes) and aggregate."""
+    return aggregate(cfg, _trial_results(cfg, _experiment_inputs(cfg)))
 
 
 def aggregate(cfg, results):
-    """Mean/std curves and final regrets across completed trials."""
-    if len(results) != cfg.trials:
-        raise ValueError("expected %d trials, got %d" % (cfg.trials, len(results)))
+    """Mean/std curves and final regrets across trials.
+
+    ``results`` is any iterable of the trials' ``TrialResult`` in trial
+    order.  Each is reduced to its curves and regrets before the next is
+    drawn, so a generator that runs the trials holds one at a time.
+    """
+    rows = {alg: ([], [], [], []) for alg in cfg.algorithms}
+    for result in results:
+        for algorithm, (mse, cv, regret_d, regret_a) in rows.items():
+            trace = result.traces[algorithm]
+            mse.append(mse_curve(trace))
+            cv.append(cv_curve(trace))
+            regret_d.append(regret_discrepancy(trace).mean())
+            if cfg.compute_accuracy_regret:
+                scope = _regret_scope(cfg, algorithm, len(result.context.maps))
+                regret_a.append(
+                    _regret_against_best(trace, result.fits, scope).mean())
+        # Still bound, these would keep the trial alive while the next runs.
+        del result, trace
+    got = len(rows[cfg.algorithms[0]][0])
+    if got != cfg.trials:
+        raise ValueError("expected %d trials, got %d" % (cfg.trials, got))
     mse_mean, mse_std, cv_mean, cv_std = {}, {}, {}, {}
     final_regret_d = {}
     final_regret_a = {} if cfg.compute_accuracy_regret else None
-    rounds = results[0].context.horizon
-    for algorithm in cfg.algorithms:
-        mse_rows = np.stack([mse_curve(r.traces[algorithm]) for r in results])
-        cv_rows = np.stack([cv_curve(r.traces[algorithm]) for r in results])
-        mse_mean[algorithm] = mse_rows.mean(axis=0)
-        mse_std[algorithm] = mse_rows.std(axis=0)
-        cv_mean[algorithm] = cv_rows.mean(axis=0)
-        cv_std[algorithm] = cv_rows.std(axis=0)
-        final_regret_d[algorithm] = float(np.mean(
-            [regret_discrepancy(r.traces[algorithm]).mean() for r in results]
-        ))
+    for algorithm, (mse, cv, regret_d, regret_a) in rows.items():
+        mse, cv = np.stack(mse), np.stack(cv)
+        mse_mean[algorithm] = mse.mean(axis=0)
+        mse_std[algorithm] = mse.std(axis=0)
+        cv_mean[algorithm] = cv.mean(axis=0)
+        cv_std[algorithm] = cv.std(axis=0)
+        final_regret_d[algorithm] = float(np.mean(regret_d))
         if final_regret_a is not None:
-            scope = _regret_scope(cfg, algorithm,
-                                  len(results[0].context.maps))
-            final_regret_a[algorithm] = float(np.mean([
-                _regret_against_best(r.traces[algorithm], r.fits, scope).mean()
-                for r in results
-            ]))
+            final_regret_a[algorithm] = float(np.mean(regret_a))
     return AggregateResult(
-        algorithms=tuple(cfg.algorithms), rounds=rounds, trials=cfg.trials,
-        mse_mean=mse_mean, mse_std=mse_std, cv_mean=cv_mean, cv_std=cv_std,
-        final_regret_d=final_regret_d, final_regret_a=final_regret_a,
+        algorithms=tuple(cfg.algorithms), rounds=mse.shape[1],
+        trials=cfg.trials, mse_mean=mse_mean, mse_std=mse_std,
+        cv_mean=cv_mean, cv_std=cv_std, final_regret_d=final_regret_d,
+        final_regret_a=final_regret_a,
     )
 
 
 def sweep(cfg, rhos, eta_globals):
-    """Full experiments over the sorted grid of (eta_global, rho) cells."""
+    """Full experiments over the sorted grid of (eta_global, rho) cells.
+
+    The cells differ only in parameters that ``load_inputs`` does not
+    read, so the files are read once for the whole grid.
+    """
+    inputs = _experiment_inputs(cfg)
     rows = []
     for eta in sorted(eta_globals):
         for rho in sorted(rhos):
             cell = replace(cfg, eta_global=eta,
                            admm=replace(cfg.admm, rho=rho))
-            result = run_experiment(cell)
+            result = aggregate(cell, _trial_results(cell, inputs))
             for algorithm in cfg.algorithms:
                 rows.append(SweepRow(
                     algorithm=algorithm, eta_global=eta, rho=rho,

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,54 @@ def test_regression_csv_without_feature_column_exits_2(tmp_path, capsys,
                           % csv_path)
     assert cmd_run(_write_ini(tmp_path, _edit(_CSV_TIMESERIES, csv=csv_path)),
                    out_dir=str(tmp_path)) == 0
+
+
+_OVERFLOW_INI = """\
+[experiment]
+task = regression
+algorithms = {algorithm}
+rounds = 10
+
+[network]
+num_nodes = 2
+connection_prob = 1.0
+
+[algorithm.domkl]
+bandwidths = 0.1, 1.0
+{kernel_index}
+[data]
+path = {csv}
+normalize = false
+shuffle = false
+"""
+
+
+@pytest.mark.parametrize("algorithm, message", [
+    ("domkl", "domkl learner 0: non-finite loss at round 3 of 10"),
+    ("dokl", "dokl learner 0: non-finite loss at round 3 of 10"),
+    ("comkl", "comkl_hedge: non-finite prediction at round 4 of 10"),
+    ("rff_dokl", "rff_dokl: non-finite loss at round 3 of 10"),
+], ids=["domkl", "dokl", "comkl", "rff_dokl"])
+def test_non_finite_loss_is_located(tmp_path, capsys, algorithm, message):
+    """A label of 1e200 in row 3, learner 0's round-3 sample, overflows
+    the squared loss: the run stops with the algorithm, round and (for
+    the consensus learners) learner, and no warning escapes."""
+    rows = np.random.default_rng(0).random((40, 3))
+    rows[2, 2] = 1e200
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("".join(",".join(map(repr, row.tolist())) + "\n"
+                                for row in rows))
+    kernel_index = ("kernel_index = 0\n" if algorithm in ("dokl", "rff_dokl")
+                    else "")
+    path = _write_ini(tmp_path, _OVERFLOW_INI.format(
+        algorithm=algorithm, kernel_index=kernel_index, csv=csv_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "run failed: trial 0 failed: %s\n" % message)
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_missing_topology_exits_2(tmp_path, capsys):

@@ -102,40 +102,51 @@ def test_normalize_minmax_constant_column_and_short_input():
         normalize_minmax(Dataset(features=np.zeros((1, 2)), labels=np.zeros(1)))
 
 
+def _numbered(num_rows):
+    """Row i has features (2i, 2i + 1) and label i."""
+    return Dataset(features=np.arange(2.0 * num_rows).reshape(num_rows, 2),
+                   labels=np.arange(float(num_rows)))
+
+
 def test_partition_regression_blocks():
-    ds = Dataset(features=np.arange(22.0).reshape(11, 2),
-                 labels=np.arange(11.0))
-    streams = partition_regression(ds, 3)
-    assert len(streams) == 3
-    for k, stream in enumerate(streams):
-        assert len(stream) == 3
-        assert np.array_equal(stream.labels, ds.labels[3 * k:3 * k + 3])
-    covered = np.concatenate([s.labels for s in streams])
-    assert np.array_equal(covered, ds.labels[:9])
+    # 11 rows over 3 learners: T = 3, rows 9 and 10 are dropped.
+    ds = _numbered(11)
+    inputs, labels = partition_regression(ds, 3)
+    assert inputs.shape == (3, 3, 2) and labels.shape == (3, 3)
+    for t in range(3):
+        for k in range(3):
+            # Learner k's round-t sample is row kT + t.
+            assert labels[t, k] == 3 * k + t
+            assert np.array_equal(inputs[t, k], ds.features[3 * k + t])
+    assert np.array_equal(labels.T.ravel(), ds.labels[:9])
+    assert np.shares_memory(labels, ds.labels)
 
 
 def test_partition_interleaved_indexing():
-    ds = Dataset(features=np.arange(20.0).reshape(10, 2),
-                 labels=np.arange(10.0))
-    streams = partition_timeseries_interleaved(ds, 3)
-    for k, stream in enumerate(streams):
-        for t in range(len(stream)):
-            assert stream.labels[t] == ds.labels[k + 3 * t]
-    # Streams are disjoint and ordered.
-    seen = np.concatenate([s.labels for s in streams])
-    assert len(np.unique(seen)) == len(seen)
-    for stream in streams:
-        assert np.all(np.diff(stream.labels) > 0)
+    # 10 rows over 3 learners: T = 3, row 9 is dropped.
+    ds = _numbered(10)
+    inputs, labels = partition_timeseries_interleaved(ds, 3)
+    assert inputs.shape == (3, 3, 2) and labels.shape == (3, 3)
+    for t in range(3):
+        for k in range(3):
+            # Learner k's round-t sample is row k + Kt.
+            assert labels[t, k] == k + 3 * t
+            assert np.array_equal(inputs[t, k], ds.features[k + 3 * t])
+    # Every learner's stream keeps the series order.
+    assert np.all(np.diff(labels, axis=0) > 0)
+    assert np.array_equal(labels.ravel(), ds.labels[:9])
+    assert np.shares_memory(inputs, ds.features)
 
 
 def test_partition_validation():
     ds = Dataset(features=np.zeros((3, 1)), labels=np.zeros(3))
-    with pytest.raises(ValueError):
-        partition_regression(ds, 0)
-    with pytest.raises(ValueError):
-        partition_regression(ds, 4)
-    with pytest.raises(ValueError):
-        partition_timeseries_interleaved(ds, 5)
+    for partition in (partition_regression, partition_timeseries_interleaved):
+        with pytest.raises(ValueError, match="at least 1"):
+            partition(ds, 0)
+        with pytest.raises(ValueError, match="more learners than samples"):
+            partition(ds, 4)
+        inputs, labels = partition(ds, 3)  # K = N: one round each
+        assert inputs.shape == (1, 3, 1) and labels.shape == (1, 3)
 
 
 def test_ar_embed_lag_alignment():

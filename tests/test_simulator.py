@@ -37,7 +37,8 @@ from domkl.simulator import (
 )
 from domkl.data import generating_map
 from domkl.features import FeatureMap
-from domkl.hedge import softmax_from_scores
+from domkl.hedge import MessageBoard, mp_update_messages, softmax_from_scores
+from domkl.learners import LearnerNode, step
 from domkl.metrics import regret_accuracy
 from domkl.oracle import hindsight_best
 
@@ -165,11 +166,11 @@ def test_disconnected_topology_file_is_rejected(tmp_path):
 
 def test_trial_context_shapes_and_horizon():
     ctx = build_trial_context(_small_cfg(), 0)
-    assert len(ctx.streams) == 3
     assert ctx.horizon == 25
-    for stream in ctx.streams:
-        assert len(stream) == 25
-        assert stream.features.shape == (25, 2)
+    assert ctx.inputs.shape == (25, 3, 2)
+    assert ctx.labels.shape == (25, 3)
+    for array in (ctx.inputs, ctx.labels):
+        assert array.flags.c_contiguous and not array.flags.writeable
     assert len(ctx.maps) == 3
 
 
@@ -194,9 +195,9 @@ def test_noiseless_synthetic_labels_match_generator():
     cfg = _small_cfg(synthetic=SyntheticTaskConfig(bandwidth=0.1, noise_std=0.0))
     ctx = build_trial_context(cfg, 0)
     gen = generating_map(ctx.synthetic_spec)
-    for stream in ctx.streams:
-        z = gen.map(stream.features)
-        assert np.allclose(z @ ctx.synthetic_spec.true_theta, stream.labels,
+    for k in range(cfg.num_learners):
+        z = gen.map(ctx.inputs[:, k])
+        assert np.allclose(z @ ctx.synthetic_spec.true_theta, ctx.labels[:, k],
                            rtol=0, atol=1e-12)
 
 
@@ -218,10 +219,13 @@ def test_csv_regression_context(tmp_path):
     )
     ctx = build_trial_context(cfg, 0)
     assert ctx.horizon == 5           # truncated below the 10-row streams
-    assert len(ctx.streams[0]) == 10
+    assert ctx.inputs.shape == (5, 2, 2) and ctx.labels.shape == (5, 2)
+    full = build_trial_context(dataclasses.replace(cfg, rounds=None), 0)
+    assert full.horizon == 10
+    assert np.array_equal(ctx.inputs, full.inputs[:5])
+    assert np.array_equal(ctx.labels, full.labels[:5])
     # Scaled features stay inside the unit box.
-    for stream in ctx.streams:
-        assert stream.features.min() >= 0.0 and stream.features.max() <= 1.0
+    assert full.inputs.min() >= 0.0 and full.inputs.max() <= 1.0
 
 
 def test_timeseries_context_from_ar():
@@ -233,9 +237,11 @@ def test_timeseries_context_from_ar():
     ctx = build_trial_context(cfg, 0)
     # 41 samples lose 3 to embedding, leaving 38 rows dealt to 2 nodes.
     assert ctx.horizon == 19
-    assert ctx.streams[0].features.shape == (19, 3)
-    # Interleaving: node k's sample t embeds global row k + 2 t.
-    assert ctx.streams[1].labels[0] != ctx.streams[0].labels[0]
+    assert ctx.inputs.shape == (19, 2, 3)
+    # Interleaving: node k's sample t embeds global row k + 2 t, so node
+    # 1's round-t sample lags node 0's by one step of the series.
+    assert ctx.labels[0, 1] != ctx.labels[0, 0]
+    assert np.array_equal(ctx.inputs[:, 1, 0], ctx.labels[:, 0])
 
 
 def test_run_trial_deterministic():
@@ -272,8 +278,7 @@ def _reference_comkl(ctx, cfg):
     rows = {"predictions": [], "per_kernel_losses": [], "weights": [],
             "cross_predictions": []}
     for t in range(ctx.horizon):
-        inputs = np.stack([s.features[t] for s in ctx.streams])
-        labels = np.array([s.labels[t] for s in ctx.streams])
+        inputs, labels = ctx.inputs[t], ctx.labels[t]
         round_weights = softmax_from_scores(-cumulative_loss / cfg.eta_global)
         z = np.stack([m.map(inputs) for m in ctx.maps])        # (P, K, D)
         dots = (z * thetas[:, None, :]).sum(axis=-1)            # (P, K)
@@ -327,8 +332,7 @@ def _check_baseline_traces(cfg):
     expected = {alg: {name: [] for name in fields} for alg in cfg.algorithms}
     expected["comkl"].update(_reference_comkl(ctx, cfg))
     for t in range(ctx.horizon):
-        x = np.stack([s.features[t] for s in ctx.streams])
-        y = np.array([s.labels[t] for s in ctx.streams])
+        x, y = ctx.inputs[t], ctx.labels[t]
         expected["comkl"]["labels"].append(y)
 
         z = fmap.map(x)
@@ -358,19 +362,64 @@ def test_diverging_comkl_names_kernel_and_round():
             run_trial(cfg, 0)
 
 
-def test_node_order_cannot_affect_results():
-    cfg = _small_cfg(algorithms=("domkl", "dokl"), kernel_index=0)
-    plain = run_trial(cfg, 0)
-    scrambled = run_trial(cfg, 0, node_order_seed=99)
-    for algorithm in cfg.algorithms:
-        assert np.array_equal(
-            plain.traces[algorithm].predictions,
-            scrambled.traces[algorithm].predictions,
-        )
-        assert np.array_equal(
-            plain.traces[algorithm].weights,
-            scrambled.traces[algorithm].weights,
-        )
+def _shuffled_order_run(ctx, cfg, kernel_indices, variant, rng):
+    """Predictions, per-kernel losses and weights of a consensus run in
+    which the learners step in a fresh random order every round."""
+    maps = tuple(ctx.maps[i] for i in kernel_indices)
+    graph, num_nodes = ctx.graph, ctx.graph.num_nodes
+    nodes = [LearnerNode(k, maps, graph.neighbors[k],
+                         eta_global=cfg.eta_global) for k in range(num_nodes)]
+    exchanges = [node.initial_exchange() for node in nodes]
+    board = (MessageBoard.initial(graph, len(maps))
+             if variant == "message_passing" else None)
+    predictions = np.zeros(ctx.labels.shape)
+    losses = np.zeros(ctx.labels.shape + (len(maps),))
+    weights = np.zeros_like(losses)
+    orders = set()
+    for t in range(ctx.horizon):
+        if board is not None:
+            board = mp_update_messages(
+                board, graph,
+                [-e.cumulative_losses / cfg.eta_global for e in exchanges])
+        order = rng.permutation(num_nodes).tolist()
+        orders.add(tuple(order))
+        fresh = [None] * num_nodes
+        for k in order:
+            messages = (None if board is None else
+                        [board.messages[(l, k)] for l in graph.neighbors[k]])
+            predictions[t, k], losses[t, k], fresh[k] = step(
+                nodes[k], [exchanges[l] for l in graph.neighbors[k]],
+                (ctx.inputs[t, k], ctx.labels[t, k]), cfg.admm,
+                variant=variant, incoming_messages=messages)
+            weights[t, k] = nodes[k].round_weights
+        exchanges = fresh
+    assert len(orders) > 1
+    return {"predictions": predictions, "per_kernel_losses": losses,
+            "weights": weights}
+
+
+def test_node_order_cannot_affect_results(tmp_path):
+    """Stepping the learners of every round in a shuffled order gives
+    run_trial's domkl and dokl traces bit for bit, for both hedges."""
+    tree = tmp_path / "tree.txt"
+    tree.write_text("0 1\n1 2\n1 3\n3 4\n")
+    product = _small_cfg(algorithms=("domkl", "dokl"), kernel_index=0)
+    message_passing = dataclasses.replace(
+        product, hedge_variant="message_passing", num_learners=5,
+        topology_path=str(tree))
+    rng = np.random.default_rng(99)
+    for cfg in (product, message_passing):
+        result = run_trial(cfg, 0)
+        ctx = result.context
+        scopes = {"domkl": (list(range(len(ctx.maps))), cfg.hedge_variant),
+                  "dokl": ([cfg.kernel_index], "product")}
+        for algorithm, (kernel_indices, variant) in scopes.items():
+            shuffled = _shuffled_order_run(ctx, cfg, kernel_indices, variant,
+                                           rng)
+            for name, array in shuffled.items():
+                got = getattr(result.traces[algorithm], name)
+                assert got.tobytes() == array.tobytes(), (
+                    cfg.hedge_variant, algorithm, name)
 
 
 def test_contexts_are_algorithm_independent():
@@ -381,8 +430,8 @@ def test_contexts_are_algorithm_independent():
     assert ctx_a.graph == ctx_b.graph
     for fm_a, fm_b in zip(ctx_a.maps, ctx_b.maps):
         assert fm_a.fingerprint() == fm_b.fingerprint()
-    for sa, sb in zip(ctx_a.streams, ctx_b.streams):
-        assert np.array_equal(sa.labels, sb.labels)
+    assert np.array_equal(ctx_a.inputs, ctx_b.inputs)
+    assert np.array_equal(ctx_a.labels, ctx_b.labels)
 
 
 def test_parallel_matches_sequential():
@@ -420,19 +469,21 @@ def test_trial_config_errors_stay_config_errors(tmp_path, workers):
 
 def _refit_per_stream_regret(ctx, trace, kernel_indices):
     """Accuracy regret with each stream mapped on its own: the reference."""
-    horizon = trace.num_rounds
-    pooled_x = np.concatenate([s.features[:horizon] for s in ctx.streams])
-    pooled_y = np.concatenate([s.labels[:horizon] for s in ctx.streams])
+    horizon, num_streams = trace.num_rounds, ctx.labels.shape[1]
+    pooled_x = np.concatenate([ctx.inputs[:horizon, k]
+                               for k in range(num_streams)])
+    pooled_y = np.concatenate([ctx.labels[:horizon, k]
+                               for k in range(num_streams)])
     best = None
     for index in kernel_indices:
         theta, cum, _ = hindsight_best(ctx.maps[index].map(pooled_x), pooled_y)
         if best is None or cum < best[0]:
             best = (cum, index, theta)
     _, index, theta = best
-    hindsight = np.zeros((horizon, len(ctx.streams)))
-    for k, stream in enumerate(ctx.streams):
-        z = ctx.maps[index].map(stream.features[:horizon])
-        hindsight[:, k] = (z @ theta - stream.labels[:horizon]) ** 2
+    hindsight = np.zeros((horizon, num_streams))
+    for k in range(num_streams):
+        z = ctx.maps[index].map(ctx.inputs[:horizon, k])
+        hindsight[:, k] = (z @ theta - ctx.labels[:horizon, k]) ** 2
     return regret_accuracy(trace, hindsight)
 
 
@@ -518,15 +569,38 @@ def test_comkl_holds_one_feature_block_at_a_time():
     assert peak <= 2.0 * block, peak / block
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("task", ["regression", "timeseries"])
-def test_experiment_reads_its_files_once(tmp_path, monkeypatch, task,
-                                         workers):
+def _write_path_and_csv(tmp_path):
+    """A 3-node path topology file and a 40-row, 3-column CSV file."""
     topology = tmp_path / "path.txt"
     topology.write_text("0 1\n1 2\n")
     data = tmp_path / "d.csv"
     rows = np.random.default_rng(2).random((40, 3))
     data.write_text("".join("%f,%f,%f\n" % tuple(r) for r in rows))
+    return topology, data
+
+
+def _count_file_reads(monkeypatch):
+    """Count the calls of the simulator's two file readers; each must come
+    from this process, since a forked worker inherits the patch."""
+    calls = {"from_edge_list": 0, "load_csv": 0}
+    parent = os.getpid()
+    for name in calls:
+        original = getattr(simulator, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            assert os.getpid() == parent, "%s called in a worker" % _name
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("task", ["regression", "timeseries"])
+def test_experiment_reads_its_files_once(tmp_path, monkeypatch, task,
+                                         workers):
+    topology, data = _write_path_and_csv(tmp_path)
     cfg = ExperimentConfig(
         task=task, algorithms=("comkl", "rff_dokl"), num_learners=3,
         topology_path=str(topology), bandwidths=(0.1, 1.0), kernel_index=1,
@@ -536,18 +610,7 @@ def test_experiment_reads_its_files_once(tmp_path, monkeypatch, task,
     )
     # Each trial set up on its own, reading the files itself.
     separate = aggregate(cfg, [run_trial(cfg, i) for i in range(cfg.trials)])
-    calls = {"from_edge_list": 0, "load_csv": 0}
-    parent = os.getpid()
-    for name in calls:
-        original = getattr(simulator, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            # A forked worker inherits this patch; it must not read at all.
-            assert os.getpid() == parent, "%s called in a worker" % _name
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(simulator, name, counting)
+    calls = _count_file_reads(monkeypatch)
     result = run_experiment(cfg)
     assert calls == {"from_edge_list": 1, "load_csv": 1}
     for algorithm in cfg.algorithms:
@@ -563,6 +626,26 @@ def test_aggregate_counts_results():
     results = [run_trial(cfg, 0)]
     with pytest.raises(ValueError):
         aggregate(cfg, results)
+
+
+def test_experiment_holds_one_trial_at_a_time():
+    """Each trial is aggregated and released before the next one runs, so
+    four trials peak no higher than one."""
+    cfg = ExperimentConfig(task="synthetic", algorithms=("dokl", "rff_dokl"),
+                           num_learners=10, connection_prob=0.4, rounds=300,
+                           master_seed=2)
+    # Warm-up: imports, and numpy's and Python's object caches, which grow
+    # with the number of trials run before they level off.
+    run_experiment(dataclasses.replace(cfg, trials=4))
+    peaks = []
+    for trials in (1, 4):
+        tracemalloc.start()
+        try:
+            run_experiment(dataclasses.replace(cfg, trials=trials))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks[1] / peaks[0]
 
 
 def test_aggregate_curves_and_regrets():
@@ -591,6 +674,30 @@ def test_sweep_grid_rows_and_order():
     )
     assert rows[0].final_mse == float(single.mse_mean["domkl"][-1])
     assert rows[0].final_cv == float(single.cv_mean["domkl"][-1])
+
+
+def test_sweep_reads_its_files_once(tmp_path, monkeypatch):
+    topology, data = _write_path_and_csv(tmp_path)
+    cfg = ExperimentConfig(
+        task="regression", algorithms=("domkl",), num_learners=3,
+        topology_path=str(topology), bandwidths=(0.1, 1.0), num_features=4,
+        trials=2, master_seed=7, csv_data=CsvTaskConfig(path=str(data)),
+    )
+    grid = dict(rhos=(10.0, 100.0), eta_globals=(1.0, 10.0))
+    # Each cell run as its own experiment, reading the files itself.
+    separate = {}
+    for eta in grid["eta_globals"]:
+        for rho in grid["rhos"]:
+            cell = dataclasses.replace(
+                cfg, eta_global=eta, admm=dataclasses.replace(cfg.admm, rho=rho))
+            result = run_experiment(cell)
+            separate[(eta, rho)] = (float(result.mse_mean["domkl"][-1]),
+                                    float(result.cv_mean["domkl"][-1]))
+    calls = _count_file_reads(monkeypatch)
+    rows = sweep(cfg, **grid)
+    assert calls == {"from_edge_list": 1, "load_csv": 1}
+    assert {(r.eta_global, r.rho): (r.final_mse, r.final_cv)
+            for r in rows} == separate
 
 
 def test_benchmark_patch_points_resolve():
