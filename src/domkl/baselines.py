@@ -68,7 +68,7 @@ def comkl_hedge(dots, labels, eta_global, loss_mode="sum"):
     sums, or in "mean" ``loss_mode`` averages, the learners' squared
     errors.  Returns the (T, K) predictions, (T, P) weights and (T, P, K)
     squared errors; raises ``FloatingPointError`` naming the first round
-    with a non-finite prediction.
+    with a non-finite batch loss or prediction.
     """
     if loss_mode not in ("sum", "mean"):
         raise ValueError("loss_mode must be 'sum' or 'mean'")
@@ -91,10 +91,13 @@ def comkl_hedge(dots, labels, eta_global, loss_mode="sum"):
         np.exp(weights, out=weights)
         weights /= weights.sum(axis=1, keepdims=True)
         predictions = (weights[:, :, None] * dots).sum(axis=1)
-    finite = np.isfinite(predictions).all(axis=1)
+    # A batch loss overflows in its own round; a prediction only once the
+    # running losses before it have.
+    finite = (np.isfinite(batch_losses).all(axis=1)
+              & np.isfinite(predictions).all(axis=1))
     if not finite.all():
         raise FloatingPointError(
-            "comkl_hedge: non-finite prediction at round %d of %d"
+            "comkl_hedge: non-finite loss at round %d of %d"
             % (np.argmin(finite) + 1, len(finite)))
     return predictions, weights, squared_errors
 

@@ -225,41 +225,25 @@ def synth_regression(spec, num_samples, seed, noise_seed=None):
     return Dataset(features=x, labels=y)
 
 
-@dataclass(frozen=True)
-class ARSpec:
-    """Coefficients of a linear autoregression with Gaussian innovations."""
-
-    order: int
-    intercept: float
-    coefficients: np.ndarray
-    noise_std: float
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if len(self.coefficients) != self.order:
-            raise ValueError("need one coefficient per lag")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
-
-
-def synth_ar(spec, num_samples, seed):
-    """Run the autoregression forward from zero initial history.
+def synth_ar(coefficients, intercept, noise_std, num_samples, seed):
+    """Run the autoregression with lag coefficients ``coefficients`` and
+    Gaussian innovations forward from zero initial history.
 
     Warns when the coefficients are not summable below one in absolute
     value, since the recursion may then drift or explode.
     """
-    if np.abs(spec.coefficients).sum() >= 1.0:
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    if np.abs(coefficients).sum() >= 1.0:
         warnings.warn("AR coefficients are not stable (sum |c| >= 1)",
                       RuntimeWarning)
     rng = np.random.default_rng(seed)
-    noise = (spec.noise_std * rng.standard_normal(num_samples)
-             if spec.noise_std > 0.0 else np.zeros(num_samples))
+    noise = (noise_std * rng.standard_normal(num_samples)
+             if noise_std > 0.0 else np.zeros(num_samples))
     series = np.zeros(num_samples)
     for t in range(num_samples):
-        value = spec.intercept + noise[t]
-        for lag in range(1, spec.order + 1):
+        value = intercept + noise[t]
+        for lag in range(1, len(coefficients) + 1):
             if t - lag >= 0:
-                value += spec.coefficients[lag - 1] * series[t - lag]
+                value += coefficients[lag - 1] * series[t - lag]
         series[t] = value
     return series

@@ -8,7 +8,6 @@ kernel predictors reduce to linear ones in 2M dimensions.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -92,16 +91,6 @@ class FeatureMap:
         np.cos(projected, out=projected)
         out *= self._scale
         return out
-
-    def fingerprint(self):
-        """Stable digest of the map contents, for sharing checks."""
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.weights, dtype=np.float64).tobytes())
-        digest.update(
-            ("%d,%d,%d,%d" % (self.kernel_index, self.seed,
-                              self.num_features, self.input_dim)).encode()
-        )
-        return digest.hexdigest()
 
 
 def map_stack(maps, x):

@@ -127,13 +127,8 @@ def sample_connected_er(num_nodes, connection_prob, seed, max_attempts=50):
     )
 
 
-def to_edge_list(graph):
-    """Serialize as text, one ``"k l"`` pair per line, 0-based indices."""
-    return "".join("%d %d\n" % edge for edge in graph.edges)
-
-
 def from_edge_list(text, num_nodes=None):
-    """Parse the text form produced by :func:`to_edge_list`.
+    """Parse a topology given as text, one ``"k l"`` pair per line, 0-based.
 
     ``num_nodes`` defaults to one past the largest index mentioned, so
     isolated trailing nodes must be declared explicitly.

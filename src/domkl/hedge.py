@@ -20,11 +20,6 @@ from .errors import ConfigError
 from .graph import is_forest
 
 
-def softmax_from_scores(scores):
-    """Numerically safe softmax with max-subtraction."""
-    return _softmax_in_place(np.array(scores, dtype=np.float64))
-
-
 def _softmax_in_place(scores):
     """Softmax of a float64 array that the caller owns, overwriting it."""
     scores -= scores.max()
@@ -93,7 +88,6 @@ def combine_weights(own_cumulative, neighbor_cumulatives, eta_global):
 class MessageBoard:
     """Log-domain messages on every directed edge, one vector per kernel."""
 
-    num_kernels: int
     messages: dict
 
     @classmethod
@@ -117,7 +111,7 @@ class MessageBoard:
         for k, l in graph.edges:
             messages[(k, l)] = np.zeros(num_kernels)
             messages[(l, k)] = np.zeros(num_kernels)
-        return cls(num_kernels=num_kernels, messages=messages)
+        return cls(messages=messages)
 
 
 def mp_update_messages(board, graph, latest_log_w):
@@ -134,7 +128,7 @@ def mp_update_messages(board, graph, latest_log_w):
             if i != l:
                 total = total + board.messages[(i, k)]
         updated[(k, l)] = total
-    return MessageBoard(num_kernels=board.num_kernels, messages=updated)
+    return MessageBoard(messages=updated)
 
 
 def mp_combine_weights(own_log_w, incoming_log_messages):

@@ -51,21 +51,6 @@ class RunTrace:
         return self.predictions.shape[1]
 
 
-def truncate_trace(trace, rounds):
-    """The prefix of a trace, for horizon-dependent quantities."""
-    if not 1 <= rounds <= trace.num_rounds:
-        raise ValueError("rounds out of range")
-    return RunTrace(
-        algorithm=trace.algorithm,
-        graph=trace.graph,
-        predictions=trace.predictions[:rounds],
-        labels=trace.labels[:rounds],
-        per_kernel_losses=trace.per_kernel_losses[:rounds],
-        cross_predictions=trace.cross_predictions[:rounds],
-        weights=trace.weights[:rounds],
-    )
-
-
 def mse_curve(trace):
     """Running mean of squared own-sample errors, value 1 at t=1.
 

@@ -26,7 +26,6 @@ from . import oracle
 from .admm import AdmmConfig
 from .baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
 from .data import (
-    ARSpec,
     Dataset,
     SyntheticRegressionSpec,
     ar_embed,
@@ -414,11 +413,8 @@ def build_trial_context(cfg, trial_index, inputs=None):
             embedded = inputs.dataset
         else:
             ar = cfg.ar_synth
-            spec = ARSpec(order=len(ar.coefficients), intercept=ar.intercept,
-                          coefficients=np.asarray(ar.coefficients),
-                          noise_std=ar.noise_std)
             series = synth_ar(
-                spec, ar.num_samples,
+                ar.coefficients, ar.intercept, ar.noise_std, ar.num_samples,
                 seed=derive_seed(cfg.master_seed, trial_index, _DATA),
             )
             embedded = ar_embed(scale_unit(series), ar.ar_order)
@@ -651,17 +647,6 @@ def _regret_against_best(trace, fits, kernel_indices):
     """Regret against the fit with the lowest pooled loss (first on ties)."""
     best = min(kernel_indices, key=lambda index: fits[index][0])
     return regret_accuracy(trace, fits[best][1])
-
-
-def accuracy_regret_for_trace(ctx, trace, kernel_indices):
-    """Per-learner regret against the pooled hindsight optimum.
-
-    The comparator is the best fixed parameter vector over the pooled
-    features of the whole network up to the trace's horizon, taken over
-    the given dictionary slots (the best one wins).
-    """
-    fits = _hindsight_fits(ctx, trace.num_rounds, kernel_indices)
-    return _regret_against_best(trace, fits, kernel_indices)
 
 
 def _regret_scope(cfg, algorithm, num_kernels):

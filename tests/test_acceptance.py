@@ -19,18 +19,34 @@ from domkl.admm import (
 )
 from domkl.features import KernelSpec, build_feature_map, gaussian_kernel
 from domkl.graph import Graph
-from domkl.hedge import softmax_from_scores
-from domkl.metrics import cv_curve, mse_curve, truncate_trace
+from domkl.hedge import mp_combine_weights
+from domkl.metrics import cv_curve, mse_curve
 from domkl.oracle import JointStepProblem, exhaustive_best_kernel, joint_round
 from domkl.simulator import (
     ExperimentConfig,
     SyntheticTaskConfig,
-    accuracy_regret_for_trace,
+    _hindsight_fits,
+    _regret_against_best,
     run_experiment,
     run_trial,
 )
 from domkl.metrics import regret_discrepancy
 from domkl import validate
+
+
+def truncate_trace(trace, rounds):
+    """The first ``rounds`` rounds of a trace."""
+    return dataclasses.replace(trace, **{
+        name: getattr(trace, name)[:rounds] for name in (
+            "predictions", "labels", "per_kernel_losses",
+            "cross_predictions", "weights")})
+
+
+def accuracy_regret_for_trace(ctx, trace, kernel_indices):
+    """Per-learner regret over the trace's rounds, by the path that
+    ``aggregate`` runs: the best pooled hindsight fit of the kernels."""
+    fits = _hindsight_fits(ctx, trace.num_rounds, kernel_indices)
+    return _regret_against_best(trace, fits, kernel_indices)
 
 
 def _report(ok, label, detail):
@@ -307,7 +323,7 @@ def test_hedge_regret_grows_sublinearly():
     hedge_loss = 0.0
     checkpoints = {}
     for t in range(1, 8001):
-        weights = softmax_from_scores(-cumulative / eta_global)
+        weights = mp_combine_weights(-cumulative / eta_global, [])
         losses = (rng.random(8) < means).astype(np.float64)
         hedge_loss += float(weights @ losses)
         cumulative += losses

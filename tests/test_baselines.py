@@ -9,7 +9,6 @@ import pytest
 from domkl.baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
 from domkl.features import KernelSpec, build_feature_map
 from domkl.graph import Graph
-from domkl.hedge import softmax_from_scores
 
 
 def _maps(num_kernels, dim, num_features=7, seed=30):
@@ -137,7 +136,9 @@ def test_stored_weights_are_the_round_weights():
                                                  loss_mode=loss_mode)
         cumulative = np.zeros(len(maps))
         for t in range(len(labels)):
-            want = softmax_from_scores(-cumulative / 10.0)
+            scores = -cumulative / 10.0
+            want = np.exp(scores - scores.max())
+            want /= want.sum()
             assert weights[t].tobytes() == want.tobytes()
             batch_losses = squared_errors[t].sum(axis=1)
             if loss_mode == "mean":
@@ -310,15 +311,16 @@ def test_comkl_step_names_the_first_non_finite_round(bad_round, message):
 
 
 def test_non_finite_hedge_prediction_raises():
-    # Finite but huge dot products overflow their squared errors, so from
-    # round 2 on every kernel's running loss is infinite.
-    dots = np.full((4, 3, 2), 1e200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError,
-                           match="^comkl_hedge: non-finite prediction at "
-                                 "round 2 of 4$"):
-            comkl_hedge(dots, np.zeros((4, 2)), 10.0)
+    # Dot products of 1e200 overflow their squared errors in round 1.
+    # Those of 8e153 give finite batch losses of 1.28e308, whose running
+    # sum overflows after round 2 and leaves round 3 no finite weights.
+    for dot, bad_round in ((1e200, 1), (8e153, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="^comkl_hedge: non-finite loss at round "
+                                     "%d of 4$" % bad_round):
+                comkl_hedge(np.full((4, 3, 2), dot), np.zeros((4, 2)), 10.0)
 
 
 def test_diverging_diffusion_step_raises():

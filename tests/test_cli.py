@@ -469,7 +469,7 @@ shuffle = false
 @pytest.mark.parametrize("algorithm, message", [
     ("domkl", "domkl learner 0: non-finite loss at round 3 of 10"),
     ("dokl", "dokl learner 0: non-finite loss at round 3 of 10"),
-    ("comkl", "comkl_hedge: non-finite prediction at round 4 of 10"),
+    ("comkl", "comkl_hedge: non-finite loss at round 3 of 10"),
     ("rff_dokl", "rff_dokl: non-finite loss at round 3 of 10"),
 ], ids=["domkl", "dokl", "comkl", "rff_dokl"])
 def test_non_finite_loss_is_located(tmp_path, capsys, algorithm, message):

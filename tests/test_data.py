@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from domkl.data import (
-    ARSpec,
     Dataset,
     SyntheticRegressionSpec,
     ar_embed,
@@ -213,9 +212,7 @@ def test_synthetic_spec_validation():
 
 
 def test_synth_ar_recursion_matches_manual():
-    spec = ARSpec(order=2, intercept=0.2,
-                  coefficients=np.array([0.6, -0.2]), noise_std=0.0)
-    series = synth_ar(spec, 6, seed=0)
+    series = synth_ar((0.6, -0.2), 0.2, 0.0, 6, seed=0)
     expected = np.zeros(6)
     for t in range(6):
         expected[t] = 0.2
@@ -225,21 +222,10 @@ def test_synth_ar_recursion_matches_manual():
             expected[t] += -0.2 * expected[t - 2]
     assert np.array_equal(series, expected)
     # Stable AR settles near intercept / (1 - sum c).
-    long = synth_ar(spec, 500, seed=0)
+    long = synth_ar((0.6, -0.2), 0.2, 0.0, 500, seed=0)
     assert abs(long[-1] - 0.2 / (1 - 0.4)) < 1e-10
 
 
 def test_synth_ar_unstable_warns():
-    spec = ARSpec(order=1, intercept=0.0,
-                  coefficients=np.array([1.05]), noise_std=0.0)
     with pytest.warns(RuntimeWarning):
-        synth_ar(spec, 10, seed=1)
-
-
-def test_ar_spec_validation():
-    with pytest.raises(ValueError):
-        ARSpec(order=0, intercept=0.0, coefficients=np.array([]), noise_std=0.1)
-    with pytest.raises(ValueError):
-        ARSpec(order=2, intercept=0.0, coefficients=np.array([0.5]), noise_std=0.1)
-    with pytest.raises(ValueError):
-        ARSpec(order=1, intercept=0.0, coefficients=np.array([0.5]), noise_std=-1.0)
+        synth_ar((1.05,), 0.0, 0.0, 10, seed=1)

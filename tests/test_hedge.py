@@ -12,7 +12,6 @@ from domkl.hedge import (
     combine_weights,
     mp_combine_weights,
     mp_update_messages,
-    softmax_from_scores,
 )
 
 
@@ -59,17 +58,17 @@ def test_accumulate_does_not_mutate_the_input_state():
 
 
 def test_softmax_shift_invariance_and_extremes():
-    base = softmax_from_scores([1.0, 2.0, 3.0])
-    shifted = softmax_from_scores([1001.0, 1002.0, 1003.0])
+    base = mp_combine_weights([1.0, 2.0, 3.0], [])
+    shifted = mp_combine_weights([1001.0, 1002.0, 1003.0], [])
     assert np.allclose(base, shifted, atol=1e-15)
-    huge = softmax_from_scores([1e6, 0.0, -1e6])
+    huge = mp_combine_weights([1e6, 0.0, -1e6], [])
     assert huge[0] == pytest.approx(1.0)
     assert np.isfinite(huge).all()
     assert huge.sum() == pytest.approx(1.0)
 
 
 def test_softmax_of_equal_scores_is_exactly_uniform():
-    w = softmax_from_scores([7.5, 7.5, 7.5])
+    w = mp_combine_weights([7.5, 7.5, 7.5], [])
     assert np.all(w == 1.0 / 3.0)
 
 
@@ -93,7 +92,7 @@ def test_weight_kernels_are_bitwise_the_reference_expressions():
         inputs = [own] + neighbors
         before = [a.copy() for a in inputs]
 
-        assert (softmax_from_scores(own).tobytes()
+        assert (mp_combine_weights(own, []).tobytes()
                 == _reference_softmax(own).tobytes())
 
         total = np.array(own)
@@ -126,7 +125,7 @@ def test_combine_weights_sums_neighbors():
     own = rng.gamma(1.0, 10.0, size=5)
     neighbors = [rng.gamma(1.0, 10.0, size=5) for _ in range(3)]
     got = combine_weights(own, neighbors, 10.0)
-    want = softmax_from_scores(-(own + sum(neighbors)) / 10.0)
+    want = _reference_softmax(-(own + sum(neighbors)) / 10.0)
     assert np.allclose(got, want, atol=1e-15)
     assert got.sum() == pytest.approx(1.0, abs=1e-12)
     assert (got >= 0.0).all()

@@ -1,16 +1,17 @@
 """Tests for run traces and the evaluation curves built from them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from domkl.graph import Graph
+from domkl.graph import Graph, sample_connected_er
 from domkl.metrics import (
     RunTrace,
     cv_curve,
     mse_curve,
     regret_accuracy,
     regret_discrepancy,
-    truncate_trace,
 )
 
 
@@ -65,16 +66,16 @@ def test_trace_shape_validation():
 
 
 def test_truncate_trace():
-    rng = np.random.default_rng(1)
-    trace = _trace(rng, rounds=9)
-    short = truncate_trace(trace, 4)
+    # The first t rounds of a trace give the first t values of its curves,
+    # which the checks at several horizons of one run rely on.
+    trace = _trace(np.random.default_rng(1), rounds=9)
+    short = dataclasses.replace(trace, **{
+        name: getattr(trace, name)[:4] for name in (
+            "predictions", "labels", "per_kernel_losses",
+            "cross_predictions", "weights")})
     assert short.num_rounds == 4
-    assert np.array_equal(short.predictions, trace.predictions[:4])
-    assert np.array_equal(short.cross_predictions, trace.cross_predictions[:4])
-    with pytest.raises(ValueError):
-        truncate_trace(trace, 0)
-    with pytest.raises(ValueError):
-        truncate_trace(trace, 10)
+    assert mse_curve(short).tobytes() == mse_curve(trace)[:4].tobytes()
+    assert cv_curve(short).tobytes() == cv_curve(trace)[:4].tobytes()
 
 
 def test_mse_curve_matches_naive_sum():
@@ -173,6 +174,34 @@ def test_regret_discrepancy_matches_naive():
                            - trace.cross_predictions[t, k, l])
             total += summed ** 2
         assert abs(regrets[k] - total) < 1e-12
+
+
+def _per_learner_regret_discrepancy(trace):
+    """regret_discrepancy's per-learner loop, kept as written."""
+    graph = trace.graph
+    learners = trace.num_learners
+    own = trace.cross_predictions[
+        :, np.arange(learners), np.arange(learners)
+    ]
+    out = np.zeros(learners)
+    for k in range(learners):
+        nbrs = list(graph.neighbors[k])
+        if not nbrs:
+            continue
+        diffs = own[:, k, None] - trace.cross_predictions[:, k, nbrs]
+        out[k] = (diffs.sum(axis=1) ** 2).sum()
+    return out
+
+
+def test_regret_discrepancy_is_bitwise_the_per_learner_loop():
+    # With 8 or more neighbours, another order of adding a learner's
+    # neighbour gaps rounds differently; every learner here has that many.
+    graph = sample_connected_er(33, 0.4, seed=2)
+    assert min(len(n) for n in graph.neighbors) >= 8
+    trace = _trace(np.random.default_rng(10), rounds=60, learners=33,
+                   graph=graph)
+    want = _per_learner_regret_discrepancy(trace)
+    assert regret_discrepancy(trace).tobytes() == want.tobytes()
 
 
 def test_regret_discrepancy_gaps_cancel_within_round():

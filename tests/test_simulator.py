@@ -24,9 +24,9 @@ from domkl.simulator import (
     _DATA,
     _MAPS,
     _hindsight_fits,
+    _regret_against_best,
     _regret_scope,
     _run_comkl,
-    accuracy_regret_for_trace,
     build_trial_context,
     config_dictionary,
     derive_seed,
@@ -37,7 +37,7 @@ from domkl.simulator import (
 )
 from domkl.data import generating_map
 from domkl.features import FeatureMap
-from domkl.hedge import MessageBoard, mp_update_messages, softmax_from_scores
+from domkl.hedge import MessageBoard, mp_update_messages
 from domkl.learners import LearnerNode, step
 from domkl.metrics import regret_accuracy
 from domkl.oracle import hindsight_best
@@ -279,7 +279,9 @@ def _reference_comkl(ctx, cfg):
             "cross_predictions": []}
     for t in range(ctx.horizon):
         inputs, labels = ctx.inputs[t], ctx.labels[t]
-        round_weights = softmax_from_scores(-cumulative_loss / cfg.eta_global)
+        scores = -cumulative_loss / cfg.eta_global
+        round_weights = np.exp(scores - scores.max())
+        round_weights /= round_weights.sum()
         z = np.stack([m.map(inputs) for m in ctx.maps])        # (P, K, D)
         dots = (z * thetas[:, None, :]).sum(axis=-1)            # (P, K)
         predictions = (round_weights[:, None] * dots).sum(axis=0)
@@ -429,7 +431,8 @@ def test_contexts_are_algorithm_independent():
     ctx_b = build_trial_context(other, 0)
     assert ctx_a.graph == ctx_b.graph
     for fm_a, fm_b in zip(ctx_a.maps, ctx_b.maps):
-        assert fm_a.fingerprint() == fm_b.fingerprint()
+        assert fm_a.seed == fm_b.seed
+        assert fm_a.weights.tobytes() == fm_b.weights.tobytes()
     assert np.array_equal(ctx_a.inputs, ctx_b.inputs)
     assert np.array_equal(ctx_a.labels, ctx_b.labels)
 
@@ -503,8 +506,7 @@ def test_accuracy_regret_is_bitwise_the_per_stream_refit():
         for r in results:
             want = _refit_per_stream_regret(r.context, r.traces[algorithm],
                                             scope)
-            got = accuracy_regret_for_trace(r.context, r.traces[algorithm],
-                                            scope)
+            got = _regret_against_best(r.traces[algorithm], r.fits, scope)
             assert got.tobytes() == want.tobytes()
             per_trial.append(want.mean())
         assert aggregated.final_regret_a[algorithm] == float(np.mean(per_trial))
