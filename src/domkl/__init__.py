@@ -20,7 +20,7 @@ from .baselines import comkl_step, rff_dokl_step
 from .errors import ConfigError
 from .features import KernelSpec, build_feature_map, gaussian_kernel
 from .graph import Graph, sample_connected_er
-from .hedge import HedgeState, MessageBoard, combine_weights, mp_combine_weights
+from .hedge import MessageBoard, combine_weights, mp_combine_weights
 from .learners import step
 from .metrics import cv_curve, mse_curve
 from .simulator import (
@@ -42,7 +42,6 @@ __all__ = [
     "CsvTaskConfig",
     "ExperimentConfig",
     "Graph",
-    "HedgeState",
     "KernelSpec",
     "MessageBoard",
     "SyntheticTaskConfig",

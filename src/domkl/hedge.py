@@ -28,45 +28,20 @@ def _softmax_in_place(scores):
     return scores
 
 
-@dataclass(frozen=True)
-class HedgeState:
-    """Per-learner cumulative kernel losses and the hedge step size."""
-
-    eta_global: float
-    cumulative_loss: np.ndarray
-
-    def __post_init__(self):
-        if not self.eta_global > 0.0:
-            raise ValueError("eta_global must be positive")
-
-    @classmethod
-    def fresh(cls, num_kernels, eta_global=10.0):
-        """Zero losses over ``num_kernels`` kernels."""
-        if num_kernels < 1:
-            raise ValueError("num_kernels must be at least 1")
-        return cls(eta_global=eta_global, cumulative_loss=np.zeros(num_kernels))
-
-    def log_w(self):
-        """Log of the implied multiplicative weights, -cumulative/eta."""
-        return -self.cumulative_loss / self.eta_global
-
-
-def accumulate(state, instantaneous_losses):
-    """Add one round of per-kernel losses, returning a new state.
+def accumulate(cumulative_loss, instantaneous_losses):
+    """Add one round of per-kernel losses to ``cumulative_loss``,
+    returning a new array.
 
     Losses must be nonnegative and finite.
     """
     losses = np.asarray(instantaneous_losses, dtype=np.float64)
-    if losses.shape != state.cumulative_loss.shape:
+    if losses.shape != cumulative_loss.shape:
         raise ValueError("loss vector has wrong length")
     if not np.isfinite(losses).all():
         raise FloatingPointError("non-finite loss")
     if (losses < 0.0).any():
         raise ValueError("losses must be nonnegative")
-    return HedgeState(
-        eta_global=state.eta_global,
-        cumulative_loss=state.cumulative_loss + losses,
-    )
+    return cumulative_loss + losses
 
 
 def combine_weights(own_cumulative, neighbor_cumulatives, eta_global):

@@ -21,7 +21,7 @@ import numpy as np
 from .admm import gamma_hat, lambda_update, theta_update_quadratic
 from .errors import ProtocolError
 from .features import map_stack
-from .hedge import HedgeState, accumulate, combine_weights, mp_combine_weights
+from .hedge import accumulate, combine_weights, mp_combine_weights
 
 VARIANTS = ("product", "message_passing")
 
@@ -64,6 +64,8 @@ class LearnerNode:
         dims = {2 * fm.num_features for fm in feature_maps}
         if len(dims) != 1:
             raise ValueError("feature maps disagree on dimension")
+        if not eta_global > 0.0:
+            raise ValueError("eta_global must be positive")
         self.node_id = node_id
         self.feature_maps = tuple(feature_maps)
         self.neighbors = tuple(sorted(neighbors))
@@ -71,9 +73,9 @@ class LearnerNode:
         self.num_kernels = len(self.feature_maps)
         self.thetas = np.zeros((self.num_kernels, self.dim))
         self.lams = np.zeros((self.num_kernels, self.dim))
-        self.hedge = HedgeState.fresh(self.num_kernels, eta_global)
-        # Function used for predictions in the round most recently stepped.
-        self.round_thetas = self.thetas.copy()
+        self.cumulative_loss = np.zeros(self.num_kernels)
+        self.eta_global = eta_global
+        # Kernel weights of the round most recently stepped.
         self.round_weights = np.full(self.num_kernels, 1.0 / self.num_kernels)
 
     def initial_exchange(self):
@@ -81,7 +83,7 @@ class LearnerNode:
         return RoundExchange(
             sender=self.node_id,
             thetas=self.thetas.copy(),
-            cumulative_losses=self.hedge.cumulative_loss.copy(),
+            cumulative_losses=self.cumulative_loss.copy(),
         )
 
 
@@ -119,21 +121,19 @@ def step(node, neighbor_exchanges, sample, cfg, variant="product",
     # Weight update owed from the previous round's loss broadcasts.
     if variant == "product":
         weights = combine_weights(
-            node.hedge.cumulative_loss,
+            node.cumulative_loss,
             [e.cumulative_losses for e in exchanges],
-            node.hedge.eta_global,
+            node.eta_global,
         )
     else:
         if incoming_messages is None:
             raise ProtocolError("message_passing variant needs incoming_messages")
-        weights = mp_combine_weights(node.hedge.log_w(), incoming_messages)
+        weights = mp_combine_weights(-node.cumulative_loss / node.eta_global,
+                                     incoming_messages)
 
     z_stack = map_stack(node.feature_maps, x)
-    # No copy: theta_update_quadratic below returns a new array, and
-    # nothing writes into node.thetas in place.
-    node.round_thetas = node.thetas
     node.round_weights = weights
-    dots, prediction = _combined_prediction(node.round_thetas, weights, z_stack)
+    dots, prediction = _combined_prediction(node.thetas, weights, z_stack)
     prediction = float(prediction)
     per_kernel_losses = (dots - y) ** 2
 
@@ -141,11 +141,11 @@ def step(node, neighbor_exchanges, sample, cfg, variant="product",
     node.thetas = theta_update_quadratic(
         node.thetas, node.lams, z_stack, y, gamma, len(exchanges), cfg
     )
-    node.hedge = accumulate(node.hedge, per_kernel_losses)
+    node.cumulative_loss = accumulate(node.cumulative_loss, per_kernel_losses)
 
     outgoing = RoundExchange(
         sender=node.node_id,
         thetas=node.thetas.copy(),
-        cumulative_losses=node.hedge.cumulative_loss.copy(),
+        cumulative_losses=node.cumulative_loss.copy(),
     )
     return prediction, per_kernel_losses, outgoing

@@ -495,14 +495,12 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product"):
                 trace.per_kernel_losses[t, k] = kernel_losses
                 trace.weights[t, k] = nodes[k].round_weights
                 fresh[k] = outgoing
-            snap_thetas = np.stack([nodes[l].round_thetas
-                                    for l in range(num_nodes)])
-            snap_weights = np.stack([nodes[l].round_weights
-                                     for l in range(num_nodes)])
+            # Every learner predicted with its previous broadcast.
+            broadcast = np.stack([exchanges[l].thetas for l in range(num_nodes)])
             for k in range(num_nodes):
                 z_stack = _map_stack(maps, ctx.inputs[t, k])
                 _, trace.cross_predictions[t, k] = _combined_prediction(
-                    snap_thetas, snap_weights, z_stack[None, :, :]
+                    broadcast, trace.weights[t], z_stack[None, :, :]
                 )
             exchanges = fresh
     except FloatingPointError as exc:
@@ -561,7 +559,6 @@ def _run_rff_dokl(ctx, cfg):
     trace.weights.fill(1.0)
     state = DiffusionState.fresh(ctx.graph, 2 * cfg.num_features,
                                  step_size=cfg.diffusion_step_size)
-    failure, rounds = None, ctx.horizon
     try:
         for t in range(ctx.horizon):
             z = fmap.map(ctx.inputs[t])                       # (K, D)
@@ -569,16 +566,12 @@ def _run_rff_dokl(ctx, cfg):
             trace.predictions[t] = np.diagonal(trace.cross_predictions[t])
             trace.per_kernel_losses[t, :, 0] = (trace.predictions[t]
                                                 - ctx.labels[t]) ** 2
+            if not np.isfinite(trace.per_kernel_losses[t]).all():
+                raise FloatingPointError("non-finite loss")
             state = rff_dokl_step(state, (z, ctx.labels[t]))
     except FloatingPointError as exc:
-        failure, rounds = exc, t + 1
-    finite = np.isfinite(trace.per_kernel_losses[:rounds]).all(axis=(1, 2))
-    if not finite.all():
-        raise FloatingPointError("rff_dokl: non-finite loss at round %d of %d"
-                                 % (np.argmin(finite) + 1, ctx.horizon))
-    if failure is not None:
         raise FloatingPointError("rff_dokl: %s at round %d of %d"
-                                 % (failure, rounds, ctx.horizon))
+                                 % (exc, t + 1, ctx.horizon)) from None
     return trace
 
 

@@ -226,6 +226,33 @@ def test_synth_ar_recursion_matches_manual():
     assert abs(long[-1] - 0.2 / (1 - 0.4)) < 1e-10
 
 
+def _numpy_scalar_synth_ar(coefficients, intercept, noise_std, num_samples,
+                           seed):
+    """The recursion as it ran on numpy scalars, kept as the reference."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    noise = (noise_std * rng.standard_normal(num_samples)
+             if noise_std > 0.0 else np.zeros(num_samples))
+    series = np.zeros(num_samples)
+    for t in range(num_samples):
+        value = intercept + noise[t]
+        for lag in range(1, len(coefficients) + 1):
+            if t - lag >= 0:
+                value += coefficients[lag - 1] * series[t - lag]
+        series[t] = value
+    return series
+
+
+def test_synth_ar_is_bitwise_the_numpy_scalar_loop():
+    """The noisy 8005-sample AR(3) series of the timeseries benchmark,
+    bit for bit."""
+    args = ((0.5, -0.3, 0.15), 0.2, 0.05, 8005)
+    for seed in (0, 11):
+        got = synth_ar(*args, seed=seed)
+        want = _numpy_scalar_synth_ar(*args, seed=seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_synth_ar_unstable_warns():
     with pytest.warns(RuntimeWarning):
         synth_ar((1.05,), 0.0, 0.0, 10, seed=1)

@@ -6,7 +6,6 @@ import pytest
 from domkl.errors import ConfigError
 from domkl.graph import Graph
 from domkl.hedge import (
-    HedgeState,
     MessageBoard,
     accumulate,
     combine_weights,
@@ -16,45 +15,44 @@ from domkl.hedge import (
 
 
 def test_fresh_state_is_uniform():
-    state = HedgeState.fresh(4)
-    assert not state.cumulative_loss.any()
-    assert state.eta_global == 10.0
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        HedgeState.fresh(0)
-    with pytest.raises(ValueError):
-        HedgeState.fresh(3, eta_global=0.0)
+    """Zero cumulative losses weigh every kernel exactly equally."""
+    fresh = np.zeros(4)
+    assert np.all(combine_weights(fresh, [fresh], 10.0) == 0.25)
+    assert np.all(mp_combine_weights(-fresh / 10.0, []) == 0.25)
 
 
 def test_log_w_is_scaled_negative_cumulative():
-    state = HedgeState.fresh(3, eta_global=5.0)
-    state = accumulate(state, np.array([1.0, 2.0, 0.0]))
-    assert np.allclose(state.log_w(), [-0.2, -0.4, 0.0], atol=1e-15)
+    """The relayed rule on -cumulative/eta is the product rule on the
+    cumulative losses."""
+    cumulative = accumulate(np.zeros(3), np.array([1.0, 2.0, 0.0]))
+    log_w = -cumulative / 5.0
+    assert np.allclose(log_w, [-0.2, -0.4, 0.0], atol=1e-15)
+    assert (mp_combine_weights(log_w, []).tobytes()
+            == combine_weights(cumulative, [], 5.0).tobytes())
 
 
 def test_accumulate_adds_and_rejects_bad_losses():
-    state = HedgeState.fresh(2)
-    state = accumulate(state, np.array([0.5, 1.5]))
-    state = accumulate(state, np.array([0.25, 0.0]))
-    assert np.allclose(state.cumulative_loss, [0.75, 1.5])
+    cumulative = accumulate(np.zeros(2), np.array([0.5, 1.5]))
+    cumulative = accumulate(cumulative, np.array([0.25, 0.0]))
+    assert np.allclose(cumulative, [0.75, 1.5])
     with pytest.raises(ValueError):
-        accumulate(state, np.array([1.0]))
+        accumulate(cumulative, np.array([1.0]))
     with pytest.raises(ValueError):
-        accumulate(state, np.array([-0.1, 0.0]))
+        accumulate(cumulative, np.array([-0.1, 0.0]))
     with pytest.raises(FloatingPointError):
-        accumulate(state, np.array([np.nan, 0.0]))
+        accumulate(cumulative, np.array([np.nan, 0.0]))
     with pytest.raises(FloatingPointError):
-        accumulate(state, np.array([0.0, np.inf]))
+        accumulate(cumulative, np.array([0.0, np.inf]))
     with pytest.raises(FloatingPointError):
-        accumulate(state, np.array([-np.inf, 0.0]))
+        accumulate(cumulative, np.array([-np.inf, 0.0]))
 
 
 def test_accumulate_does_not_mutate_the_input_state():
-    state = HedgeState.fresh(2)
-    accumulate(state, np.array([1.0, 1.0]))
-    assert not state.cumulative_loss.any()
+    cumulative = np.zeros(2)
+    losses = np.array([1.0, 1.0])
+    assert accumulate(cumulative, losses).tolist() == [1.0, 1.0]
+    assert not cumulative.any()
+    assert losses.tolist() == [1.0, 1.0]
 
 
 def test_softmax_shift_invariance_and_extremes():
@@ -137,12 +135,12 @@ def test_single_kernel_weight_is_exactly_one():
 
 def test_weights_concentrate_on_the_cheapest_kernel():
     rng = np.random.default_rng(8)
-    state = HedgeState.fresh(5)
+    cumulative = np.zeros(5)
     for _ in range(300):
         losses = rng.uniform(0.5, 1.0, size=5)
         losses[2] = rng.uniform(0.0, 0.1)
-        state = accumulate(state, losses)
-    weights = combine_weights(state.cumulative_loss, [], state.eta_global)
+        cumulative = accumulate(cumulative, losses)
+    weights = combine_weights(cumulative, [], 10.0)
     assert weights[2] > 0.99
 
 
@@ -217,17 +215,16 @@ def test_mp_combination_equals_product_rule_on_one_edge():
     graph = Graph(num_nodes=2, edges=((0, 1),))
     eta = 10.0
     rng = np.random.default_rng(21)
-    states = [HedgeState.fresh(4, eta) for _ in range(2)]
+    cumulatives = [np.zeros(4) for _ in range(2)]
     board = MessageBoard.initial(graph, 4)
     for _ in range(5):
-        board = mp_update_messages(board, graph, [s.log_w() for s in states])
+        board = mp_update_messages(board, graph,
+                                   [-c / eta for c in cumulatives])
         for k in range(2):
-            product = combine_weights(
-                states[k].cumulative_loss,
-                [states[1 - k].cumulative_loss], eta,
-            )
+            product = combine_weights(cumulatives[k], [cumulatives[1 - k]], eta)
             relayed = mp_combine_weights(
-                states[k].log_w(), [board.messages[(1 - k, k)]]
+                -cumulatives[k] / eta, [board.messages[(1 - k, k)]]
             )
             assert np.allclose(product, relayed, atol=1e-12)
-        states = [accumulate(s, rng.uniform(0.0, 2.0, size=4)) for s in states]
+        cumulatives = [accumulate(c, rng.uniform(0.0, 2.0, size=4))
+                       for c in cumulatives]

@@ -58,6 +58,14 @@ def test_node_rejects_mismatched_maps():
         LearnerNode(0, (), ())
 
 
+def test_node_rejects_nonpositive_eta_global():
+    maps = _maps()
+    for eta_global in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="eta_global must be positive"):
+            LearnerNode(0, maps, (), eta_global=eta_global)
+    assert LearnerNode(0, maps, (), eta_global=1e-300).eta_global == 1e-300
+
+
 def test_step_rejects_wrong_sender_set():
     maps = _maps()
     graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
@@ -104,6 +112,7 @@ def test_first_round_prediction_is_zero_and_losses_accumulate():
     graph = Graph(num_nodes=2, edges=((0, 1),))
     nodes, exchanges = _network(graph, maps)
     assert np.array_equal(nodes[0].round_weights, np.full(3, 1.0 / 3.0))
+    assert not nodes[0].cumulative_loss.any()
     y = 2.0
     pred, kernel_losses, outgoing = step(
         nodes[0], [exchanges[1]], (np.array([0.5, 0.5]), y), AdmmConfig()
@@ -111,7 +120,7 @@ def test_first_round_prediction_is_zero_and_losses_accumulate():
     assert pred == 0.0
     assert np.allclose(kernel_losses, np.full(3, y * y), atol=1e-15)
     assert np.allclose(outgoing.cumulative_losses, kernel_losses)
-    assert np.array_equal(nodes[0].hedge.cumulative_loss,
+    assert np.array_equal(nodes[0].cumulative_loss,
                           outgoing.cumulative_losses)
 
 
@@ -165,7 +174,7 @@ def test_round_weights_match_product_rule_on_exchanged_losses():
         # expectation computed from the previous round's broadcasts
         expected = {
             k: combine_weights(
-                nodes[k].hedge.cumulative_loss,
+                nodes[k].cumulative_loss,
                 [exchanges[l].cumulative_losses for l in graph.neighbors[k]],
                 10.0,
             )
@@ -181,6 +190,8 @@ def test_round_weights_match_product_rule_on_exchanged_losses():
 
 
 def test_replay_matches_step_prediction_bitwise():
+    """A node predicts with its previous broadcast's parameters under
+    the round's weights."""
     maps = _maps()
     graph = Graph(num_nodes=2, edges=((0, 1),))
     nodes, exchanges = _network(graph, maps)
@@ -198,7 +209,7 @@ def test_replay_matches_step_prediction_bitwise():
                                          cfg)
         for k in range(2):
             _, replayed = _combined_prediction(
-                nodes[k].round_thetas, nodes[k].round_weights,
+                exchanges[k].thetas, nodes[k].round_weights,
                 map_stack(nodes[k].feature_maps, xs[k]),
             )
             assert float(replayed) == preds[k]

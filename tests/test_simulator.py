@@ -36,9 +36,9 @@ from domkl.simulator import (
     aggregate,
 )
 from domkl.data import generating_map
-from domkl.features import FeatureMap
+from domkl.features import FeatureMap, map_stack
 from domkl.hedge import MessageBoard, mp_update_messages
-from domkl.learners import LearnerNode, step
+from domkl.learners import LearnerNode, _combined_prediction, step
 from domkl.metrics import regret_accuracy
 from domkl.oracle import hindsight_best
 
@@ -354,6 +354,19 @@ def _check_baseline_traces(cfg):
                 cfg.task, cfg.comkl_loss_mode, algorithm, name)
 
 
+def test_diverging_rff_dokl_step_names_its_round():
+    """A step that overflows while the round's losses are still finite
+    is named, at its round, without a numpy warning."""
+    cfg = _small_cfg(algorithms=("rff_dokl",), kernel_index=0,
+                     diffusion_step_size=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^rff_dokl: rff_dokl step produced "
+                                 r"non-finite values at round 1 of 25$"):
+            run_trial(cfg, 0)
+
+
 def test_diverging_comkl_names_kernel_and_round():
     cfg = _small_cfg(algorithms=("comkl",), comkl_step_size=1e300)
     with warnings.catch_warnings():
@@ -365,8 +378,11 @@ def test_diverging_comkl_names_kernel_and_round():
 
 
 def _shuffled_order_run(ctx, cfg, kernel_indices, variant, rng):
-    """Predictions, per-kernel losses and weights of a consensus run in
-    which the learners step in a fresh random order every round."""
+    """Predictions, per-kernel losses, weights and cross predictions of a
+    consensus run in which the learners step in a fresh random order
+    every round.  Cross prediction [t, k, l] is learner l's round-t
+    function, its previous broadcast under its round-t weights, at
+    learner k's round-t input."""
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph, num_nodes = ctx.graph, ctx.graph.num_nodes
     nodes = [LearnerNode(k, maps, graph.neighbors[k],
@@ -377,6 +393,7 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, variant, rng):
     predictions = np.zeros(ctx.labels.shape)
     losses = np.zeros(ctx.labels.shape + (len(maps),))
     weights = np.zeros_like(losses)
+    cross = np.zeros((ctx.horizon, num_nodes, num_nodes))
     orders = set()
     for t in range(ctx.horizon):
         if board is not None:
@@ -394,15 +411,21 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, variant, rng):
                 (ctx.inputs[t, k], ctx.labels[t, k]), cfg.admm,
                 variant=variant, incoming_messages=messages)
             weights[t, k] = nodes[k].round_weights
+        for k in range(num_nodes):
+            z_stack = map_stack(maps, ctx.inputs[t, k])
+            for l in range(num_nodes):
+                _, cross[t, k, l] = _combined_prediction(
+                    exchanges[l].thetas, weights[t, l], z_stack)
         exchanges = fresh
     assert len(orders) > 1
     return {"predictions": predictions, "per_kernel_losses": losses,
-            "weights": weights}
+            "weights": weights, "cross_predictions": cross}
 
 
 def test_node_order_cannot_affect_results(tmp_path):
     """Stepping the learners of every round in a shuffled order gives
-    run_trial's domkl and dokl traces bit for bit, for both hedges."""
+    run_trial's domkl and dokl traces bit for bit, for both hedges,
+    cross predictions included."""
     tree = tmp_path / "tree.txt"
     tree.write_text("0 1\n1 2\n1 3\n3 4\n")
     product = _small_cfg(algorithms=("domkl", "dokl"), kernel_index=0)
@@ -750,7 +773,7 @@ def test_public_api_is_the_documented_one():
 
     assert sorted(domkl.__all__) == [
         "AdmmConfig", "ArTaskConfig", "ConfigError", "CsvTaskConfig",
-        "ExperimentConfig", "Graph", "HedgeState", "KernelSpec",
+        "ExperimentConfig", "Graph", "KernelSpec",
         "MessageBoard", "SyntheticTaskConfig", "build_feature_map",
         "combine_weights", "comkl_step", "cv_curve", "gaussian_kernel",
         "mp_combine_weights", "mse_curve", "rff_dokl_step", "run_experiment",
