@@ -241,12 +241,14 @@ def synth_ar(coefficients, intercept, noise_std, num_samples, seed):
              if noise_std > 0.0 else np.zeros(num_samples))
     # The recursion runs on Python floats, which round exactly as
     # float64 scalars do and cost a fraction of numpy's per-item access.
-    noise, coefficients = noise.tolist(), coefficients.tolist()
-    series = []
+    # A memoryview gives the noise array's items as floats; entry t is
+    # overwritten with the series value once its noise is read.  A list
+    # of float objects would leave its freed arenas resident.
+    series, coefficients = memoryview(noise), coefficients.tolist()
     for t in range(num_samples):
-        value = intercept + noise[t]
+        value = intercept + series[t]
         for lag in range(1, len(coefficients) + 1):
             if t - lag >= 0:
                 value += coefficients[lag - 1] * series[t - lag]
-        series.append(value)
-    return np.array(series, dtype=np.float64)
+        series[t] = value
+    return noise

@@ -245,7 +245,8 @@ class TrialContext:
 @dataclass(frozen=True)
 class TrialResult:
     """One trial's traces and, for the accuracy regrets, the hindsight
-    fit (see ``_hindsight_fits``) of every kernel in their scopes."""
+    fit (see ``_hindsight_fits``) of every kernel in their scopes, with
+    losses only where a regret reads them (see ``_keep_fit``)."""
 
     context: TrialContext
     traces: dict
@@ -512,7 +513,8 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product"):
 
 def _run_comkl(ctx, cfg):
     """comkl's trace and, when accuracy regret is asked for, every
-    kernel's hindsight fit, both from one pooled feature block per kernel."""
+    kernel's hindsight fit (kept by ``_keep_fit``), both from one pooled
+    feature block per kernel."""
     horizon, num_nodes = ctx.labels.shape
     pooled_x, pooled_y = _pool(ctx, horizon)
     dots = np.empty((horizon, len(ctx.maps), num_nodes))
@@ -520,7 +522,7 @@ def _run_comkl(ctx, cfg):
     for p, fmap in enumerate(ctx.maps):
         fit = _comkl_kernel(ctx, cfg, fmap, pooled_x, pooled_y, dots[:, p])
         if fit is not None:
-            fits[p] = fit
+            _keep_fit(fits, p, fit, cfg.kernel_index)
     trace = _empty_trace(ctx, "comkl", len(ctx.maps))
     trace.predictions[:], weights, squared_errors = comkl_hedge(
         dots, ctx.labels, cfg.eta_global, cfg.comkl_loss_mode)
@@ -603,23 +605,41 @@ def run_trial(cfg, trial_index, inputs=None):
         # One fit per kernel, shared by every algorithm whose scope holds it.
         scope = set().union(*(_regret_scope(cfg, alg, len(ctx.maps))
                               for alg in cfg.algorithms))
-        fits.update(_hindsight_fits(ctx, ctx.horizon, sorted(scope - set(fits))))
+        _hindsight_fits(ctx, ctx.horizon, sorted(scope - set(fits)),
+                        cfg.kernel_index, fits)
     return TrialResult(context=ctx, traces=traces, fits=fits)
 
 
-def _hindsight_fits(ctx, horizon, kernel_indices):
+def _hindsight_fits(ctx, horizon, kernel_indices, kernel_index=None,
+                    fits=None):
     """Pooled hindsight fit of each given kernel over the whole network.
 
     Maps the pooled features of all streams up to ``horizon`` once per
-    kernel and returns ``{index: (cumulative loss, losses)}``, where
-    ``losses[t, k]`` is the fitted comparator's squared error on learner
-    k's round-t sample.  The pool is stream-major, so each stream's
-    losses are one row block of the pooled residual.
+    kernel and adds each fit to ``fits`` (a new dict when None) by
+    ``_keep_fit``, which it returns.  The pool is stream-major, so each
+    stream's losses are one row block of the pooled residual.
     """
-    pooled_x, pooled_y = _pool(ctx, horizon)
-    return {index: _fit(ctx.maps[index].map(pooled_x), pooled_y,
-                        ctx.labels.shape[1], horizon)
-            for index in kernel_indices}
+    fits = {} if fits is None else fits
+    if kernel_indices:
+        pooled_x, pooled_y = _pool(ctx, horizon)
+        for index in kernel_indices:
+            fit = _fit(ctx.maps[index].map(pooled_x), pooled_y,
+                       ctx.labels.shape[1], horizon)
+            _keep_fit(fits, index, fit, kernel_index)
+    return fits
+
+
+def _keep_fit(fits, index, fit, kernel_index):
+    """Add kernel ``index``'s ``(cumulative loss, losses)`` to ``fits``,
+    where ``losses[t, k]`` is the comparator's squared error on learner
+    k's round-t sample.  Only ``kernel_index`` and the lowest cumulative
+    loss (the lower index on ties, as ``_regret_against_best`` chooses)
+    keep their losses, the two a regret reads; the others' become None."""
+    fits[index] = fit
+    best = min(fits, key=lambda i: (fits[i][0], i))
+    for i in list(fits):
+        if i not in (best, kernel_index):
+            fits[i] = (fits[i][0], None)
 
 
 def _pool(ctx, horizon):

@@ -23,7 +23,9 @@ from domkl.simulator import (
     SyntheticTaskConfig,
     _DATA,
     _MAPS,
-    _hindsight_fits,
+    _fit,
+    _keep_fit,
+    _pool,
     _regret_against_best,
     _regret_scope,
     _run_comkl,
@@ -546,16 +548,54 @@ _AR_CFG = dict(
     ("comkl", "rff_dokl"), ("domkl",), ("dokl", "rff_dokl"),
 ], ids=["comkl", "domkl", "single_kernel"])
 def test_trial_fits_are_bitwise_the_hindsight_refit(algorithms):
+    """Every scope kernel's pooled loss, and the losses kept, are bitwise
+    a fresh ``_fit`` of that kernel alone."""
     cfg = ExperimentConfig(algorithms=algorithms, **_AR_CFG)
     result = run_trial(cfg, 0)
+    ctx = result.context
     scope = [1] if algorithms[0] == "dokl" else [0, 1, 2]
     assert sorted(result.fits) == scope
-    refit = _hindsight_fits(result.context, result.context.horizon, scope)
+    pooled_x, pooled_y = _pool(ctx, ctx.horizon)
     for index in scope:
-        assert result.fits[index][0] == refit[index][0]
-        assert result.fits[index][1].tobytes() == refit[index][1].tobytes()
+        cum, losses = _fit(ctx.maps[index].map(pooled_x), pooled_y,
+                           cfg.num_learners, ctx.horizon)
+        assert result.fits[index][0] == cum
+        if result.fits[index][1] is not None:
+            assert result.fits[index][1].tobytes() == losses.tobytes()
     plain = run_trial(dataclasses.replace(cfg, compute_accuracy_regret=False), 0)
     assert plain.fits == {}
+
+
+@pytest.mark.parametrize("algorithms, kernel_index, best", [
+    (("comkl", "rff_dokl"), 1, 2), (("domkl",), 1, 2),
+    (("dokl", "rff_dokl"), 1, 1), (("domkl", "dokl"), 0, 2),
+    (("comkl",), 2, 2),
+], ids=["comkl", "domkl", "single_kernel", "index_not_best", "index_best"])
+def test_trial_keeps_losses_of_index_and_best_only(algorithms, kernel_index,
+                                                   best):
+    """A trial holds (T, K) hindsight losses for ``kernel_index`` and the
+    lowest pooled loss only; every other fit keeps just its pooled loss."""
+    cfg = ExperimentConfig(**dict(_AR_CFG, algorithms=algorithms,
+                                  kernel_index=kernel_index))
+    result = run_trial(cfg, 0)
+    fits = result.fits
+    assert min(fits, key=lambda i: fits[i][0]) == best
+    kept = {i for i, (_, losses) in fits.items() if losses is not None}
+    assert kept == {kernel_index, best}
+    for index in kept:
+        assert fits[index][1].shape == result.context.labels.shape
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
+def test_keep_fit_breaks_ties_to_the_lower_index(order):
+    cums = {0: 2.0, 1: 1.0, 2: 1.0, 3: 5.0}
+    losses = {i: np.full((2, 3), float(i)) for i in cums}
+    fits = {}
+    for i in order:
+        _keep_fit(fits, i, (cums[i], losses[i]), kernel_index=3)
+    assert {i: cum for i, (cum, _) in fits.items()} == cums
+    assert {i for i, (_, kept) in fits.items() if kept is not None} == {1, 3}
+    assert fits[1][1] is losses[1] and fits[3][1] is losses[3]
 
 
 def test_comkl_trial_maps_each_kernel_once(monkeypatch):
