@@ -10,7 +10,7 @@ gradient step, then averages over the closed neighborhood
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ def comkl_step(theta, samples, step_size):
     z, labels = samples
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = np.array(theta, dtype=np.float64)
     if not step_size > 0.0:
         raise ValueError("step_size must be positive")
     if z.shape[:2] != labels.shape or z.shape[2:] != theta.shape:
@@ -37,14 +37,24 @@ def comkl_step(theta, samples, step_size):
     num_rounds, num_nodes = labels.shape
     scale = step_size / num_nodes
     dots = np.empty((num_rounds, num_nodes))
+    prod = np.empty(z.shape[1:])
+    errors = np.empty((num_nodes, 1))
+    gradient = np.empty_like(theta)
     # Bitwise the rows of a step over all kernels at once: per-row dot
-    # products, and a gradient summed over learners in order.
+    # products, and a gradient summed over learners in order.  The
+    # factors 2.0 and scale apply one after the other, as
+    # ``theta - scale * (2.0 * sum)`` rounds them.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(num_rounds):
-            dots[t] = (z[t] * theta).sum(axis=-1)
-            errors = dots[t] - labels[t]
-            gradient = 2.0 * (errors[:, None] * z[t]).sum(axis=0)
-            theta = theta - scale * gradient
+        for z_t, dots_t, labels_t in zip(z, dots[:, :, None],
+                                         labels[:, :, None]):
+            np.multiply(z_t, theta, out=prod)
+            np.add.reduce(prod, axis=1, keepdims=True, out=dots_t)
+            np.subtract(dots_t, labels_t, out=errors)
+            np.multiply(errors, z_t, out=prod)
+            np.add.reduce(prod, axis=0, out=gradient)
+            gradient *= 2.0
+            gradient *= scale
+            theta -= gradient
     # Feature vectors have unit norm, so a non-finite parameter makes
     # every later dot product non-finite: the first non-finite dot
     # product is the first round that either value went non-finite.
@@ -153,18 +163,20 @@ def rff_dokl_step(state, samples):
     num_nodes = len(thetas)
     if z.shape != thetas.shape or labels.shape != (num_nodes,):
         raise ValueError("need one sample per node")
-    # Bitwise the sums of a per-node loop: one dot product per row (a
-    # matrix product's diagonal rounds differently), and neighbor sums
-    # started from zero in ascending id order.  A pad adds +0.0, which
-    # changes no partial sum, since none of them is -0.0.
-    errors = np.array([thetas[k] @ z[k] for k in range(num_nodes)]) - labels
+    # Bitwise the sums of a per-node loop: one dot product per row, as a
+    # stack of (1, D) @ (D, 1) products (a matrix product's diagonal
+    # rounds differently), and neighbor sums started from zero in
+    # ascending id order.  A pad adds +0.0, which changes no partial sum,
+    # since none of them is -0.0.
+    errors = np.matmul(thetas[:, None, :], z[:, :, None])[:, 0, 0] - labels
     stepped = np.zeros((num_nodes + 1, thetas.shape[1]))
-    np.subtract(thetas, ((state.step_size * 2.0) * errors)[:, None] * z,
+    np.multiply(((state.step_size * 2.0) * errors)[:, None], z,
                 out=stepped[:num_nodes])
-    total = np.zeros_like(thetas)
-    for column in state.neighborhoods.T:
-        total += stepped[column]
-    combined = total / state.sizes[:, None]
+    np.subtract(thetas, stepped[:num_nodes], out=stepped[:num_nodes])
+    combined = np.add.reduce(stepped[state.neighborhoods], axis=1,
+                             initial=0.0)
+    combined /= state.sizes[:, None]
     if not (np.isfinite(errors).all() and np.isfinite(combined).all()):
         raise FloatingPointError("rff_dokl step produced non-finite values")
-    return replace(state, thetas=combined)
+    return DiffusionState(thetas=combined, neighborhoods=state.neighborhoods,
+                          sizes=state.sizes, step_size=state.step_size)

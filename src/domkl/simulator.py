@@ -364,11 +364,10 @@ def build_trial_context(cfg, trial_index, inputs=None):
 
     map_seed = derive_seed(cfg.master_seed, trial_index, _MAPS)
     dictionary = config_dictionary(cfg, shared_seed=map_seed)
-    uses_index = any(alg in ("dokl", "rff_dokl") for alg in cfg.algorithms)
-    if uses_index and not 0 <= cfg.kernel_index < len(dictionary):
+    index = _index_in_use(cfg)
+    if index is not None and not 0 <= index < len(dictionary):
         raise ConfigError("kernel_index %d outside dictionary of size %d"
-                          % (cfg.kernel_index, len(dictionary)),
-                          key="kernel_index")
+                          % (index, len(dictionary)), key="kernel_index")
 
     synthetic_spec = None
     if cfg.task == "synthetic":
@@ -522,7 +521,7 @@ def _run_comkl(ctx, cfg):
     for p, fmap in enumerate(ctx.maps):
         fit = _comkl_kernel(ctx, cfg, fmap, pooled_x, pooled_y, dots[:, p])
         if fit is not None:
-            _keep_fit(fits, p, fit, cfg.kernel_index)
+            _keep_fit(fits, p, fit, _index_in_use(cfg))
     trace = _empty_trace(ctx, "comkl", len(ctx.maps))
     trace.predictions[:], weights, squared_errors = comkl_hedge(
         dots, ctx.labels, cfg.eta_global, cfg.comkl_loss_mode)
@@ -606,7 +605,7 @@ def run_trial(cfg, trial_index, inputs=None):
         scope = set().union(*(_regret_scope(cfg, alg, len(ctx.maps))
                               for alg in cfg.algorithms))
         _hindsight_fits(ctx, ctx.horizon, sorted(scope - set(fits)),
-                        cfg.kernel_index, fits)
+                        _index_in_use(cfg), fits)
     return TrialResult(context=ctx, traces=traces, fits=fits)
 
 
@@ -629,12 +628,21 @@ def _hindsight_fits(ctx, horizon, kernel_indices, kernel_index=None,
     return fits
 
 
+def _index_in_use(cfg):
+    """``cfg.kernel_index`` when dokl or rff_dokl is configured to read
+    it, else None."""
+    if any(alg in ("dokl", "rff_dokl") for alg in cfg.algorithms):
+        return cfg.kernel_index
+    return None
+
+
 def _keep_fit(fits, index, fit, kernel_index):
     """Add kernel ``index``'s ``(cumulative loss, losses)`` to ``fits``,
     where ``losses[t, k]`` is the comparator's squared error on learner
-    k's round-t sample.  Only ``kernel_index`` and the lowest cumulative
-    loss (the lower index on ties, as ``_regret_against_best`` chooses)
-    keep their losses, the two a regret reads; the others' become None."""
+    k's round-t sample.  Only ``kernel_index`` (None when nothing reads
+    it) and the lowest cumulative loss (the lower index on ties, as
+    ``_regret_against_best`` chooses) keep their losses, the two a regret
+    reads; the others' become None."""
     fits[index] = fit
     best = min(fits, key=lambda i: (fits[i][0], i))
     for i in list(fits):

@@ -8,7 +8,7 @@ import pytest
 
 from domkl.baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
 from domkl.features import KernelSpec, build_feature_map
-from domkl.graph import Graph
+from domkl.graph import Graph, sample_connected_er
 
 
 def _maps(num_kernels, dim, num_features=7, seed=30):
@@ -36,6 +36,57 @@ def _run_kernels(features, labels, step_size):
               for z in features]
     return np.stack([dots for dots, _ in passes], axis=1), [
         theta for _, theta in passes]
+
+
+def _reference_comkl_step(theta, z, labels, step_size):
+    """The per-round expression loop the in-place step replaced, as written."""
+    num_rounds, num_nodes = labels.shape
+    scale = step_size / num_nodes
+    dots = np.empty((num_rounds, num_nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(num_rounds):
+            dots[t] = (z[t] * theta).sum(axis=-1)
+            errors = dots[t] - labels[t]
+            gradient = 2.0 * (errors[:, None] * z[t]).sum(axis=0)
+            theta = theta - scale * gradient
+    return dots, theta
+
+
+@pytest.mark.parametrize("num_nodes, dim", [(1, 9), (7, 101), (10, 100)])
+def test_comkl_step_is_bitwise_the_per_round_expression(num_nodes, dim):
+    rng = np.random.default_rng(70 + num_nodes)
+    rounds = 40
+    # Stream-major features, read round-major through the strided view
+    # the simulator passes; signed zeros in the features, labels and
+    # starting parameters.
+    block = rng.normal(size=(num_nodes, rounds, dim)) / np.sqrt(dim)
+    block[:, :, ::6] = -0.0
+    z = block.transpose(1, 0, 2)
+    labels = rng.normal(size=(rounds, num_nodes))
+    labels[::5] = -0.0
+    theta = rng.normal(size=dim) / 10.0
+    theta[::4] = -0.0
+    before = theta.copy()
+    want_dots, want_theta = _reference_comkl_step(theta, z, labels, 0.3)
+    dots, got_theta = comkl_step(theta, (z, labels), 0.3)
+    assert dots.tobytes() == want_dots.tobytes()
+    assert got_theta.tobytes() == want_theta.tobytes()
+    assert theta.tobytes() == before.tobytes()
+
+
+def test_comkl_step_fails_where_the_doubled_gradient_overflows():
+    # Round 1's gradient sum is finite, but doubling it overflows; scaled
+    # by 2.0 * 0.15 in one factor it would not.
+    z = np.tile([[0.8, 0.6, 0.0], [0.0, 0.6, 0.8]], (3, 1, 1))
+    labels = np.zeros((3, 2))
+    labels[0, 0] = 1.5e308
+    want_dots, _ = _reference_comkl_step(np.zeros(3), z, labels, 0.3)
+    assert np.isfinite(want_dots[0]).all()
+    assert not np.isfinite(want_dots[1]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="at round 2 of 3$"):
+            comkl_step(np.zeros(3), (z, labels), 0.3)
 
 
 def test_state_validation():
@@ -208,21 +259,31 @@ def _reference_diffusion_step(thetas, graph, z, labels, step_size):
 @pytest.mark.parametrize("graph", [
     Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))),
     Graph(6, ((3, 0), (3, 1), (3, 2), (3, 4), (3, 5))),
-], ids=["path", "star"])
+    sample_connected_er(20, 0.4, seed=3),
+], ids=["path", "star", "er20"])
 def test_diffusion_step_is_bitwise_the_per_node_reference(graph):
     rng = np.random.default_rng(61)
-    dim = 100
+    num_nodes, dim = graph.num_nodes, 100
+    if num_nodes > 6:
+        # Long enough neighbor sums that a reordered reduction would show.
+        assert max(len(n) for n in graph.neighbors) >= 8
     state = DiffusionState.fresh(graph, dim, step_size=0.3)
     # Signed zeros in the parameters and the features: a stepped entry
     # of -0.0 must come out of the neighbor sums as the loop made it.
-    thetas = rng.normal(size=(6, dim)) / 10.0
+    thetas = rng.normal(size=(num_nodes, dim)) / 10.0
     thetas[:, ::7] = -0.0
     state = dataclasses.replace(state, thetas=thetas)
     want = thetas
-    for _ in range(5):
-        z = rng.normal(size=(6, dim)) / 10.0
+    for t in range(5):
+        z = rng.normal(size=(num_nodes, dim)) / 10.0
         z[:, ::5] = -0.0
-        labels = rng.normal(size=6)
+        labels = rng.normal(size=num_nodes)
+        if t == 0:
+            # Every error positive and every feature +0.0 where the
+            # parameters are -0.0: whole neighborhoods step to -0.0 there,
+            # and sums started from zero make +0.0 of them.
+            z[:, ::7] = 0.0
+            labels -= 5.0
         want = _reference_diffusion_step(want, graph, z, labels, 0.3)
         state = rff_dokl_step(state, (z, labels))
         assert state.thetas.tobytes() == want.tobytes()
