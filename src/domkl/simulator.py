@@ -9,6 +9,10 @@ independent and may run in worker processes (``ExperimentConfig.workers``,
 or the INI ``workers`` key; one process by default); results are
 identical either way.  Each trial is aggregated as soon as it finishes.
 
+Accuracy regret's comparator, a hindsight ridge fit to all learners'
+samples pooled, is chosen by ``_pooled_pass`` alone: the best kernel for
+domkl and comkl, ``kernel_index`` for dokl and rff_dokl.
+
 Seed discipline: the graph for trial i is sampled with seed
 ``master_seed XOR i``; feature maps, data, noise, and row shuffling each
 draw from their own labeled stream derived from (master_seed, i), so
@@ -244,13 +248,13 @@ class TrialContext:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One trial's traces and, for the accuracy regrets, the hindsight
-    fit (see ``_hindsight_fits``) of every kernel in their scopes, with
-    losses only where a regret reads them (see ``_keep_fit``)."""
+    """One trial's traces and each algorithm's per-learner (K,) accuracy
+    regret against its comparator (see ``_pooled_pass``), or None when
+    accuracy regret is off."""
 
     context: TrialContext
     traces: dict
-    fits: dict
+    regrets: dict | None
 
 
 @dataclass(frozen=True)
@@ -511,17 +515,10 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product"):
 
 
 def _run_comkl(ctx, cfg):
-    """comkl's trace and, when accuracy regret is asked for, every
-    kernel's hindsight fit (kept by ``_keep_fit``), both from one pooled
-    feature block per kernel."""
-    horizon, num_nodes = ctx.labels.shape
-    pooled_x, pooled_y = _pool(ctx, horizon)
-    dots = np.empty((horizon, len(ctx.maps), num_nodes))
-    fits = {}
-    for p, fmap in enumerate(ctx.maps):
-        fit = _comkl_kernel(ctx, cfg, fmap, pooled_x, pooled_y, dots[:, p])
-        if fit is not None:
-            _keep_fit(fits, p, fit, _index_in_use(cfg))
+    """comkl's trace and the trial's comparators (see ``_pooled_pass``),
+    both from one pooled feature block per kernel."""
+    dots = np.empty((ctx.horizon, len(ctx.maps), ctx.labels.shape[1]))
+    comparators = _pooled_pass(ctx, cfg, dots)
     trace = _empty_trace(ctx, "comkl", len(ctx.maps))
     trace.predictions[:], weights, squared_errors = comkl_hedge(
         dots, ctx.labels, cfg.eta_global, cfg.comkl_loss_mode)
@@ -529,27 +526,57 @@ def _run_comkl(ctx, cfg):
     trace.weights[:] = weights[:, None, :]
     # One central function: the same value in every column.
     trace.cross_predictions[:] = trace.predictions[:, :, None]
-    return trace, fits
+    return trace, comparators
 
 
-def _comkl_kernel(ctx, cfg, fmap, pooled_x, pooled_y, dots):
-    """Run comkl's learner of one kernel into its (T, K) ``dots`` and
-    return the kernel's hindsight fit, or None when accuracy regret is
-    off.  The (K*T, D) block is mapped here so that it dies on return,
-    before the next kernel's block is mapped."""
+def _pooled_pass(ctx, cfg, dots=None):
+    """The trial's accuracy-regret comparators, from one pass over the
+    kernels' pooled features; every choice of comparator is made here.
+
+    The pool holds every stream's samples, stream after stream.  Each
+    kernel's (K*T, 2M) block is mapped at most once: when ``dots`` is
+    given, comkl's learner of kernel p steps on it into ``dots[:, p]``,
+    and when a regret reads the kernel, its hindsight ridge fit is taken.
+    Returns ``(best, at_index)``, the (T, K) squared errors of the fit
+    with the lowest pooled loss over every kernel (the lower index on
+    ties; None unless domkl or comkl is configured) and of the fit of
+    ``cfg.kernel_index`` (None unless dokl or rff_dokl is); both are None
+    when accuracy regret is off.  One block is live at a time.
+    """
     horizon, num_nodes = ctx.labels.shape
-    block = fmap.map(pooled_x)
-    # The pool is stream-major: round t's rows are z[t], shape (K, D).
-    z = block.reshape(num_nodes, horizon, -1).transpose(1, 0, 2)
-    try:
-        dots[:], _ = comkl_step(np.zeros(block.shape[1]), (z, ctx.labels),
-                                cfg.comkl_step_size)
-    except FloatingPointError as exc:
-        raise FloatingPointError("comkl kernel %d: %s"
-                                 % (fmap.kernel_index, exc)) from None
-    if not cfg.compute_accuracy_regret:
-        return None
-    return _fit(block, pooled_y, num_nodes, horizon)
+    fit_all = cfg.compute_accuracy_regret and any(
+        alg in ("domkl", "comkl") for alg in cfg.algorithms)
+    index = _index_in_use(cfg) if cfg.compute_accuracy_regret else None
+    pooled_x = ctx.inputs.transpose(1, 0, 2).reshape(-1, ctx.inputs.shape[2])
+    pooled_y = ctx.labels.T.ravel()
+    best = best_loss = at_index = None
+    for p, fmap in enumerate(ctx.maps):
+        fit = fit_all or p == index
+        if dots is None and not fit:
+            continue
+        block = fmap.map(pooled_x)
+        # Round t's rows are z[t], shape (K, D).
+        z = block.reshape(num_nodes, horizon, -1).transpose(1, 0, 2)
+        if dots is not None:
+            try:
+                dots[:, p], _ = comkl_step(np.zeros(block.shape[1]),
+                                           (z, ctx.labels),
+                                           cfg.comkl_step_size)
+            except FloatingPointError as exc:
+                raise FloatingPointError("comkl kernel %d: %s"
+                                         % (fmap.kernel_index, exc)) from None
+        if fit:
+            _, loss, residual = oracle.hindsight_best(block, pooled_y)
+            losses = np.ascontiguousarray(
+                (residual ** 2).reshape(num_nodes, horizon).T)
+            if fit_all and (best is None or loss < best_loss):
+                best, best_loss = losses, loss
+            if p == index:
+                at_index = losses
+            del losses
+        # Still bound, these would be live while the next block is mapped.
+        del block, z
+    return best, at_index
 
 
 def _run_rff_dokl(ctx, cfg):
@@ -582,7 +609,7 @@ def run_trial(cfg, trial_index, inputs=None):
     ``inputs`` is passed on to ``build_trial_context``.
     """
     ctx = build_trial_context(cfg, trial_index, inputs)
-    traces, fits = {}, {}
+    traces, comparators = {}, None
     # An overflow stops a run with a located FloatingPointError; numpy's
     # warning before it would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -597,35 +624,18 @@ def run_trial(cfg, trial_index, inputs=None):
                     ctx, cfg, [cfg.kernel_index], "dokl",
                 )
             elif algorithm == "comkl":
-                traces[algorithm], fits = _run_comkl(ctx, cfg)
+                traces[algorithm], comparators = _run_comkl(ctx, cfg)
             else:
                 traces[algorithm] = _run_rff_dokl(ctx, cfg)
+    regrets = None
     if cfg.compute_accuracy_regret:
-        # One fit per kernel, shared by every algorithm whose scope holds it.
-        scope = set().union(*(_regret_scope(cfg, alg, len(ctx.maps))
-                              for alg in cfg.algorithms))
-        _hindsight_fits(ctx, ctx.horizon, sorted(scope - set(fits)),
-                        _index_in_use(cfg), fits)
-    return TrialResult(context=ctx, traces=traces, fits=fits)
-
-
-def _hindsight_fits(ctx, horizon, kernel_indices, kernel_index=None,
-                    fits=None):
-    """Pooled hindsight fit of each given kernel over the whole network.
-
-    Maps the pooled features of all streams up to ``horizon`` once per
-    kernel and adds each fit to ``fits`` (a new dict when None) by
-    ``_keep_fit``, which it returns.  The pool is stream-major, so each
-    stream's losses are one row block of the pooled residual.
-    """
-    fits = {} if fits is None else fits
-    if kernel_indices:
-        pooled_x, pooled_y = _pool(ctx, horizon)
-        for index in kernel_indices:
-            fit = _fit(ctx.maps[index].map(pooled_x), pooled_y,
-                       ctx.labels.shape[1], horizon)
-            _keep_fit(fits, index, fit, kernel_index)
-    return fits
+        best, at_index = comparators or _pooled_pass(ctx, cfg)
+        regrets = {
+            alg: regret_accuracy(trace, at_index if alg in ("dokl", "rff_dokl")
+                                 else best)
+            for alg, trace in traces.items()
+        }
+    return TrialResult(context=ctx, traces=traces, regrets=regrets)
 
 
 def _index_in_use(cfg):
@@ -634,46 +644,6 @@ def _index_in_use(cfg):
     if any(alg in ("dokl", "rff_dokl") for alg in cfg.algorithms):
         return cfg.kernel_index
     return None
-
-
-def _keep_fit(fits, index, fit, kernel_index):
-    """Add kernel ``index``'s ``(cumulative loss, losses)`` to ``fits``,
-    where ``losses[t, k]`` is the comparator's squared error on learner
-    k's round-t sample.  Only ``kernel_index`` (None when nothing reads
-    it) and the lowest cumulative loss (the lower index on ties, as
-    ``_regret_against_best`` chooses) keep their losses, the two a regret
-    reads; the others' become None."""
-    fits[index] = fit
-    best = min(fits, key=lambda i: (fits[i][0], i))
-    for i in list(fits):
-        if i not in (best, kernel_index):
-            fits[i] = (fits[i][0], None)
-
-
-def _pool(ctx, horizon):
-    """The first ``horizon`` samples of every stream, stream after stream."""
-    pooled_x = ctx.inputs[:horizon].transpose(1, 0, 2).reshape(
-        -1, ctx.inputs.shape[2])
-    return pooled_x, ctx.labels[:horizon].T.ravel()
-
-
-def _fit(z, pooled_y, num_streams, horizon):
-    """The hindsight fit to one kernel's mapped pool ``z``."""
-    _, cum, residual = oracle.hindsight_best(z, pooled_y)
-    losses = residual ** 2
-    return cum, np.ascontiguousarray(losses.reshape(num_streams, horizon).T)
-
-
-def _regret_against_best(trace, fits, kernel_indices):
-    """Regret against the fit with the lowest pooled loss (first on ties)."""
-    best = min(kernel_indices, key=lambda index: fits[index][0])
-    return regret_accuracy(trace, fits[best][1])
-
-
-def _regret_scope(cfg, algorithm, num_kernels):
-    if algorithm in ("dokl", "rff_dokl"):
-        return [cfg.kernel_index]
-    return list(range(num_kernels))
 
 
 def _trial_worker(payload):
@@ -740,9 +710,7 @@ def aggregate(cfg, results):
             cv.append(cv_curve(trace))
             regret_d.append(regret_discrepancy(trace).mean())
             if cfg.compute_accuracy_regret:
-                scope = _regret_scope(cfg, algorithm, len(result.context.maps))
-                regret_a.append(
-                    _regret_against_best(trace, result.fits, scope).mean())
+                regret_a.append(result.regrets[algorithm].mean())
         # Still bound, these would keep the trial alive while the next runs.
         del result, trace
     got = len(rows[cfg.algorithms[0]][0])

@@ -25,12 +25,11 @@ from domkl.oracle import JointStepProblem, exhaustive_best_kernel, joint_round
 from domkl.simulator import (
     ExperimentConfig,
     SyntheticTaskConfig,
-    _hindsight_fits,
-    _regret_against_best,
+    _pooled_pass,
     run_experiment,
     run_trial,
 )
-from domkl.metrics import regret_discrepancy
+from domkl.metrics import regret_accuracy, regret_discrepancy
 from domkl import validate
 
 
@@ -42,11 +41,16 @@ def truncate_trace(trace, rounds):
             "cross_predictions", "weights")})
 
 
-def accuracy_regret_for_trace(ctx, trace, kernel_indices):
-    """Per-learner regret over the trace's rounds, by the path that
-    ``aggregate`` runs: the best pooled hindsight fit of the kernels."""
-    fits = _hindsight_fits(ctx, trace.num_rounds, kernel_indices)
-    return _regret_against_best(trace, fits, kernel_indices)
+def accuracy_regret_for_trace(ctx, cfg, trace):
+    """Per-learner regret of a single-kernel trace over its rounds, by the
+    path that ``run_trial`` runs: ``_pooled_pass`` over the trial's first
+    rounds, whose fit of ``kernel_index`` is the comparator."""
+    rounds = trace.num_rounds
+    prefix = dataclasses.replace(ctx, inputs=ctx.inputs[:rounds],
+                                 labels=ctx.labels[:rounds], horizon=rounds)
+    _, at_index = _pooled_pass(
+        prefix, dataclasses.replace(cfg, compute_accuracy_regret=True))
+    return regret_accuracy(trace, at_index)
 
 
 def _report(ok, label, detail):
@@ -136,9 +140,8 @@ def test_accuracy_regret_grows_sublinearly(consensus_run):
     regrets = {}
     for horizon in horizons:
         short = truncate_trace(trace, horizon)
-        regrets[horizon] = accuracy_regret_for_trace(
-            result.context, short, [cfg.kernel_index]
-        )
+        regrets[horizon] = accuracy_regret_for_trace(result.context, cfg,
+                                                     short)
     ok = True
     for k in range(cfg.num_learners):
         r = [regrets[h][k] for h in horizons]

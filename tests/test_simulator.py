@@ -23,11 +23,7 @@ from domkl.simulator import (
     SyntheticTaskConfig,
     _DATA,
     _MAPS,
-    _fit,
-    _keep_fit,
-    _pool,
-    _regret_against_best,
-    _regret_scope,
+    _pooled_pass,
     _run_comkl,
     build_trial_context,
     config_dictionary,
@@ -42,6 +38,7 @@ from domkl.features import FeatureMap, map_stack
 from domkl.hedge import MessageBoard, mp_update_messages
 from domkl.learners import LearnerNode, _combined_prediction, step
 from domkl.metrics import regret_accuracy
+from domkl import oracle
 from domkl.oracle import hindsight_best
 
 
@@ -526,13 +523,13 @@ def test_accuracy_regret_is_bitwise_the_per_stream_refit():
     results = [run_trial(cfg, i) for i in range(cfg.trials)]
     aggregated = aggregate(cfg, results)
     for algorithm in cfg.algorithms:
-        scope = _regret_scope(cfg, algorithm, len(results[0].context.maps))
+        scope = ([cfg.kernel_index] if algorithm == "rff_dokl"
+                 else range(len(results[0].context.maps)))
         per_trial = []
         for r in results:
             want = _refit_per_stream_regret(r.context, r.traces[algorithm],
                                             scope)
-            got = _regret_against_best(r.traces[algorithm], r.fits, scope)
-            assert got.tobytes() == want.tobytes()
+            assert r.regrets[algorithm].tobytes() == want.tobytes()
             per_trial.append(want.mean())
         assert aggregated.final_regret_a[algorithm] == float(np.mean(per_trial))
 
@@ -544,64 +541,103 @@ _AR_CFG = dict(
 )
 
 
+def _refit_alone(ctx, index):
+    """Kernel ``index``'s pooled loss and (T, K) squared errors, from a
+    hindsight fit of that kernel alone."""
+    horizon, num_streams = ctx.labels.shape
+    pooled_x = np.concatenate([ctx.inputs[:, k] for k in range(num_streams)])
+    pooled_y = np.concatenate([ctx.labels[:, k] for k in range(num_streams)])
+    _, cum, residual = hindsight_best(ctx.maps[index].map(pooled_x), pooled_y)
+    return cum, np.ascontiguousarray(
+        (residual ** 2).reshape(num_streams, horizon).T)
+
+
+def _trial_comparators(cfg):
+    """``(best, at_index)`` as ``run_trial`` gets them: from comkl's pass
+    when comkl runs, else from a pass of their own."""
+    ctx = build_trial_context(cfg, 0)
+    if "comkl" in cfg.algorithms:
+        return ctx, _run_comkl(ctx, cfg)[1]
+    return ctx, _pooled_pass(ctx, cfg)
+
+
 @pytest.mark.parametrize("algorithms", [
     ("comkl", "rff_dokl"), ("domkl",), ("dokl", "rff_dokl"),
 ], ids=["comkl", "domkl", "single_kernel"])
 def test_trial_fits_are_bitwise_the_hindsight_refit(algorithms):
-    """Every scope kernel's pooled loss, and the losses kept, are bitwise
-    a fresh ``_fit`` of that kernel alone."""
+    """Both comparators are bitwise a fresh fit of their kernel alone: the
+    best is the lowest pooled loss of every kernel, ``at_index`` is
+    ``kernel_index``'s, and each is None when no regret reads it."""
     cfg = ExperimentConfig(algorithms=algorithms, **_AR_CFG)
-    result = run_trial(cfg, 0)
-    ctx = result.context
-    scope = [1] if algorithms[0] == "dokl" else [0, 1, 2]
-    assert sorted(result.fits) == scope
-    pooled_x, pooled_y = _pool(ctx, ctx.horizon)
-    for index in scope:
-        cum, losses = _fit(ctx.maps[index].map(pooled_x), pooled_y,
-                           cfg.num_learners, ctx.horizon)
-        assert result.fits[index][0] == cum
-        if result.fits[index][1] is not None:
-            assert result.fits[index][1].tobytes() == losses.tobytes()
-    plain = run_trial(dataclasses.replace(cfg, compute_accuracy_regret=False), 0)
-    assert plain.fits == {}
+    ctx, (best, at_index) = _trial_comparators(cfg)
+    fresh = [_refit_alone(ctx, index) for index in range(len(ctx.maps))]
+    if algorithms[0] == "dokl":
+        assert best is None
+    else:
+        want = min(fresh, key=lambda fit: fit[0])[1]
+        assert best.tobytes() == want.tobytes()
+    if algorithms == ("domkl",):
+        assert at_index is None
+    else:
+        assert at_index.tobytes() == fresh[cfg.kernel_index][1].tobytes()
+    plain = dataclasses.replace(cfg, compute_accuracy_regret=False)
+    assert _trial_comparators(plain)[1] == (None, None)
 
 
-@pytest.mark.parametrize("algorithms, kernel_index, best, want_kept", [
-    (("comkl", "rff_dokl"), 1, 2, {1, 2}), (("domkl",), 1, 2, {2}),
-    (("dokl", "rff_dokl"), 1, 1, {1}), (("domkl", "dokl"), 0, 2, {0, 2}),
-    (("comkl",), 2, 2, {2}), (("comkl",), 0, 2, {2}),
+@pytest.mark.parametrize("algorithms, kernel_index, want_best, want_index", [
+    (("comkl", "rff_dokl"), 1, 2, 1), (("domkl",), 1, 2, None),
+    (("dokl", "rff_dokl"), 1, None, 1), (("domkl", "dokl"), 0, 2, 0),
+    (("comkl", "rff_dokl"), 2, 2, 2), (("comkl",), 0, 2, None),
 ], ids=["comkl", "domkl", "single_kernel", "index_not_best", "index_best",
         "comkl_unread_index"])
 def test_trial_keeps_losses_of_index_and_best_only(algorithms, kernel_index,
-                                                   best, want_kept):
-    """A trial holds (T, K) hindsight losses for the lowest pooled loss,
-    and for ``kernel_index`` only when dokl or rff_dokl reads it; every
-    other fit keeps just its pooled loss."""
+                                                   want_best, want_index):
+    """A trial holds (T, K) hindsight losses for the lowest pooled loss
+    when domkl or comkl is configured, and for ``kernel_index`` only
+    when dokl or rff_dokl reads it; no other kernel's losses survive."""
     cfg = ExperimentConfig(**dict(_AR_CFG, algorithms=algorithms,
                                   kernel_index=kernel_index))
-    result = run_trial(cfg, 0)
-    fits = result.fits
-    assert min(fits, key=lambda i: fits[i][0]) == best
-    kept = {i for i, (_, losses) in fits.items() if losses is not None}
-    assert kept == want_kept
-    for index in kept:
-        assert fits[index][1].shape == result.context.labels.shape
+    ctx, comparators = _trial_comparators(cfg)
+    for got, want in zip(comparators, (want_best, want_index)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == ctx.labels.shape
+            assert got.tobytes() == _refit_alone(ctx, want)[1].tobytes()
 
 
-@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
-def test_keep_fit_breaks_ties_to_the_lower_index(order):
-    cums = {0: 2.0, 1: 1.0, 2: 1.0, 3: 5.0}
-    losses = {i: np.full((2, 3), float(i)) for i in cums}
-    fits = {}
-    for i in order:
-        _keep_fit(fits, i, (cums[i], losses[i]), kernel_index=3)
-    assert {i: cum for i, (cum, _) in fits.items()} == cums
-    assert {i for i, (_, kept) in fits.items() if kept is not None} == {1, 3}
-    assert fits[1][1] is losses[1] and fits[3][1] is losses[3]
+@pytest.mark.parametrize("cums", [(2.0, 1.0, 1.0, 5.0), (1.0, 3.0, 1.0, 1.0)],
+                         ids=["tie_after_first", "tie_with_first"])
+def test_pooled_pass_breaks_ties_to_the_lower_index(monkeypatch, cums):
+    """Of two kernels with equal pooled losses, the lower index is best."""
+    cfg = ExperimentConfig(**dict(_AR_CFG, algorithms=("domkl",),
+                                  bandwidths=(0.05, 0.3, 1.0, 2.0)))
+    ctx = build_trial_context(cfg, 0)
+    calls = []
+
+    def fake_hindsight(z_pool, y_pool):
+        p = len(calls)
+        calls.append(p)
+        return None, cums[p], np.full(len(y_pool), float(p))
+
+    monkeypatch.setattr(oracle, "hindsight_best", fake_hindsight)
+    best, at_index = _pooled_pass(ctx, cfg)
+    assert calls == [0, 1, 2, 3] and at_index is None
+    assert np.all(best == float(cums.index(min(cums))) ** 2)
 
 
-def test_comkl_trial_maps_each_kernel_once(monkeypatch):
-    cfg = ExperimentConfig(algorithms=("comkl",), **_AR_CFG)
+@pytest.mark.parametrize("algorithms, regret, fitted", [
+    (("comkl",), True, "all"), (("comkl",), False, "all"),
+    (("domkl",), True, "all"), (("dokl", "rff_dokl"), True, 1),
+    (("domkl",), False, 0),
+], ids=["comkl", "comkl_no_regret", "domkl", "single_kernel",
+        "domkl_no_regret"])
+def test_comkl_trial_maps_each_kernel_once(monkeypatch, algorithms, regret,
+                                           fitted):
+    """A trial maps each kernel's pooled K*T rows at most once, and only
+    for comkl's learners or a fit that a regret reads."""
+    cfg = ExperimentConfig(**dict(_AR_CFG, algorithms=algorithms,
+                                  compute_accuracy_regret=regret))
     rows = []
     original = FeatureMap.map
 
@@ -610,10 +646,31 @@ def test_comkl_trial_maps_each_kernel_once(monkeypatch):
         return original(fmap, x)
 
     monkeypatch.setattr(FeatureMap, "map", counting_map)
-    result = run_trial(cfg, 0)
-    ctx = result.context
-    assert len(result.fits) == len(ctx.maps)
-    assert rows == [cfg.num_learners * ctx.horizon] * len(ctx.maps)
+    ctx = run_trial(cfg, 0).context
+    want = len(ctx.maps) if fitted == "all" else fitted
+    assert rows.count(cfg.num_learners * ctx.horizon) == want
+
+
+def test_pooled_pass_keeps_at_most_two_comparators():
+    """Only the best fit so far and ``kernel_index``'s losses outlive their
+    kernel's iteration.  With one random feature a pooled block is two
+    (T, K) arrays, so kept losses would dominate the peak: keeping every
+    kernel's 17 would add about as many arrays again."""
+    cfg = ExperimentConfig(
+        task="timeseries", algorithms=("domkl",), num_learners=4,
+        num_features=1, compute_accuracy_regret=True,
+        ar_synth=ArTaskConfig(num_samples=8005, ar_order=5),
+    )
+    ctx = build_trial_context(cfg, 0)
+    assert len(ctx.maps) == 17
+    losses = ctx.labels.size * 8
+    tracemalloc.start()
+    try:
+        _pooled_pass(ctx, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * losses, peak / losses
 
 
 def test_comkl_holds_one_feature_block_at_a_time():
