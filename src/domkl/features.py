@@ -76,18 +76,25 @@ class FeatureMap:
         A single (input_dim,) vector yields a (2*num_features,) vector;
         a stack (..., input_dim) yields (..., 2*num_features).  Outputs
         have unit Euclidean norm.  A call allocates only its output: the
-        projection x W^T is written into the cosine half and taken in
-        place from there.
+        projection x W^T is written into the cosine half, by np.dot for a
+        single vector and by np.matmul for a stack, and taken in place
+        from there.
         """
         # Bitwise equal to scale * [sin(x W^T), cos(x W^T)].  Keep the
         # product as x @ W^T: other forms of it (W @ x^T) run through
-        # other BLAS kernels, which need not round the same way.
+        # other BLAS kernels, which need not round the same way.  np.dot is
+        # cheaper, but it cannot write into a stack's strided cosine half.
         x = np.asarray(x, dtype=np.float64)
         m = self.num_features
-        out = np.empty(x.shape[:-1] + (2 * m,))
-        projected = out[..., m:]
-        np.matmul(x, self._weights_t, out=projected)
-        np.sin(projected, out=out[..., :m])
+        if x.ndim == 1:
+            out = np.empty(2 * m)
+            sines, projected = out[:m], out[m:]
+            np.dot(x, self._weights_t, out=projected)
+        else:
+            out = np.empty(x.shape[:-1] + (2 * m,))
+            sines, projected = out[..., :m], out[..., m:]
+            np.matmul(x, self._weights_t, out=projected)
+        np.sin(projected, out=sines)
         np.cos(projected, out=projected)
         out *= self._scale
         return out

@@ -51,19 +51,37 @@ class RunTrace:
         return self.predictions.shape[1]
 
 
+def _running_mean(per_round, count):
+    """Cumulative sums along the last (round) axis over t * count, with
+    the value at t=1 pinned to 1."""
+    values = np.cumsum(per_round, axis=-1) / (
+        np.arange(1, per_round.shape[-1] + 1) * count)
+    values[..., 0] = 1.0
+    return values
+
+
 def mse_curve(trace):
     """Running mean of squared own-sample errors, value 1 at t=1.
 
     MSE(t) = (1/(t K)) sum over rounds up to t and learners of the
     squared prediction error.  Returns the (T,) array of values.
     """
-    learners = trace.num_learners
     per_round = ((trace.predictions - trace.labels) ** 2).sum(axis=1)
-    running = np.cumsum(per_round)
-    t = np.arange(1, trace.num_rounds + 1)
-    values = running / (t * learners)
-    values[0] = 1.0
-    return values
+    return _running_mean(per_round, trace.num_learners)
+
+
+def kernel_mse_curves(trace):
+    """Running MSE of every kernel's own-sample predictions, as (T, P).
+
+    Column p is ``mse_curve`` of the squared errors
+    ``per_kernel_losses[:, :, p]``, summed from a contiguous copy because
+    numpy's summation order depends on layout, and so bitwise the MSE
+    curve of the single-kernel learner of kernel p on the same trial.
+    """
+    losses = trace.per_kernel_losses
+    per_round = np.array([np.ascontiguousarray(losses[:, :, p]).sum(axis=1)
+                          for p in range(losses.shape[2])])
+    return _running_mean(per_round, trace.num_learners).T
 
 
 def cv_curve(trace):
@@ -76,16 +94,10 @@ def cv_curve(trace):
     learners = trace.num_learners
     if learners < 2:
         raise ValueError("consensus violation needs at least 2 learners")
-    own = trace.cross_predictions[
-        :, np.arange(learners), np.arange(learners)
-    ]  # (T, K)
+    own = np.diagonal(trace.cross_predictions, axis1=1, axis2=2)  # (T, K)
     gaps = (own[:, :, None] - trace.cross_predictions) ** 2
     per_round = gaps.sum(axis=(1, 2))  # diagonal contributes zero
-    running = np.cumsum(per_round)
-    t = np.arange(1, trace.num_rounds + 1)
-    values = running / (t * learners * (learners - 1))
-    values[0] = 1.0
-    return values
+    return _running_mean(per_round, learners * (learners - 1))
 
 
 def regret_accuracy(trace, hindsight_losses):
@@ -110,9 +122,7 @@ def regret_discrepancy(trace):
     """
     graph = trace.graph
     learners = trace.num_learners
-    own = trace.cross_predictions[
-        :, np.arange(learners), np.arange(learners)
-    ]
+    own = np.diagonal(trace.cross_predictions, axis1=1, axis2=2)
     out = np.zeros(learners)
     for k in range(learners):
         nbrs = list(graph.neighbors[k])

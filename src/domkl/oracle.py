@@ -5,8 +5,7 @@ linear system over all learners' stacked parameters, with the edge
 constraints kept as explicit per-edge auxiliary vectors and directed
 duals.  It deliberately ignores the block structure so agreement with
 the per-node closed forms is a real check, not a tautology.  The module
-also computes hindsight optima over pooled data and runs the exhaustive
-single-kernel search.
+also computes hindsight optima over pooled data.
 """
 
 from __future__ import annotations
@@ -178,24 +177,3 @@ def hindsight_best(z_pool, y_pool, ridge=1e-8):
     theta = np.linalg.solve(gram, z_pool.T @ y_pool)
     residual = z_pool @ theta - y_pool
     return theta, float(residual @ residual), residual
-
-
-def exhaustive_best_kernel(cfg):
-    """Try every dictionary kernel as a single-kernel run; pick the winner.
-
-    Runs the consensus algorithm once per kernel on identical trials
-    (same seeds, graphs, maps, data) and returns the index with the
-    lowest final mean MSE; ties go to the lowest index.
-    """
-    from . import simulator  # deferred: simulator pulls this module for regrets
-
-    dictionary = simulator.config_dictionary(cfg)
-    finals = np.empty(len(dictionary))
-    for index in range(len(dictionary)):
-        trial_cfg = dc_replace(
-            cfg, algorithms=("dokl",), kernel_index=index,
-            compute_accuracy_regret=False,
-        )
-        result = simulator.run_experiment(trial_cfg)
-        finals[index] = result.mse_mean["dokl"][-1]
-    return int(np.argmin(finals))

@@ -169,7 +169,9 @@ def test_dictionary_rejects_empty_specs():
 # A single input, a batch, a long batch and a stacked batch at each input
 # dim; the map projects into a strided half of its output, which must
 # not change the rounding for any of them.  d = 2 comes first, so the ids
-# shape0-shape2 still name the d = 2 cases they named before.
+# shape0-shape2 still name the d = 2 cases they named before.  A single
+# input takes its own path through the map, so it is also checked at
+# input scales from 1e-2 to 3e2.
 _MAP_SHAPES = [shape for d in (2, 1, 3, 5, 8)
                for shape in ((d,), (10, d), (4000, d), (7, 3, d))]
 
@@ -181,13 +183,14 @@ def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
     stacked."""
     fmap = default_dictionary(shared_seed=11).build_maps(shape[-1], 50)[kernel]
     x = np.random.default_rng(kernel).uniform(size=shape)
-    projected = x @ fmap.weights.T
-    want = np.concatenate(
-        [np.sin(projected), np.cos(projected)], -1
-    ) * (1.0 / math.sqrt(50))
-    got = fmap.map(x)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    for scale in (1e-2, 1.0, 3e1, 3e2) if len(shape) == 1 else (1.0,):
+        projected = (scale * x) @ fmap.weights.T
+        want = np.concatenate(
+            [np.sin(projected), np.cos(projected)], -1
+        ) * (1.0 / math.sqrt(50))
+        got = fmap.map(scale * x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), scale
 
 
 def test_map_allocates_only_its_output():

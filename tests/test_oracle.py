@@ -1,4 +1,8 @@
-"""Tests for the dense joint-round reference implementation."""
+"""Tests for the dense joint-round reference implementation, and the
+brute-force single-kernel search that per-kernel curves are checked
+against."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +14,18 @@ from domkl.learners import LearnerNode, step
 from domkl.oracle import (
     JointStepProblem,
     edge_dual_step,
-    exhaustive_best_kernel,
     hindsight_best,
     joint_gamma_step,
     joint_round,
     joint_theta_step,
 )
-from domkl.simulator import ExperimentConfig, SyntheticTaskConfig
+from domkl.metrics import kernel_mse_curves, mse_curve
+from domkl.simulator import (
+    ExperimentConfig,
+    SyntheticTaskConfig,
+    config_dictionary,
+    run_trial,
+)
 
 
 def _path3():
@@ -208,6 +217,24 @@ def test_hindsight_best_interpolates_realizable_pool():
         hindsight_best(np.zeros(3), np.zeros(3))
 
 
+def dokl_kernel_curves(cfg):
+    """One single-kernel (dokl) run per dictionary kernel on trial 0 of
+    ``cfg``, all with the same seeds, graph, maps and data: the running
+    MSE of the run at kernel p in column p of a (T, P) array."""
+    return np.stack([
+        mse_curve(run_trial(replace(cfg, algorithms=("dokl",), kernel_index=p,
+                                    compute_accuracy_regret=False),
+                            0).traces["dokl"])
+        for p in range(len(config_dictionary(cfg)))
+    ], axis=1)
+
+
+def exhaustive_best_kernel(cfg):
+    """The dictionary index whose single-kernel run ends at the lowest
+    MSE; ties go to the lowest index."""
+    return int(np.argmin(dokl_kernel_curves(cfg)[-1]))
+
+
 def test_exhaustive_search_recovers_generating_kernel():
     cfg = ExperimentConfig(
         task="synthetic",
@@ -223,3 +250,26 @@ def test_exhaustive_search_recovers_generating_kernel():
         synthetic=SyntheticTaskConfig(bandwidth=0.1, noise_std=0.01),
     )
     assert exhaustive_best_kernel(cfg) == 1
+
+
+@pytest.mark.parametrize("num_learners", [5, 9])
+def test_kernel_mse_curves_are_bitwise_the_single_kernel_runs(num_learners):
+    """domkl's kernel-p learner is dokl at kernel p, bit for bit, so one
+    domkl trial gives the curves of all 17 single-kernel runs.  K = 9
+    sums each round over more than 8 learners, where numpy's summation
+    order depends on the layout of the slice."""
+    cfg = ExperimentConfig(
+        task="synthetic",
+        algorithms=("domkl",),
+        num_learners=num_learners,
+        connection_prob=0.5,
+        admm=AdmmConfig(rho=10.0, eta_local=10.0),
+        num_features=20,
+        rounds=40,
+        master_seed=num_learners,
+        synthetic=SyntheticTaskConfig(bandwidth=0.01, noise_std=0.05),
+    )
+    got = kernel_mse_curves(run_trial(cfg, 0).traces["domkl"])
+    want = dokl_kernel_curves(cfg)
+    assert got.shape == (40, 17)
+    assert got.tobytes() == want.tobytes()
