@@ -9,9 +9,15 @@ kernel predictors reduce to linear ones in 2M dimensions.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Fewest projected values (rows x num_features) a block of a split stack
+# may hold: several times the size at which two blocks start to beat one.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,12 @@ class FeatureMap:
         projection x W^T is written into the cosine half, by np.dot for a
         single vector and by np.matmul for a stack, and taken in place
         from there.
+
+        A stack whose leading axis splits into blocks of at least 2 rows
+        and 2**16 projected values each (rows x num_features) is mapped
+        in such blocks at the same time, one per CPU the process may run
+        on; ``taskset`` or a cpuset narrows that.  Each block takes the
+        same steps, so the output is bitwise the same at any width.
         """
         # Bitwise equal to scale * [sin(x W^T), cos(x W^T)].  Keep the
         # product as x @ W^T: other forms of it (W @ x^T) run through
@@ -86,18 +98,86 @@ class FeatureMap:
         # cheaper, but it cannot write into a stack's strided cosine half.
         x = np.asarray(x, dtype=np.float64)
         m = self.num_features
-        if x.ndim == 1:
-            out = np.empty(2 * m)
-            sines, projected = out[:m], out[m:]
-            np.dot(x, self._weights_t, out=projected)
-        else:
+        if x.ndim != 1:
             out = np.empty(x.shape[:-1] + (2 * m,))
-            sines, projected = out[..., :m], out[..., m:]
-            np.matmul(x, self._weights_t, out=projected)
+            bounds = (_row_blocks(len(x), out.size // (2 * len(x)))
+                      if out.size >= 4 * _BLOCK_VALUES else None)
+            if bounds is None:
+                _map_rows(x, self._weights_t, self._scale, out)
+            else:
+                _map_blocks(x, self._weights_t, self._scale, out, bounds)
+            return out
+        out = np.empty(2 * m)
+        sines, projected = out[:m], out[m:]
+        np.dot(x, self._weights_t, out=projected)
         np.sin(projected, out=sines)
         np.cos(projected, out=projected)
         out *= self._scale
         return out
+
+
+def _cpu_count():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _row_blocks(rows, values_per_row):
+    """Bounds of the contiguous blocks of ``rows`` leading rows that a
+    stack is mapped in, one per CPU, or None to map it in one piece.
+
+    Every block holds at least ``_BLOCK_VALUES`` projected values and at
+    least 2 rows: a one-row product takes another BLAS kernel, which
+    need not round the same way.
+    """
+    min_rows = max(2, -(-_BLOCK_VALUES // values_per_row))
+    count = min(rows // min_rows, _cpu_count())
+    if count < 2:
+        return None
+    return [rows * i // count for i in range(count + 1)]
+
+
+def _map_rows(x, weights_t, scale, out):
+    """``FeatureMap.map``'s steps for a stack, or one block of its rows."""
+    m = weights_t.shape[1]
+    sines, projected = out[..., :m], out[..., m:]
+    np.matmul(x, weights_t, out=projected)
+    np.sin(projected, out=sines)
+    np.cos(projected, out=projected)
+    out *= scale
+
+
+def _map_blocks(x, weights_t, scale, out, bounds):
+    """Map the row blocks ``x[bounds[i]:bounds[i + 1]]`` into the same
+    rows of ``out`` at the same time, the first on the calling thread.
+
+    numpy releases the GIL in every step.  Helpers run under the
+    caller's floating-point error state, and an error raised in any
+    block is raised here once every block has ended.
+    """
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    errors = []
+
+    def helper(lo, hi):
+        try:
+            with np.errstate(**errstate):
+                _map_rows(x[lo:hi], weights_t, scale, out[lo:hi])
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=(lo, hi))
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    for thread in helpers:
+        thread.start()
+    try:
+        _map_rows(x[:bounds[1]], weights_t, scale, out[:bounds[1]])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def map_stack(maps, x):

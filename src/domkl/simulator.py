@@ -736,12 +736,23 @@ def aggregate(cfg, results):
     )
 
 
+# Each sweep axis and the algorithms that read its parameter.
+_SWEEP_READERS = (("rho", ("domkl", "dokl")), ("eta_g", ("domkl", "comkl")))
+
+
 def sweep(cfg, rhos, eta_globals):
     """Full experiments over the sorted grid of (eta_global, rho) cells.
 
     The cells differ only in parameters that ``load_inputs`` does not
-    read, so the files are read once for the whole grid.
+    read, so the files are read once for the whole grid.  Raises
+    ``ConfigError`` for an axis with more than one value that no
+    selected algorithm reads: its cells would all be the same run.
     """
+    for (axis, readers), values in zip(_SWEEP_READERS, (rhos, eta_globals)):
+        if len(set(values)) > 1 and not set(readers) & set(cfg.algorithms):
+            raise ConfigError(
+                "%s takes %d values, but only %s read it and none is selected"
+                % (axis, len(set(values)), " and ".join(readers)), key="grid")
     inputs = _experiment_inputs(cfg)
     rows = []
     for eta in sorted(eta_globals):

@@ -275,6 +275,44 @@ def test_sweep_bad_grid_flags(tmp_path, capsys):
     assert cmd_sweep(path, (), (1.0,)) == 2
 
 
+def _single_algorithm_ini(algorithm):
+    """The base config with only ``algorithm`` selected and no key that it
+    leaves unread."""
+    text = _BASE_INI.replace("algorithms = domkl",
+                             "algorithms = %s" % algorithm).replace(
+        "bandwidths = 0.05, 0.1", "bandwidths = 0.05, 0.1\nkernel_index = 1")
+    if algorithm == "rff_dokl":
+        text = text.replace("rho = 50\neta_local = 10\neta_global = 10\n", "")
+    return text
+
+
+@pytest.mark.parametrize("algorithm, rho, eta_g, axis", [
+    ("rff_dokl", "10,100", "10", "rho"),
+    ("rff_dokl", "10", "1,10", "eta_g"),
+    ("dokl", "10", "1,10", "eta_g"),
+])
+def test_sweep_axis_no_algorithm_reads_exits_2(tmp_path, capsys, algorithm,
+                                               rho, eta_g, axis):
+    """Sweeping a parameter that no selected algorithm reads would write
+    the same run under every value of it."""
+    path = _write_ini(tmp_path, _single_algorithm_ini(algorithm))
+
+    def sweep_main(rho, eta_g):
+        return main(["sweep", "--config", path, "--rho", rho,
+                     "--eta-g", eta_g, "--out", str(tmp_path)])
+
+    assert sweep_main(rho, eta_g) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: %s takes 2 values, but only " % axis)
+    assert not (tmp_path / "sweep.csv").exists()
+    # One value on each axis runs, and so do several on an axis that the
+    # algorithm reads.
+    rhos = "10,100" if algorithm == "dokl" else "10"
+    assert sweep_main(rhos, "10") == 0
+    rows = _read_csv(tmp_path / "sweep.csv")[1:]
+    assert [row[0] for row in rows] == [algorithm] * len(rhos.split(","))
+
+
 def test_validate_all_pass(capsys):
     assert cmd_validate() == 0
     out = capsys.readouterr().out

@@ -2,10 +2,12 @@ import hashlib
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from domkl import features
 from domkl.features import (
     FeatureMap,
     KernelDictionary,
@@ -223,3 +225,84 @@ def test_pooled_map_is_bitwise_the_round_maps(dim, rounds):
                 want = np.stack([fmap.map(x[:, t]) for t in range(rounds)],
                                 axis=1)
                 assert got.tobytes() == want.tobytes()
+
+
+def _at_width(monkeypatch, width):
+    """Let a stack's map use ``width`` CPUs, and record the row count of
+    every block it maps."""
+    monkeypatch.setattr(features, "_cpu_count", lambda: width)
+    blocks = []
+    original = features._map_rows
+
+    def recording(x, weights_t, scale, out):
+        blocks.append(len(x))
+        original(x, weights_t, scale, out)
+
+    monkeypatch.setattr(features, "_map_rows", recording)
+    return blocks
+
+
+def _block_count(width, most):
+    """Blocks a stack is mapped in at ``width`` CPUs, when at most
+    ``most`` blocks hold 2 rows and 2**16 projected values each."""
+    return max(1, min(width, most))
+
+
+# Stacks large enough to split at M = 50, each with the most blocks it
+# splits into: 2-D with a row count that no width divides (16001) or
+# that barely splits in two (2623), and 3-D, split along the leading axis.
+_SPLIT_SHAPES = [((16001,), 12), ((2623,), 2), ((7, 600), 2), ((40, 401), 10)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("lead, most", _SPLIT_SHAPES)
+def test_map_is_bitwise_the_same_at_any_width(monkeypatch, d, lead, most):
+    maps = default_dictionary(shared_seed=13).build_maps(d, 50)
+    x = np.random.default_rng(d).uniform(-1.0, 1.0, size=lead + (d,))
+    for fmap in (maps[0], maps[8], maps[16]):
+        for scale in (1e-2, 1.0, 3e1, 3e2):
+            want = None
+            for width in (1, 2, 3, 4):
+                blocks = _at_width(monkeypatch, width)
+                got = fmap.map(scale * x).tobytes()
+                want = want or got
+                assert got == want, (fmap.kernel_index, scale, width)
+                assert len(blocks) == _block_count(width, most)
+                assert sum(blocks) == lead[0]
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5, 9])
+def test_wide_map_never_splits_off_one_row(monkeypatch, rows):
+    """With more than 2**16 features one row holds enough values for a
+    block, but a one-row block would take another BLAS kernel."""
+    fmap = build_feature_map(KernelSpec(0.5), input_dim=3,
+                             num_features=70000, seed=4)
+    x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 3))
+    want = None
+    for width in (1, 2, 3, 4):
+        blocks = _at_width(monkeypatch, width)
+        got = fmap.map(x).tobytes()
+        want = want or got
+        assert got == want, width
+        assert len(blocks) == _block_count(width, rows // 2)
+        assert all(b >= 2 for b in blocks)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_split_map_keeps_the_callers_error_state(monkeypatch, width):
+    """Every block runs under the caller's floating-point error state:
+    a non-finite input raises where the caller asks for it and warns
+    nowhere where the caller ignores it."""
+    blocks = _at_width(monkeypatch, width)
+    fmap = default_dictionary(shared_seed=2).build_maps(2, 50)[8]
+    x = np.random.default_rng(0).uniform(size=(4000, 2))
+    x[-1, 0] = np.inf  # in the last block at every width
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            fmap.map(x)
+    assert len(blocks) == _block_count(width, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            out = fmap.map(x)
+    assert np.isnan(out[-1]).any() and np.isfinite(out[:-1]).all()

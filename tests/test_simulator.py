@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from domkl.baselines import DiffusionState, rff_dokl_step
-from domkl import simulator
+from domkl import features, simulator
 from domkl.errors import ConfigError
 from domkl.graph import sample_connected_er
 from domkl.simulator import (
@@ -693,6 +693,43 @@ def test_comkl_holds_one_feature_block_at_a_time():
     assert peak <= 2.0 * block, peak / block
 
 
+@pytest.mark.parametrize("cfg, split_maps", [
+    # Each of the 3 kernels' pooled (4 * 675, 100) blocks.
+    (ExperimentConfig(**dict(_AR_CFG, algorithms=("comkl", "rff_dokl"),
+                             num_learners=4, num_features=50,
+                             ar_synth=ArTaskConfig(num_samples=2705))), 3),
+    # The (3 * 900, 100) generating block that labels the data.
+    (_small_cfg(rounds=900, num_features=50, bandwidths=(0.05, 0.1)), 1),
+], ids=["comkl_rff_dokl_regret", "domkl_synthetic"])
+def test_trial_is_bitwise_the_same_at_any_map_width(monkeypatch, cfg,
+                                                   split_maps):
+    """A stack's map splits its rows over the CPUs the process may run
+    on; traces and regrets do not depend on how many there are."""
+    splits = []
+    original = features._map_blocks
+
+    def recording(x, weights_t, scale, out, bounds):
+        splits.append(len(bounds) - 1)
+        original(x, weights_t, scale, out, bounds)
+
+    monkeypatch.setattr(features, "_map_blocks", recording)
+    results = []
+    for width in (1, 2):
+        monkeypatch.setattr(features, "_cpu_count", lambda: width)
+        results.append(run_trial(cfg, 0))
+    assert splits == [2] * split_maps
+    one, two = results
+    for algorithm in cfg.algorithms:
+        for field in ("predictions", "per_kernel_losses", "cross_predictions",
+                      "weights"):
+            assert (getattr(one.traces[algorithm], field).tobytes()
+                    == getattr(two.traces[algorithm], field).tobytes()), field
+        if cfg.compute_accuracy_regret:
+            assert (one.regrets[algorithm].tobytes()
+                    == two.regrets[algorithm].tobytes())
+    assert one.context.labels.tobytes() == two.context.labels.tobytes()
+
+
 def _write_path_and_csv(tmp_path):
     """A 3-node path topology file and a 40-row, 3-column CSV file."""
     topology = tmp_path / "path.txt"
@@ -812,6 +849,25 @@ def test_sweep_grid_rows_and_order():
     assert rows[0].final_cv == float(single.cv_mean["domkl"][-1])
 
 
+@pytest.mark.parametrize("algorithms, grid, named", [
+    (("rff_dokl",), dict(rhos=(10.0, 100.0), eta_globals=(10.0,)), "rho"),
+    (("comkl",), dict(rhos=(10.0, 100.0), eta_globals=(10.0,)), "rho"),
+    (("dokl",), dict(rhos=(10.0,), eta_globals=(1.0, 10.0)), "eta_g"),
+    (("rff_dokl",), dict(rhos=(10.0,), eta_globals=(1.0, 10.0)), "eta_g"),
+])
+def test_sweep_rejects_an_axis_no_algorithm_reads(algorithms, grid, named):
+    cfg = _small_cfg(algorithms=algorithms, kernel_index=1, rounds=5)
+    with pytest.raises(ConfigError, match="^%s takes 2 values" % named) as info:
+        sweep(cfg, **grid)
+    assert info.value.key == "grid"
+    # A repeated value is one value; an algorithm that reads the axis
+    # makes a mixed selection run.
+    flat = {name: values[:1] * 2 for name, values in grid.items()}
+    assert len(sweep(cfg, **flat)) == 4 * len(algorithms)
+    mixed = dataclasses.replace(cfg, algorithms=algorithms + ("domkl",))
+    assert len(sweep(mixed, **grid)) == 2 * len(mixed.algorithms)
+
+
 def test_sweep_reads_its_files_once(tmp_path, monkeypatch):
     topology, data = _write_path_and_csv(tmp_path)
     cfg = ExperimentConfig(
@@ -866,10 +922,12 @@ def test_benchmark_selftest_passes():
 
 
 def test_import_loads_no_process_pool():
-    """One-process runs, the default, never pay for importing the pool."""
+    """One-process runs, the default, never pay for importing the pool,
+    and a stack's map starts plain threads, not a futures executor."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, domkl; print(sorted(m for m in sys.modules if m in "
-            "('concurrent.futures.process', 'multiprocessing')))")
+            "('concurrent.futures', 'concurrent.futures.process',"
+            " 'concurrent.futures.thread', 'multiprocessing')))")
     done = subprocess.run(
         [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True,
