@@ -44,6 +44,7 @@ from .admm import AdmmConfig
 from .errors import ConfigError
 from .simulator import (
     ALGORITHMS,
+    GRID_READERS,
     TASKS,
     ArTaskConfig,
     CsvTaskConfig,
@@ -119,11 +120,12 @@ _KEYS = {
         (_parse_float, "experiment", "connection_prob", _EVERY),
     ("network", "topology"): (str, "experiment", "topology_path", _EVERY),
     ("network", "max_attempts"): (int, "experiment", "max_attempts", _EVERY),
-    ("algorithm.domkl", "rho"): (_parse_float, "admm", "rho", _ADMM),
+    ("algorithm.domkl", "rho"):
+        (_parse_float, "admm", "rho", GRID_READERS["rho"]),
     ("algorithm.domkl", "eta_local"):
         (_parse_float, "admm", "eta_local", _ADMM),
     ("algorithm.domkl", "eta_global"):
-        (_parse_float, "experiment", "eta_global", _ADMM + ("comkl",)),
+        (_parse_float, "experiment", "eta_global", GRID_READERS["eta_global"]),
     ("algorithm.domkl", "num_features"):
         (int, "experiment", "num_features", ALGORITHMS),
     ("algorithm.domkl", "bandwidths"):

@@ -89,8 +89,10 @@ class FeatureMap:
         A stack whose leading axis splits into blocks of at least 2 rows
         and 2**16 projected values each (rows x num_features) is mapped
         in such blocks at the same time, one per CPU the process may run
-        on; ``taskset`` or a cpuset narrows that.  Each block takes the
-        same steps, so the output is bitwise the same at any width.
+        on; ``taskset`` or a cpuset narrows that, and each worker of a
+        pool of trial processes takes an equal share of those CPUs.  Each
+        block takes the same steps, so the output is bitwise the same at
+        any width.
         """
         # Bitwise equal to scale * [sin(x W^T), cos(x W^T)].  Keep the
         # product as x @ W^T: other forms of it (W @ x^T) run through
@@ -98,55 +100,69 @@ class FeatureMap:
         # cheaper, but it cannot write into a stack's strided cosine half.
         x = np.asarray(x, dtype=np.float64)
         m = self.num_features
-        if x.ndim != 1:
-            out = np.empty(x.shape[:-1] + (2 * m,))
-            bounds = (_row_blocks(len(x), out.size // (2 * len(x)))
-                      if out.size >= 4 * _BLOCK_VALUES else None)
-            if bounds is None:
-                _map_rows(x, self._weights_t, self._scale, out)
-            else:
-                _map_blocks(x, self._weights_t, self._scale, out, bounds)
+        if x.ndim == 1:
+            out = np.empty(2 * m)
+            np.dot(x, self._weights_t, out=out[m:])
+            _sin_cos(out, m, self._scale)
             return out
-        out = np.empty(2 * m)
-        sines, projected = out[:m], out[m:]
-        np.dot(x, self._weights_t, out=projected)
-        np.sin(projected, out=sines)
-        np.cos(projected, out=projected)
-        out *= self._scale
+        out = np.empty(x.shape[:-1] + (2 * m,))
+        _map_blocks(x, self._weights_t, self._scale, out,
+                    _row_blocks(len(x), out.size // 2))
         return out
 
 
-def _cpu_count():
-    """How many CPUs this process may run on."""
+# Trial workers that share this process's CPUs: a worker of a pool of
+# that many maps its blocks on its own share of them.
+_workers = 1
+
+
+def _share_cpus(workers):
+    """Map on a 1/``workers`` share of the CPUs from now on; run in each
+    worker of a pool of ``workers`` trial processes."""
+    global _workers
+    _workers = workers
+
+
+def _map_width():
+    """How many blocks a stack may be mapped in at the same time: the
+    CPUs this process may run on, divided among ``_workers``."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _workers)
 
 
-def _row_blocks(rows, values_per_row):
-    """Bounds of the contiguous blocks of ``rows`` leading rows that a
-    stack is mapped in, one per CPU, or None to map it in one piece.
+def _row_blocks(rows, values):
+    """Bounds of the contiguous blocks of leading rows that a stack of
+    ``rows`` rows and ``values`` projected values is mapped in.
 
-    Every block holds at least ``_BLOCK_VALUES`` projected values and at
-    least 2 rows: a one-row product takes another BLAS kernel, which
-    need not round the same way.
+    There is at most one block per CPU of ``_map_width``.  Every block
+    holds at least ``_BLOCK_VALUES`` projected values and at least 2
+    rows: a one-row product takes another BLAS kernel, which need not
+    round the same way.
     """
-    min_rows = max(2, -(-_BLOCK_VALUES // values_per_row))
-    count = min(rows // min_rows, _cpu_count())
-    if count < 2:
-        return None
+    if values < 2 * _BLOCK_VALUES:  # one block at any width
+        return [0, rows]
+    min_rows = max(2, -(-_BLOCK_VALUES * rows // values))
+    count = max(1, min(rows // min_rows, _map_width()))
     return [rows * i // count for i in range(count + 1)]
 
 
-def _map_rows(x, weights_t, scale, out):
-    """``FeatureMap.map``'s steps for a stack, or one block of its rows."""
-    m = weights_t.shape[1]
+def _sin_cos(out, m, scale):
+    """Finish a map whose projection is in the cosine half of ``out``:
+    its sine into the sine half, its cosine in place, then the scale."""
     sines, projected = out[..., :m], out[..., m:]
-    np.matmul(x, weights_t, out=projected)
     np.sin(projected, out=sines)
     np.cos(projected, out=projected)
     out *= scale
+
+
+def _map_rows(x, weights_t, scale, out):
+    """``FeatureMap.map``'s steps for a block of a stack's rows."""
+    m = weights_t.shape[1]
+    np.matmul(x, weights_t, out=out[..., m:])
+    _sin_cos(out, m, scale)
 
 
 def _map_blocks(x, weights_t, scale, out, bounds):
@@ -155,20 +171,23 @@ def _map_blocks(x, weights_t, scale, out, bounds):
 
     numpy releases the GIL in every step.  Helpers run under the
     caller's floating-point error state, and an error raised in any
-    block is raised here once every block has ended.
+    block is raised here once every block has ended.  A single block
+    starts no thread.
     """
-    errstate = dict(np.geterr(), call=np.geterrcall())
     errors = []
+    helpers = []
+    if len(bounds) > 2:  # reading the error state takes microseconds
+        errstate = dict(np.geterr(), call=np.geterrcall())
 
-    def helper(lo, hi):
-        try:
-            with np.errstate(**errstate):
-                _map_rows(x[lo:hi], weights_t, scale, out[lo:hi])
-        except BaseException as exc:
-            errors.append(exc)
+        def helper(lo, hi):
+            try:
+                with np.errstate(**errstate):
+                    _map_rows(x[lo:hi], weights_t, scale, out[lo:hi])
+            except BaseException as exc:
+                errors.append(exc)
 
-    helpers = [threading.Thread(target=helper, args=(lo, hi))
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        helpers = [threading.Thread(target=helper, args=(lo, hi))
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
     for thread in helpers:
         thread.start()
     try:

@@ -42,7 +42,12 @@ from .data import (
     synth_regression,
 )
 from .errors import ConfigError
-from .features import KernelDictionary, KernelSpec, default_dictionary
+from .features import (
+    KernelDictionary,
+    KernelSpec,
+    _share_cpus,
+    default_dictionary,
+)
 # Cross-evaluation's own name for map_stack, so that benchmarks/tracing.py
 # can time it apart from the mapping inside learners.step.
 from .features import map_stack as _map_stack
@@ -58,6 +63,10 @@ from .metrics import (
 )
 
 ALGORITHMS = ("domkl", "dokl", "comkl", "rff_dokl")
+# The algorithms that read each parameter that ``sweep`` varies; the
+# config keys that set them have the same readers.  dokl's one-kernel
+# hedge weight is always 1, so eta_global changes nothing there.
+GRID_READERS = {"rho": ("domkl", "dokl"), "eta_global": ("domkl", "comkl")}
 TASKS = ("synthetic", "regression", "timeseries")
 
 # Labels of the per-trial seed streams.
@@ -677,8 +686,12 @@ def _trial_results(cfg, inputs):
             # and the default run uses one process.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=cfg.workers))
+            # Each worker splits its feature maps over its own share of
+            # the CPUs, so the pool does not run more threads than CPUs.
+            busy = min(cfg.workers, cfg.trials)
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=cfg.workers, initializer=_share_cpus,
+                initargs=(busy,)))
             results = pool.map(_trial_worker, payloads)
         else:
             results = map(_trial_worker, payloads)
@@ -736,10 +749,6 @@ def aggregate(cfg, results):
     )
 
 
-# Each sweep axis and the algorithms that read its parameter.
-_SWEEP_READERS = (("rho", ("domkl", "dokl")), ("eta_g", ("domkl", "comkl")))
-
-
 def sweep(cfg, rhos, eta_globals):
     """Full experiments over the sorted grid of (eta_global, rho) cells.
 
@@ -748,11 +757,12 @@ def sweep(cfg, rhos, eta_globals):
     ``ConfigError`` for an axis with more than one value that no
     selected algorithm reads: its cells would all be the same run.
     """
-    for (axis, readers), values in zip(_SWEEP_READERS, (rhos, eta_globals)):
-        if len(set(values)) > 1 and not set(readers) & set(cfg.algorithms):
+    for name, values in (("rho", rhos), ("eta_global", eta_globals)):
+        readers = GRID_READERS[name]
+        if len(set(values)) > 1 and set(readers).isdisjoint(cfg.algorithms):
             raise ConfigError(
                 "%s takes %d values, but only %s read it and none is selected"
-                % (axis, len(set(values)), " and ".join(readers)), key="grid")
+                % (name, len(set(values)), " and ".join(readers)), key="grid")
     inputs = _experiment_inputs(cfg)
     rows = []
     for eta in sorted(eta_globals):

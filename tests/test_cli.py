@@ -178,9 +178,8 @@ def _trial_setup_errors(tmp_path):
     topo.write_text("0 1\n2 3\n")
     disconnected = _BASE_INI.replace(
         "num_nodes = 3", "num_nodes = 4\ntopology = %s" % topo)
-    bad_index = _BASE_INI.replace(
-        "algorithms = domkl", "algorithms = dokl").replace(
-        "bandwidths = 0.05, 0.1", "bandwidths = 0.05, 0.1\nkernel_index = 2")
+    bad_index = _edit(
+        _DOKL + [_after("bandwidths = 0.05, 0.1", "kernel_index = 2")])
     return [(disconnected, "topology"), (bad_index, "kernel_index 2")]
 
 
@@ -283,13 +282,15 @@ def _single_algorithm_ini(algorithm):
         "bandwidths = 0.05, 0.1", "bandwidths = 0.05, 0.1\nkernel_index = 1")
     if algorithm == "rff_dokl":
         text = text.replace("rho = 50\neta_local = 10\neta_global = 10\n", "")
+    if algorithm == "dokl":
+        text = text.replace("eta_global = 10\n", "")
     return text
 
 
 @pytest.mark.parametrize("algorithm, rho, eta_g, axis", [
     ("rff_dokl", "10,100", "10", "rho"),
-    ("rff_dokl", "10", "1,10", "eta_g"),
-    ("dokl", "10", "1,10", "eta_g"),
+    ("rff_dokl", "10", "1,10", "eta_global"),
+    ("dokl", "10", "1,10", "eta_global"),
 ])
 def test_sweep_axis_no_algorithm_reads_exits_2(tmp_path, capsys, algorithm,
                                                rho, eta_g, axis):
@@ -365,6 +366,11 @@ def _after(line, added):
     return (line, line + "\n" + added)
 
 
+# Edits that select dokl alone, which reads no eta_global.
+_DOKL = [("algorithms = domkl", "algorithms = dokl"),
+         ("eta_global = 10\n", "")]
+
+
 @pytest.mark.parametrize("edits, key", [
     ([_after("noise_std = 0.02", "label_column = 3")], "label_column"),
     ([_after("noise_std = 0.02", "ar_samples = 100")], "ar_samples"),
@@ -377,15 +383,17 @@ def _after(line, added):
      "step_size"),
     ([_after("noise_std = 0.02", "\n[algorithm.rff_dokl]\nstep_size = 0.3")],
      "step_size"),
-    ([("algorithms = domkl", "algorithms = dokl"),
-      _after("bandwidths = 0.05, 0.1",
-             "kernel_index = 0\nhedge_variant = message_passing")],
+    (_DOKL + [_after("bandwidths = 0.05, 0.1",
+                     "kernel_index = 0\nhedge_variant = message_passing")],
      "hedge_variant"),
+    ([("algorithms = domkl", "algorithms = dokl"),
+      _after("bandwidths = 0.05, 0.1", "kernel_index = 0")], "eta_global"),
     ([_after("bandwidths = 0.05, 0.1", "kernel_index = 0")], "kernel_index"),
 ], ids=["synthetic_label_column", "synthetic_ar_samples",
         "timeseries_path_and_ar", "ar_input_dim", "regression_ar_order",
         "csv_timeseries_shuffle", "comkl_section_unselected",
         "rff_dokl_section_unselected", "hedge_variant_without_domkl",
+        "eta_global_with_only_dokl",
         "kernel_index_without_dokl"])
 def test_unread_keys_exit_2(tmp_path, capsys, edits, key):
     text = _edit(edits, csv=_write_data_csv(tmp_path))

@@ -230,7 +230,7 @@ def test_pooled_map_is_bitwise_the_round_maps(dim, rounds):
 def _at_width(monkeypatch, width):
     """Let a stack's map use ``width`` CPUs, and record the row count of
     every block it maps."""
-    monkeypatch.setattr(features, "_cpu_count", lambda: width)
+    monkeypatch.setattr(features, "_map_width", lambda: width)
     blocks = []
     original = features._map_rows
 
@@ -286,6 +286,16 @@ def test_wide_map_never_splits_off_one_row(monkeypatch, rows):
         assert got == want, width
         assert len(blocks) == _block_count(width, rows // 2)
         assert all(b >= 2 for b in blocks)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+def test_pool_workers_share_the_cpus(monkeypatch, workers):
+    """Each worker of a pool of trial processes splits its stacks over
+    its own share of the CPUs, and over at least one."""
+    monkeypatch.setattr(features, "_workers", 1)
+    cpus = features._map_width()
+    features._share_cpus(workers)
+    assert features._map_width() == max(1, cpus // workers)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
