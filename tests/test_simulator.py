@@ -471,6 +471,39 @@ def test_parallel_matches_sequential():
         assert seq.final_regret_a[algorithm] == par.final_regret_a[algorithm]
 
 
+@pytest.mark.parametrize("workers, trials, busy", [(2, 4, 2), (3, 2, 2)])
+def test_pool_workers_split_maps_over_a_share_of_the_cpus(
+        monkeypatch, workers, trials, busy):
+    """Every worker of a trial pool first calls ``features._share_cpus``
+    with the number of workers that run trials at once."""
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        """Runs the trials in this process, after the pool's initializer."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append((max_workers, initargs))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(features, "_workers", 1)
+    cfg = _small_cfg(trials=trials, rounds=5, workers=workers)
+    run_experiment(cfg)
+    assert pools == [(workers, (busy,))]
+    assert features._workers == busy
+
+
 def test_trial_failures_carry_the_trial_index():
     cfg = ExperimentConfig(
         task="regression", algorithms=("comkl",), num_learners=2,
