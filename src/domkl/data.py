@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .features import KernelSpec, build_feature_map
+
+# Rows of each block of the label product in ``synth_regression``.
+_LABEL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -176,52 +178,27 @@ def ar_embed(series, order):
     return Dataset(features=features, labels=series[order:].copy())
 
 
-@dataclass(frozen=True)
-class SyntheticRegressionSpec:
-    """A regression task with a known random-feature generating function.
+def synth_regression(fmap, theta, noise_std, num_samples, seed, noise_seed):
+    """Draw inputs from ``seed`` uniform on the unit box and label them
+    with ``fmap.map(x) @ theta`` plus Gaussian noise from ``noise_seed``.
 
-    ``true_theta`` lives in the 2M-dimensional feature space of the map
-    drawn with ``seed`` at bandwidth ``generating_bandwidth``, so
-    oracles can reconstruct the exact generating function.
+    The product is taken in blocks of ``_LABEL_ROWS`` rows (at least 2
+    each): one product over all rows splits across BLAS threads at
+    places that depend on the thread count, and rounds differently.
     """
-
-    generating_bandwidth: float
-    true_theta: np.ndarray
-    noise_std: float
-    input_dim: int
-    seed: int
-
-    def __post_init__(self):
-        if len(self.true_theta) % 2 != 0:
-            raise ValueError("true_theta length must be even (sin and cos blocks)")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
-
-
-def generating_map(spec):
-    """Rebuild the feature map that defines the generating function."""
-    return build_feature_map(
-        KernelSpec(spec.generating_bandwidth),
-        input_dim=spec.input_dim,
-        num_features=len(spec.true_theta) // 2,
-        seed=spec.seed,
-    )
-
-
-def synth_regression(spec, num_samples, seed, noise_seed=None):
-    """Draw inputs uniform on the unit box and label them with the
-    generating function plus Gaussian noise.
-
-    ``noise_seed`` defaults to ``seed + 1``; passing it explicitly lets
-    callers freeze the inputs while varying the noise, or vice versa.
-    """
-    rng = np.random.default_rng(seed)
-    noise_rng = np.random.default_rng(seed + 1 if noise_seed is None else noise_seed)
-    x = rng.random((num_samples, spec.input_dim))
-    z = generating_map(spec).map(x)
-    y = z @ spec.true_theta
-    if spec.noise_std > 0.0:
-        y = y + spec.noise_std * noise_rng.standard_normal(num_samples)
+    if noise_std < 0.0:
+        raise ValueError("noise_std must be nonnegative")
+    x = np.random.default_rng(seed).random((num_samples, fmap.input_dim))
+    z = fmap.map(x)
+    y = np.empty(num_samples)
+    bounds = list(range(0, num_samples, _LABEL_ROWS)) + [num_samples]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # a one-row product takes another BLAS kernel
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(z[lo:hi], theta, out=y[lo:hi])
+    if noise_std > 0.0:
+        y += noise_std * np.random.default_rng(noise_seed).standard_normal(
+            num_samples)
     return Dataset(features=x, labels=y)
 
 

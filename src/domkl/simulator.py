@@ -16,7 +16,10 @@ domkl and comkl, ``kernel_index`` for dokl and rff_dokl.
 Seed discipline: the graph for trial i is sampled with seed
 ``master_seed XOR i``; feature maps, data, noise, and row shuffling each
 draw from their own labeled stream derived from (master_seed, i), so
-any one randomness source can be frozen independently.
+any one randomness source can be frozen independently.  A synthetic
+task whose bandwidth is in the dictionary is labelled through that
+kernel's own map, so its learners can represent the generating function
+exactly; any other bandwidth gets a map drawn from the data stream.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .admm import AdmmConfig
 from .baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
 from .data import (
     Dataset,
-    SyntheticRegressionSpec,
     ar_embed,
     load_csv,
     normalize_minmax,
@@ -46,6 +48,7 @@ from .features import (
     KernelDictionary,
     KernelSpec,
     _share_cpus,
+    build_feature_map,
     default_dictionary,
 )
 # Cross-evaluation's own name for map_stack, so that benchmarks/tracing.py
@@ -249,10 +252,13 @@ class TrialContext:
     graph: object
     dictionary: KernelDictionary
     maps: tuple
-    horizon: int
-    synthetic_spec: SyntheticRegressionSpec | None
     inputs: np.ndarray
     labels: np.ndarray
+
+    @property
+    def horizon(self):
+        """T, the rounds of the trial."""
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -382,32 +388,26 @@ def build_trial_context(cfg, trial_index, inputs=None):
         raise ConfigError("kernel_index %d outside dictionary of size %d"
                           % (index, len(dictionary)), key="kernel_index")
 
-    synthetic_spec = None
+    maps = None
     if cfg.task == "synthetic":
-        spec_cfg = cfg.synthetic or SyntheticTaskConfig()
-        dim = 2 * cfg.num_features
-        theta_rng = np.random.default_rng(
+        synth = cfg.synthetic or SyntheticTaskConfig()
+        maps = dictionary.build_maps(synth.input_dim, cfg.num_features)
+        theta = synth.theta_scale * np.random.default_rng(
             derive_seed(cfg.master_seed, trial_index, _DATA, 0)
-        )
-        true_theta = spec_cfg.theta_scale * theta_rng.standard_normal(dim)
-        # When the generating bandwidth sits in the dictionary, generate
-        # with that kernel's very map so the recorded parameters are the
-        # realizable comparator the regret checks need.
-        gen_seed = derive_seed(cfg.master_seed, trial_index, _DATA, 2)
-        for p, spec in enumerate(dictionary.specs):
-            if abs(spec.bandwidth - spec_cfg.bandwidth) <= 1e-12 * spec.bandwidth:
-                gen_seed = dictionary.map_seed(p)
+        ).standard_normal(2 * cfg.num_features)
+        # Label with the map of the dictionary kernel at the generating
+        # bandwidth, so the generating function is exactly realizable by
+        # that kernel's learners.
+        for fmap, spec in zip(maps, dictionary.specs):
+            if abs(spec.bandwidth - synth.bandwidth) <= 1e-12 * spec.bandwidth:
+                generator = fmap
                 break
-        synthetic_spec = SyntheticRegressionSpec(
-            generating_bandwidth=spec_cfg.bandwidth,
-            true_theta=true_theta,
-            noise_std=spec_cfg.noise_std,
-            input_dim=spec_cfg.input_dim,
-            seed=gen_seed,
-        )
-        total = cfg.num_learners * cfg.rounds
+        else:
+            generator = build_feature_map(
+                KernelSpec(synth.bandwidth), synth.input_dim, cfg.num_features,
+                seed=derive_seed(cfg.master_seed, trial_index, _DATA, 2))
         ds = synth_regression(
-            synthetic_spec, total,
+            generator, theta, synth.noise_std, cfg.num_learners * cfg.rounds,
             seed=derive_seed(cfg.master_seed, trial_index, _DATA, 1),
             noise_seed=derive_seed(cfg.master_seed, trial_index, _NOISE),
         )
@@ -437,7 +437,8 @@ def build_trial_context(cfg, trial_index, inputs=None):
     horizon = len(labels)
     if cfg.rounds is not None:
         horizon = min(horizon, cfg.rounds)
-    maps = dictionary.build_maps(inputs.shape[2], cfg.num_features)
+    if maps is None:  # the synthetic task built them before its data
+        maps = dictionary.build_maps(inputs.shape[2], cfg.num_features)
     # Copies: the partitions are views of a dataset that trials may share.
     inputs = inputs[:horizon].copy()
     labels = labels[:horizon].copy()
@@ -447,8 +448,6 @@ def build_trial_context(cfg, trial_index, inputs=None):
         graph=graph,
         dictionary=dictionary,
         maps=maps,
-        horizon=horizon,
-        synthetic_spec=synthetic_spec,
         inputs=inputs,
         labels=labels,
     )

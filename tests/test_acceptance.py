@@ -47,7 +47,7 @@ def accuracy_regret_for_trace(ctx, cfg, trace):
     rounds, whose fit of ``kernel_index`` is the comparator."""
     rounds = trace.num_rounds
     prefix = dataclasses.replace(ctx, inputs=ctx.inputs[:rounds],
-                                 labels=ctx.labels[:rounds], horizon=rounds)
+                                 labels=ctx.labels[:rounds])
     _, at_index = _pooled_pass(
         prefix, dataclasses.replace(cfg, compute_accuracy_regret=True))
     return regret_accuracy(trace, at_index)

@@ -19,6 +19,7 @@ from domkl.simulator import (
     CsvTaskConfig,
     ExperimentConfig,
     SyntheticTaskConfig,
+    run_trial,
 )
 
 _BASE_INI = """\
@@ -725,6 +726,56 @@ def test_key_sets_its_field(tmp_path, monkeypatch, row):
         default = {f.name: f.default for f in dataclasses.fields(target)}
         assert getattr(target, field) == parse(raw)
         assert getattr(target, field) != default[field]
+
+
+# One four-algorithm synthetic trial with accuracy regret on.  Every key
+# that only some algorithms read is left at its default or, for
+# kernel_index, set apart from its sample value.
+_READERS_INI = {
+    "experiment": {"task": "synthetic",
+                   "algorithms": "domkl, dokl, comkl, rff_dokl",
+                   "rounds": "30", "seed": "3", "accuracy_regret": "yes"},
+    "network": {"num_nodes": "4", "connection_prob": "0.6"},
+    "algorithm.domkl": {"num_features": "6", "bandwidths": "0.05 0.1 1.0",
+                        "kernel_index": "2"},
+    "data": {"bandwidth": "0.1"},
+}
+
+
+def _trial_outputs(tmp_path, sections):
+    """Each algorithm's trace arrays and regrets, as bytes."""
+    text = "".join(
+        "[%s]\n%s\n" % (name, "".join("%s = %s\n" % kv for kv in keys.items()))
+        for name, keys in sections.items())
+    result = run_trial(load_config(_write_ini(tmp_path, text)), 0)
+    return {
+        algorithm: [getattr(trace, name).tobytes() for name in (
+            "predictions", "per_kernel_losses", "cross_predictions",
+            "weights")] + [result.regrets[algorithm].tobytes()]
+        for algorithm, trace in result.traces.items()
+    }
+
+
+@pytest.mark.parametrize("row", [
+    ("algorithm.domkl", "rho"), ("algorithm.domkl", "eta_local"),
+    ("algorithm.domkl", "eta_global"), ("algorithm.domkl", "kernel_index"),
+    ("algorithm.domkl", "hedge_variant"), ("algorithm.comkl", "step_size"),
+    ("algorithm.comkl", "loss_mode"), ("algorithm.rff_dokl", "step_size"),
+], ids="{0[0]}.{0[1]}".format)
+@pytest.mark.filterwarnings("ignore:message passing on a cyclic graph")
+def test_algorithm_key_changes_exactly_its_readers(tmp_path, row):
+    """Changing a key that only some algorithms read changes the outputs
+    of exactly the readers that ``cli._KEYS`` lists for it."""
+    section, key = row
+    readers = cli._KEYS[row][3]
+    before = _trial_outputs(tmp_path, _READERS_INI)
+    changed = {name: dict(keys) for name, keys in _READERS_INI.items()}
+    changed.setdefault(section, {})[key] = _SAMPLE_VALUES.get(
+        "%s.%s" % row, _SAMPLE_VALUES.get(key))
+    if key == "hedge_variant":
+        changed[section]["allow_cycles"] = "true"
+    after = _trial_outputs(tmp_path, changed)
+    assert {alg for alg in before if after[alg] != before[alg]} == set(readers)
 
 
 def test_readme_example_config_loads(tmp_path):

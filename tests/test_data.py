@@ -1,13 +1,16 @@
 """Tests for dataset loading, scaling, partitioning, and synthesis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from domkl.data import (
     Dataset,
-    SyntheticRegressionSpec,
     ar_embed,
-    generating_map,
     load_csv,
     normalize_minmax,
     partition_regression,
@@ -16,6 +19,7 @@ from domkl.data import (
     synth_regression,
 )
 from domkl.errors import ConfigError
+from domkl.features import KernelSpec, build_feature_map
 
 
 def test_dataset_validation():
@@ -166,49 +170,82 @@ def test_ar_embed_validation():
         ar_embed(np.arange(3.0), order=3)
 
 
-def _spec(noise_std=0.0, seed=7):
-    rng = np.random.default_rng(100)
-    return SyntheticRegressionSpec(
-        generating_bandwidth=0.5,
-        true_theta=rng.normal(size=12),
-        noise_std=noise_std,
-        input_dim=2,
-        seed=seed,
-    )
+def _generator(num_features=6):
+    """A feature map and parameters that define a generating function."""
+    fmap = build_feature_map(KernelSpec(0.5), input_dim=2,
+                             num_features=num_features, seed=7)
+    return fmap, np.random.default_rng(100).normal(size=2 * num_features)
 
 
 def test_synth_regression_noiseless_labels_match_generator():
-    spec = _spec()
-    ds = synth_regression(spec, 40, seed=5)
-    z = generating_map(spec).map(ds.features)
-    assert np.array_equal(ds.labels, z @ spec.true_theta)
+    fmap, theta = _generator()
+    ds = synth_regression(fmap, theta, 0.0, 40, seed=5, noise_seed=6)
+    assert np.array_equal(ds.labels, fmap.map(ds.features) @ theta)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
 
 
-def test_synth_regression_noise_seed_default():
-    spec = _spec(noise_std=0.3)
-    a = synth_regression(spec, 30, seed=5)
-    b = synth_regression(spec, 30, seed=5, noise_seed=6)
-    assert np.array_equal(a.labels, b.labels)
-    c = synth_regression(spec, 30, seed=5, noise_seed=99)
-    assert np.array_equal(a.features, c.features)
-    assert not np.array_equal(a.labels, c.labels)
+def test_synth_regression_noise_seed():
+    fmap, theta = _generator()
+    a = synth_regression(fmap, theta, 0.3, 30, seed=5, noise_seed=6)
+    b = synth_regression(fmap, theta, 0.3, 30, seed=5, noise_seed=99)
+    assert np.array_equal(a.features, b.features)
+    assert not np.array_equal(a.labels, b.labels)
+    c = synth_regression(fmap, theta, 0.3, 30, seed=8, noise_seed=6)
+    assert not np.array_equal(a.features, c.features)
+    clean = [synth_regression(fmap, theta, 0.0, 30, seed=seed, noise_seed=6)
+             for seed in (5, 8)]
+    # The same noise on other inputs.
+    assert np.allclose(a.labels - clean[0].labels, c.labels - clean[1].labels,
+                       rtol=0, atol=1e-12)
 
 
 def test_synth_regression_noise_statistics():
-    spec = _spec(noise_std=0.2)
-    clean = synth_regression(_spec(noise_std=0.0), 4000, seed=5)
-    noisy = synth_regression(spec, 4000, seed=5)
+    fmap, theta = _generator()
+    clean = synth_regression(fmap, theta, 0.0, 4000, seed=5, noise_seed=6)
+    noisy = synth_regression(fmap, theta, 0.2, 4000, seed=5, noise_seed=6)
     residual = noisy.labels - clean.labels
     assert abs(residual.std() - 0.2) < 0.01
     assert abs(residual.mean()) < 0.01
 
 
-def test_synthetic_spec_validation():
+def test_synth_regression_validation():
+    fmap, theta = _generator()
     with pytest.raises(ValueError):
-        SyntheticRegressionSpec(0.5, np.zeros(5), 0.1, 2, 0)
+        synth_regression(fmap, theta, -0.1, 10, seed=5, noise_seed=6)
     with pytest.raises(ValueError):
-        SyntheticRegressionSpec(0.5, np.zeros(4), -0.1, 2, 0)
+        synth_regression(fmap, theta[:-1], 0.1, 10, seed=5, noise_seed=6)
+
+
+_LABEL_DIGESTS = """\
+import hashlib
+import numpy as np
+from domkl.data import synth_regression
+from domkl.features import KernelSpec, build_feature_map
+
+theta = np.random.default_rng(0).standard_normal(100)
+for dim in (1, 2, 5):
+    fmap = build_feature_map(KernelSpec(0.1), dim, 50, seed=3)
+    for num_samples in (8001, 16001, 40001):
+        ds = synth_regression(fmap, theta, 0.0, num_samples, seed=4,
+                              noise_seed=5)
+        print(hashlib.sha256(ds.labels.tobytes()).hexdigest())
+"""
+
+
+def test_synth_regression_labels_do_not_depend_on_blas_threads():
+    """Labels are the same bytes with one BLAS thread and with two, at
+    sizes where one product over all rows rounds otherwise on two."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _LABEL_DIGESTS],
+                              stdout=subprocess.PIPE, text=True, env=env,
+                              timeout=120, check=True)
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 9 and digests[0] == digests[1]
 
 
 def test_synth_ar_recursion_matches_manual():

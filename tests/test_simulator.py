@@ -33,8 +33,7 @@ from domkl.simulator import (
     sweep,
     aggregate,
 )
-from domkl.data import generating_map
-from domkl.features import FeatureMap, map_stack
+from domkl.features import FeatureMap, KernelSpec, build_feature_map, map_stack
 from domkl.hedge import MessageBoard, mp_update_messages
 from domkl.learners import LearnerNode, _combined_prediction, step
 from domkl.metrics import regret_accuracy
@@ -173,31 +172,45 @@ def test_trial_context_shapes_and_horizon():
     assert len(ctx.maps) == 3
 
 
+def _noiseless_labels(ctx, cfg, fmap):
+    """The trial's labels as ``fmap`` computes them from its inputs, with
+    the parameters drawn from the trial's data stream."""
+    theta = np.random.default_rng(
+        derive_seed(cfg.master_seed, 0, _DATA, 0)
+    ).standard_normal(2 * cfg.num_features)
+    pooled = ctx.inputs.transpose(1, 0, 2).reshape(-1, ctx.inputs.shape[2])
+    return (fmap.map(pooled) @ theta).reshape(cfg.num_learners, -1).T
+
+
 def test_synthetic_alignment_with_dictionary_kernel():
-    cfg = _small_cfg()
+    # Generating bandwidth 0.1 sits at slot 1, so the labels are slot 1's
+    # own map times the drawn parameters: exactly realizable there.
+    cfg = _small_cfg(synthetic=SyntheticTaskConfig(bandwidth=0.1, noise_std=0.0))
     ctx = build_trial_context(cfg, 0)
-    shared = derive_seed(cfg.master_seed, 0, _MAPS)
-    # Generating bandwidth 0.1 sits at slot 1, so the generating map is
-    # that slot's map, seed shared + 1 + 1.
-    assert ctx.synthetic_spec.seed == shared + 2
-    gen = generating_map(ctx.synthetic_spec)
-    assert np.array_equal(gen.weights, ctx.maps[1].weights)
+    assert ctx.maps[1].seed == derive_seed(cfg.master_seed, 0, _MAPS) + 2
+    assert np.array_equal(ctx.labels, _noiseless_labels(ctx, cfg, ctx.maps[1]))
+    assert not np.array_equal(ctx.labels,
+                              _noiseless_labels(ctx, cfg, ctx.maps[0]))
 
 
 def test_synthetic_fallback_seed_off_dictionary():
     cfg = _small_cfg(synthetic=SyntheticTaskConfig(bandwidth=0.07, noise_std=0.0))
     ctx = build_trial_context(cfg, 0)
-    assert ctx.synthetic_spec.seed == derive_seed(cfg.master_seed, 0, _DATA, 2)
+    generator = build_feature_map(KernelSpec(0.07), 2, cfg.num_features,
+                                  seed=derive_seed(cfg.master_seed, 0, _DATA, 2))
+    assert np.array_equal(ctx.labels, _noiseless_labels(ctx, cfg, generator))
 
 
 def test_noiseless_synthetic_labels_match_generator():
-    cfg = _small_cfg(synthetic=SyntheticTaskConfig(bandwidth=0.1, noise_std=0.0))
-    ctx = build_trial_context(cfg, 0)
-    gen = generating_map(ctx.synthetic_spec)
-    for k in range(cfg.num_learners):
-        z = gen.map(ctx.inputs[:, k])
-        assert np.allclose(z @ ctx.synthetic_spec.true_theta, ctx.labels[:, k],
-                           rtol=0, atol=1e-12)
+    """Each learner's stream, labelled through the default dictionary's
+    kernel at the default bandwidth 0.01 (slot 4), bit for bit."""
+    for input_dim in (1, 2, 5):
+        cfg = _small_cfg(bandwidths=None, synthetic=SyntheticTaskConfig(
+            input_dim=input_dim, noise_std=0.0))
+        ctx = build_trial_context(cfg, 0)
+        want = _noiseless_labels(ctx, cfg, ctx.maps[4])
+        assert ctx.dictionary.specs[4].bandwidth == 0.01
+        assert ctx.labels.tobytes() == want.tobytes()
 
 
 def test_kernel_index_gate_only_for_single_kernel_algorithms():
