@@ -31,7 +31,7 @@ cfg = ExperimentConfig(
 )
 result = run_trial(cfg, 0)
 trace = result.traces["domkl"]
-bandwidths = [s.bandwidth for s in result.context.dictionary.specs]
+bandwidths = [m.bandwidth for m in result.context.maps]
 
 # Average the weight vector over the network at a few checkpoints.
 print("%8s %10s %10s %22s" % ("round", "top slot", "weight", "bandwidth"))

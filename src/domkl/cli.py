@@ -44,7 +44,7 @@ from .admm import AdmmConfig
 from .errors import ConfigError
 from .simulator import (
     ALGORITHMS,
-    GRID_READERS,
+    READERS,
     TASKS,
     ArTaskConfig,
     CsvTaskConfig,
@@ -121,17 +121,17 @@ _KEYS = {
     ("network", "topology"): (str, "experiment", "topology_path", _EVERY),
     ("network", "max_attempts"): (int, "experiment", "max_attempts", _EVERY),
     ("algorithm.domkl", "rho"):
-        (_parse_float, "admm", "rho", GRID_READERS["rho"]),
+        (_parse_float, "admm", "rho", READERS["rho"]),
     ("algorithm.domkl", "eta_local"):
         (_parse_float, "admm", "eta_local", _ADMM),
     ("algorithm.domkl", "eta_global"):
-        (_parse_float, "experiment", "eta_global", GRID_READERS["eta_global"]),
+        (_parse_float, "experiment", "eta_global", READERS["eta_global"]),
     ("algorithm.domkl", "num_features"):
         (int, "experiment", "num_features", ALGORITHMS),
     ("algorithm.domkl", "bandwidths"):
         (_parse_floats, "experiment", "bandwidths", ALGORITHMS),
     ("algorithm.domkl", "kernel_index"):
-        (int, "experiment", "kernel_index", ("dokl", "rff_dokl")),
+        (int, "experiment", "kernel_index", READERS["kernel_index"]),
     ("algorithm.domkl", "hedge_variant"):
         (str, "experiment", "hedge_variant", _DOMKL),
     ("algorithm.domkl", "allow_cycles"):

@@ -19,6 +19,11 @@ import numpy as np
 # may hold: several times the size at which two blocks start to beat one.
 _BLOCK_VALUES = 1 << 16
 
+# The stock 17-kernel ladder, bandwidths 10^((p-9)/2) for p = 1..17: its
+# half-decade spacing from 1e-4 to 1e4 covers length scales from far
+# below to far above the unit box that normalized data lives in.
+DEFAULT_BANDWIDTHS = tuple(10.0 ** ((p - 9) / 2.0) for p in range(1, 18))
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -50,31 +55,39 @@ class FeatureMap:
     Attributes
     ----------
     weights : ndarray, shape (num_features, input_dim)
-        Frequency rows, drawn once and never resampled.
+        Frequency rows, drawn once and never resampled; the map's sizes
+        are read from their shape.
     kernel_index : int
-        Position of the kernel in its dictionary.
+        Position of the kernel among the trial's maps.
     seed : int
         Seed the rows were drawn from, kept for reproducibility checks.
+    bandwidth : float
+        The Gaussian kernel's bandwidth, whose spectral measure the rows
+        were drawn from.
     """
 
     weights: np.ndarray
     kernel_index: int
     seed: int
-    num_features: int
-    input_dim: int
+    bandwidth: float
+    num_features: int = field(init=False)
+    input_dim: int = field(init=False)
     _weights_t: np.ndarray = field(init=False, repr=False)
     _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.weights.setflags(write=False)
+        num_features, input_dim = self.weights.shape
+        object.__setattr__(self, "num_features", num_features)
+        object.__setattr__(self, "input_dim", input_dim)
         object.__setattr__(self, "_weights_t", self.weights.T)
-        object.__setattr__(self, "_scale", 1.0 / math.sqrt(self.num_features))
+        object.__setattr__(self, "_scale", 1.0 / math.sqrt(num_features))
 
     def __reduce__(self):
         # Rebuild through __init__, so that a map sent to or from a worker
         # process again has read-only weights and a transposed view of them.
         return (FeatureMap, (self.weights, self.kernel_index, self.seed,
-                             self.num_features, self.input_dim))
+                             self.bandwidth))
 
     def map(self, x):
         """Map inputs to the 2*num_features feature space.
@@ -223,52 +236,20 @@ def build_feature_map(spec, input_dim, num_features, seed, kernel_index=0):
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(spec.bandwidth)
     weights = rng.standard_normal((num_features, input_dim)) * std
-    return FeatureMap(
-        weights=weights,
-        kernel_index=kernel_index,
-        seed=seed,
-        num_features=num_features,
-        input_dim=input_dim,
+    return FeatureMap(weights=weights, kernel_index=kernel_index, seed=seed,
+                      bandwidth=spec.bandwidth)
+
+
+def build_maps(bandwidths, input_dim, num_features, shared_seed):
+    """One feature map per bandwidth, the kernel dictionary of a trial.
+
+    Map p draws its rows with seed ``shared_seed + p + 1``, so maps
+    differ across kernels but all of them are pinned by one integer.
+    """
+    if len(bandwidths) < 1:
+        raise ValueError("dictionary needs at least one kernel")
+    return tuple(
+        build_feature_map(KernelSpec(b), input_dim, num_features,
+                          seed=shared_seed + p + 1, kernel_index=p)
+        for p, b in enumerate(bandwidths)
     )
-
-
-@dataclass(frozen=True)
-class KernelDictionary:
-    """An ordered collection of kernels sharing one base seed.
-
-    Kernel at position p draws its map with seed ``shared_seed + p + 1``,
-    so maps differ across kernels but the whole dictionary is pinned by
-    a single integer.
-    """
-
-    specs: tuple
-    shared_seed: int = 0
-
-    def __post_init__(self):
-        if len(self.specs) < 1:
-            raise ValueError("dictionary needs at least one kernel")
-
-    def __len__(self):
-        return len(self.specs)
-
-    def map_seed(self, index):
-        return self.shared_seed + index + 1
-
-    def build_maps(self, input_dim, num_features):
-        return tuple(
-            build_feature_map(
-                spec, input_dim, num_features,
-                seed=self.map_seed(p), kernel_index=p,
-            )
-            for p, spec in enumerate(self.specs)
-        )
-
-
-def default_dictionary(shared_seed=0):
-    """The stock 17-kernel grid: bandwidths 10^((p-9)/2) for p = 1..17.
-
-    Half-decade spacing from 1e-4 to 1e4 covers length scales from far
-    below to far above the unit box that normalized data lives in.
-    """
-    specs = tuple(KernelSpec(10.0 ** ((p - 9) / 2.0)) for p in range(1, 18))
-    return KernelDictionary(specs=specs, shared_seed=shared_seed)

@@ -45,11 +45,11 @@ from .data import (
 )
 from .errors import ConfigError
 from .features import (
-    KernelDictionary,
+    DEFAULT_BANDWIDTHS,
     KernelSpec,
     _share_cpus,
     build_feature_map,
-    default_dictionary,
+    build_maps,
 )
 # Cross-evaluation's own name for map_stack, so that benchmarks/tracing.py
 # can time it apart from the mapping inside learners.step.
@@ -66,10 +66,11 @@ from .metrics import (
 )
 
 ALGORITHMS = ("domkl", "dokl", "comkl", "rff_dokl")
-# The algorithms that read each parameter that ``sweep`` varies; the
-# config keys that set them have the same readers.  dokl's one-kernel
+# The algorithms that read each parameter that only some of them read;
+# the config keys that set them have the same readers.  dokl's one-kernel
 # hedge weight is always 1, so eta_global changes nothing there.
-GRID_READERS = {"rho": ("domkl", "dokl"), "eta_global": ("domkl", "comkl")}
+READERS = {"rho": ("domkl", "dokl"), "eta_global": ("domkl", "comkl"),
+           "kernel_index": ("dokl", "rff_dokl")}
 TASKS = ("synthetic", "regression", "timeseries")
 
 # Labels of the per-trial seed streams.
@@ -229,16 +230,6 @@ class ExperimentConfig:
                               key="ar_samples")
 
 
-def config_dictionary(cfg, shared_seed=0):
-    """The kernel dictionary a config implies, at a given map seed."""
-    if cfg.bandwidths is None:
-        return default_dictionary(shared_seed)
-    return KernelDictionary(
-        specs=tuple(KernelSpec(b) for b in cfg.bandwidths),
-        shared_seed=shared_seed,
-    )
-
-
 @dataclass(frozen=True)
 class TrialContext:
     """Shared inputs every algorithm of one trial consumes.
@@ -250,7 +241,6 @@ class TrialContext:
     """
 
     graph: object
-    dictionary: KernelDictionary
     maps: tuple
     inputs: np.ndarray
     labels: np.ndarray
@@ -381,25 +371,26 @@ def build_trial_context(cfg, trial_index, inputs=None):
             max_attempts=cfg.max_attempts,
         )
 
-    map_seed = derive_seed(cfg.master_seed, trial_index, _MAPS)
-    dictionary = config_dictionary(cfg, shared_seed=map_seed)
+    bandwidths = cfg.bandwidths or DEFAULT_BANDWIDTHS
     index = _index_in_use(cfg)
-    if index is not None and not 0 <= index < len(dictionary):
+    if index is not None and not 0 <= index < len(bandwidths):
         raise ConfigError("kernel_index %d outside dictionary of size %d"
-                          % (index, len(dictionary)), key="kernel_index")
+                          % (index, len(bandwidths)), key="kernel_index")
+    map_seed = derive_seed(cfg.master_seed, trial_index, _MAPS)
 
     maps = None
     if cfg.task == "synthetic":
         synth = cfg.synthetic or SyntheticTaskConfig()
-        maps = dictionary.build_maps(synth.input_dim, cfg.num_features)
+        maps = build_maps(bandwidths, synth.input_dim, cfg.num_features,
+                          map_seed)
         theta = synth.theta_scale * np.random.default_rng(
             derive_seed(cfg.master_seed, trial_index, _DATA, 0)
         ).standard_normal(2 * cfg.num_features)
         # Label with the map of the dictionary kernel at the generating
         # bandwidth, so the generating function is exactly realizable by
         # that kernel's learners.
-        for fmap, spec in zip(maps, dictionary.specs):
-            if abs(spec.bandwidth - synth.bandwidth) <= 1e-12 * spec.bandwidth:
+        for fmap in maps:
+            if abs(fmap.bandwidth - synth.bandwidth) <= 1e-12 * fmap.bandwidth:
                 generator = fmap
                 break
         else:
@@ -438,7 +429,8 @@ def build_trial_context(cfg, trial_index, inputs=None):
     if cfg.rounds is not None:
         horizon = min(horizon, cfg.rounds)
     if maps is None:  # the synthetic task built them before its data
-        maps = dictionary.build_maps(inputs.shape[2], cfg.num_features)
+        maps = build_maps(bandwidths, inputs.shape[2], cfg.num_features,
+                          map_seed)
     # Copies: the partitions are views of a dataset that trials may share.
     inputs = inputs[:horizon].copy()
     labels = labels[:horizon].copy()
@@ -446,7 +438,6 @@ def build_trial_context(cfg, trial_index, inputs=None):
     labels.setflags(write=False)
     return TrialContext(
         graph=graph,
-        dictionary=dictionary,
         maps=maps,
         inputs=inputs,
         labels=labels,
@@ -553,7 +544,7 @@ def _pooled_pass(ctx, cfg, dots=None):
     """
     horizon, num_nodes = ctx.labels.shape
     fit_all = cfg.compute_accuracy_regret and any(
-        alg in ("domkl", "comkl") for alg in cfg.algorithms)
+        alg not in READERS["kernel_index"] for alg in cfg.algorithms)
     index = _index_in_use(cfg) if cfg.compute_accuracy_regret else None
     pooled_x = ctx.inputs.transpose(1, 0, 2).reshape(-1, ctx.inputs.shape[2])
     pooled_y = ctx.labels.T.ravel()
@@ -639,8 +630,8 @@ def run_trial(cfg, trial_index, inputs=None):
     if cfg.compute_accuracy_regret:
         best, at_index = comparators or _pooled_pass(ctx, cfg)
         regrets = {
-            alg: regret_accuracy(trace, at_index if alg in ("dokl", "rff_dokl")
-                                 else best)
+            alg: regret_accuracy(
+                trace, at_index if alg in READERS["kernel_index"] else best)
             for alg, trace in traces.items()
         }
     return TrialResult(context=ctx, traces=traces, regrets=regrets)
@@ -649,7 +640,7 @@ def run_trial(cfg, trial_index, inputs=None):
 def _index_in_use(cfg):
     """``cfg.kernel_index`` when dokl or rff_dokl is configured to read
     it, else None."""
-    if any(alg in ("dokl", "rff_dokl") for alg in cfg.algorithms):
+    if any(alg in READERS["kernel_index"] for alg in cfg.algorithms):
         return cfg.kernel_index
     return None
 
@@ -757,7 +748,7 @@ def sweep(cfg, rhos, eta_globals):
     selected algorithm reads: its cells would all be the same run.
     """
     for name, values in (("rho", rhos), ("eta_global", eta_globals)):
-        readers = GRID_READERS[name]
+        readers = READERS[name]
         if len(set(values)) > 1 and set(readers).isdisjoint(cfg.algorithms):
             raise ConfigError(
                 "%s takes %d values, but only %s read it and none is selected"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .admm import AdmmConfig
-from .features import KernelDictionary, KernelSpec, build_feature_map
+from .features import KernelSpec, build_feature_map, build_maps
 from .graph import Graph, sample_connected_er
 from .hedge import combine_weights
 from .learners import LearnerNode, step
@@ -48,11 +48,7 @@ def check_lambda_sum(rounds=200):
     """Network-wide multiplier sums stay at zero as rounds accumulate."""
     rng = np.random.default_rng(23)
     graph = sample_connected_er(5, 0.5, seed=3)
-    dictionary = KernelDictionary(
-        specs=(KernelSpec(0.01), KernelSpec(0.1), KernelSpec(1.0)),
-        shared_seed=5,
-    )
-    maps = dictionary.build_maps(input_dim=2, num_features=20)
+    maps = build_maps((0.01, 0.1, 1.0), 2, 20, shared_seed=5)
     nodes = [LearnerNode(k, maps, graph.neighbors[k]) for k in range(5)]
     exchanges = {k: nodes[k].initial_exchange() for k in range(5)}
     cfg = AdmmConfig()

@@ -9,11 +9,11 @@ import pytest
 
 from domkl import features
 from domkl.features import (
+    DEFAULT_BANDWIDTHS,
     FeatureMap,
-    KernelDictionary,
     KernelSpec,
     build_feature_map,
-    default_dictionary,
+    build_maps,
     gaussian_kernel,
 )
 
@@ -107,12 +107,24 @@ def test_weights_are_read_only():
                              seed=2)
     with pytest.raises(ValueError):
         fmap.weights[0, 0] = 5.0
-    # Also after a round trip to a worker process.
+    # Also after a round trip to a worker process, which keeps what the
+    # map carries.
     copy = pickle.loads(pickle.dumps(fmap))
     with pytest.raises(ValueError):
         copy.weights[0, 0] = 5.0
     x = np.array([0.3, -1.2])
     assert copy.map(x).tobytes() == fmap.map(x).tobytes()
+    assert ((copy.bandwidth, copy.kernel_index, copy.seed, copy.num_features,
+             copy.input_dim) == (1.0, 0, 2, 3, 2))
+
+
+def test_map_takes_its_sizes_from_its_weights():
+    weights = np.random.default_rng(0).standard_normal((7, 3))
+    fmap = FeatureMap(weights=weights, kernel_index=2, seed=5, bandwidth=0.5)
+    assert (fmap.num_features, fmap.input_dim) == (7, 3)
+    x = np.array([0.1, -0.4, 2.0])
+    want = np.concatenate([np.sin(x @ weights.T), np.cos(x @ weights.T)])
+    assert fmap.map(x).tobytes() == (want * (1.0 / math.sqrt(7))).tobytes()
 
 
 def test_map_is_deterministic_in_seed():
@@ -137,26 +149,25 @@ def test_fingerprint_matches_digest_recipe_and_frozen_value():
     )
 
 
-def test_default_dictionary_bandwidth_ladder():
-    dictionary = default_dictionary()
-    assert len(dictionary) == 17
-    for p, spec in enumerate(dictionary.specs):
-        assert spec.bandwidth == pytest.approx(10.0 ** ((p + 1 - 9) / 2.0))
-    ratios = [dictionary.specs[p + 1].bandwidth / dictionary.specs[p].bandwidth
+def test_default_bandwidth_ladder():
+    assert len(DEFAULT_BANDWIDTHS) == 17
+    for p, bandwidth in enumerate(DEFAULT_BANDWIDTHS):
+        assert bandwidth == pytest.approx(10.0 ** ((p + 1 - 9) / 2.0))
+    ratios = [DEFAULT_BANDWIDTHS[p + 1] / DEFAULT_BANDWIDTHS[p]
               for p in range(16)]
     assert np.allclose(ratios, np.sqrt(10.0))
 
 
 def test_dictionary_map_seeds_are_offset_from_shared_seed():
-    dictionary = KernelDictionary(
-        specs=(KernelSpec(0.1), KernelSpec(1.0)), shared_seed=100
-    )
-    assert dictionary.map_seed(0) == 101
-    assert dictionary.map_seed(1) == 102
-    maps = dictionary.build_maps(input_dim=3, num_features=4)
+    maps = build_maps((0.1, 1.0), input_dim=3, num_features=4,
+                      shared_seed=100)
     assert [fm.seed for fm in maps] == [101, 102]
     assert [fm.kernel_index for fm in maps] == [0, 1]
-    again = dictionary.build_maps(input_dim=3, num_features=4)
+    assert [fm.bandwidth for fm in maps] == [0.1, 1.0]
+    for fm in maps:
+        alone = build_feature_map(KernelSpec(fm.bandwidth), 3, 4, fm.seed)
+        assert fm.weights.tobytes() == alone.weights.tobytes()
+    again = build_maps((0.1, 1.0), 3, 4, shared_seed=100)
     for a, b in zip(maps, again):
         assert a.weights.tobytes() == b.weights.tobytes()
         assert ((a.kernel_index, a.seed, a.num_features, a.input_dim)
@@ -165,7 +176,7 @@ def test_dictionary_map_seeds_are_offset_from_shared_seed():
 
 def test_dictionary_rejects_empty_specs():
     with pytest.raises(ValueError):
-        KernelDictionary(specs=(), shared_seed=0)
+        build_maps((), 3, 4, shared_seed=0)
 
 
 # A single input, a batch, a long batch and a stacked batch at each input
@@ -183,7 +194,7 @@ _MAP_SHAPES = [shape for d in (2, 1, 3, 5, 8)
 def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
     """Smallest, middle and largest stock bandwidth, single, batched and
     stacked."""
-    fmap = default_dictionary(shared_seed=11).build_maps(shape[-1], 50)[kernel]
+    fmap = build_maps(DEFAULT_BANDWIDTHS, shape[-1], 50, 11)[kernel]
     x = np.random.default_rng(kernel).uniform(size=shape)
     for scale in (1e-2, 1.0, 3e1, 3e2) if len(shape) == 1 else (1.0,):
         projected = (scale * x) @ fmap.weights.T
@@ -196,7 +207,7 @@ def test_map_is_bitwise_the_concatenated_expression(kernel, shape):
 
 
 def test_map_allocates_only_its_output():
-    fmap = default_dictionary(shared_seed=3).build_maps(5, 50)[8]
+    fmap = build_maps(DEFAULT_BANDWIDTHS, 5, 50, 3)[8]
     x = np.random.default_rng(0).uniform(size=(20000, 5))
     tracemalloc.start()
     try:
@@ -214,7 +225,7 @@ def test_pooled_map_is_bitwise_the_round_maps(dim, rounds):
     # rows of that block must be bitwise the map of round t's batch.  A
     # batch of one row takes another BLAS kernel and may round otherwise,
     # but a network has at least two learners.
-    maps = default_dictionary(shared_seed=5).build_maps(dim, 50)
+    maps = build_maps(DEFAULT_BANDWIDTHS, dim, 50, 5)
     rng = np.random.default_rng(100 * dim + rounds)
     for learners in (2, 5, 10, 33):
         for scale in (1e-2, 1.0, 3e1, 3e2):
@@ -257,7 +268,7 @@ _SPLIT_SHAPES = [((16001,), 12), ((2623,), 2), ((7, 600), 2), ((40, 401), 10)]
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("lead, most", _SPLIT_SHAPES)
 def test_map_is_bitwise_the_same_at_any_width(monkeypatch, d, lead, most):
-    maps = default_dictionary(shared_seed=13).build_maps(d, 50)
+    maps = build_maps(DEFAULT_BANDWIDTHS, d, 50, 13)
     x = np.random.default_rng(d).uniform(-1.0, 1.0, size=lead + (d,))
     for fmap in (maps[0], maps[8], maps[16]):
         for scale in (1e-2, 1.0, 3e1, 3e2):
@@ -304,7 +315,7 @@ def test_split_map_keeps_the_callers_error_state(monkeypatch, width):
     a non-finite input raises where the caller asks for it and warns
     nowhere where the caller ignores it."""
     blocks = _at_width(monkeypatch, width)
-    fmap = default_dictionary(shared_seed=2).build_maps(2, 50)[8]
+    fmap = build_maps(DEFAULT_BANDWIDTHS, 2, 50, 2)[8]
     x = np.random.default_rng(0).uniform(size=(4000, 2))
     x[-1, 0] = np.inf  # in the last block at every width
     with np.errstate(invalid="raise"):

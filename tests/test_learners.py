@@ -5,19 +5,15 @@ import pytest
 
 from domkl.admm import AdmmConfig
 from domkl.errors import ProtocolError
-from domkl.features import (
-    KernelDictionary, KernelSpec, build_feature_map, map_stack,
-)
+from domkl.features import KernelSpec, build_feature_map, build_maps, map_stack
 from domkl.graph import Graph
 from domkl.hedge import MessageBoard, combine_weights, mp_update_messages
 from domkl.learners import LearnerNode, RoundExchange, _combined_prediction, step
 
 
 def _maps(num_kernels=3, input_dim=2, num_features=5, shared_seed=9):
-    specs = tuple(KernelSpec(0.1 * (p + 1)) for p in range(num_kernels))
-    return KernelDictionary(specs=specs, shared_seed=shared_seed).build_maps(
-        input_dim, num_features
-    )
+    bandwidths = tuple(0.1 * (p + 1) for p in range(num_kernels))
+    return build_maps(bandwidths, input_dim, num_features, shared_seed)
 
 
 def _network(graph, maps, eta_global=10.0):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from domkl.admm import AdmmConfig
-from domkl.features import KernelSpec, build_feature_map
+from domkl.features import DEFAULT_BANDWIDTHS, KernelSpec, build_feature_map
 from domkl.graph import Graph
 from domkl.learners import LearnerNode, step
 from domkl.oracle import (
@@ -23,7 +23,6 @@ from domkl.metrics import kernel_mse_curves, mse_curve
 from domkl.simulator import (
     ExperimentConfig,
     SyntheticTaskConfig,
-    config_dictionary,
     run_trial,
 )
 
@@ -225,7 +224,7 @@ def dokl_kernel_curves(cfg):
         mse_curve(run_trial(replace(cfg, algorithms=("dokl",), kernel_index=p,
                                     compute_accuracy_regret=False),
                             0).traces["dokl"])
-        for p in range(len(config_dictionary(cfg)))
+        for p in range(len(cfg.bandwidths or DEFAULT_BANDWIDTHS))
     ], axis=1)
 
 

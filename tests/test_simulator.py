@@ -26,14 +26,15 @@ from domkl.simulator import (
     _pooled_pass,
     _run_comkl,
     build_trial_context,
-    config_dictionary,
     derive_seed,
     run_experiment,
     run_trial,
     sweep,
     aggregate,
 )
-from domkl.features import FeatureMap, KernelSpec, build_feature_map, map_stack
+from domkl.features import (
+    DEFAULT_BANDWIDTHS, FeatureMap, KernelSpec, build_feature_map, map_stack,
+)
 from domkl.hedge import MessageBoard, mp_update_messages
 from domkl.learners import LearnerNode, _combined_prediction, step
 from domkl.metrics import regret_accuracy
@@ -137,12 +138,16 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert len(seen) == 4
 
 
-def test_config_dictionary_custom_and_default():
-    custom = config_dictionary(_small_cfg(), shared_seed=9)
-    assert [s.bandwidth for s in custom.specs] == [0.05, 0.1, 0.5]
-    assert custom.map_seed(2) == 12
-    full = config_dictionary(_small_cfg(bandwidths=None), shared_seed=0)
-    assert len(full) == 17
+def test_trial_maps_carry_config_bandwidths_and_seeds():
+    for cfg, bandwidths in ((_small_cfg(), (0.05, 0.1, 0.5)),
+                            (_small_cfg(bandwidths=None), DEFAULT_BANDWIDTHS)):
+        maps = build_trial_context(cfg, 2).maps
+        map_seed = derive_seed(cfg.master_seed, 2, _MAPS)
+        assert tuple(m.bandwidth for m in maps) == bandwidths
+        assert [m.seed for m in maps] == [map_seed + p + 1
+                                          for p in range(len(bandwidths))]
+        assert [m.kernel_index for m in maps] == list(range(len(bandwidths)))
+    assert len(maps) == 17
 
 
 def test_trial_graph_uses_xored_seed():
@@ -209,7 +214,7 @@ def test_noiseless_synthetic_labels_match_generator():
             input_dim=input_dim, noise_std=0.0))
         ctx = build_trial_context(cfg, 0)
         want = _noiseless_labels(ctx, cfg, ctx.maps[4])
-        assert ctx.dictionary.specs[4].bandwidth == 0.01
+        assert ctx.maps[4].bandwidth == 0.01
         assert ctx.labels.tobytes() == want.tobytes()
 
 
