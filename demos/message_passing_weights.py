@@ -13,8 +13,8 @@ summing.
 
 import numpy as np
 
-from domkl import Graph, MessageBoard, combine_weights, mp_combine_weights
-from domkl.hedge import accumulate, mp_update_messages
+from domkl import Graph, combine_weights, mp_combine_weights
+from domkl.hedge import accumulate, initial_messages, mp_update_messages
 
 path = Graph(4, ((0, 1), (1, 2), (2, 3)))
 num_kernels = 3
@@ -26,12 +26,12 @@ eta = 10.0
 cumulatives = [np.zeros(num_kernels) for _ in range(4)]
 cumulatives[0] = accumulate(cumulatives[0], np.array([30.0, 0.0, 0.0]))
 
-board = MessageBoard.initial(path, num_kernels)
+messages = initial_messages(path, num_kernels)
 print("node 3's view of kernel 0, round by round:")
 for round_index in range(1, 5):
     log_ws = [-cumulative / eta for cumulative in cumulatives]
-    board = mp_update_messages(board, path, log_ws)
-    incoming = [board.messages[(2, 3)]]
+    messages = mp_update_messages(messages, path, log_ws)
+    incoming = [messages[(2, 3)]]
     weights = mp_combine_weights(log_ws[3], incoming)
     print("  after round %d: weight on kernel 0 = %.4f" % (round_index,
                                                            weights[0]))
@@ -42,9 +42,9 @@ print("(the planted score needs 3 hops to reach the far end)")
 pair = Graph(2, ((0, 1),))
 a = np.zeros(num_kernels)
 b = accumulate(np.zeros(num_kernels), np.array([0.0, 5.0, 1.0]))
-pair_board = mp_update_messages(MessageBoard.initial(pair, num_kernels),
-                                pair, [-a / eta, -b / eta])
-via_messages = mp_combine_weights(-a / eta, [pair_board.messages[(1, 0)]])
+pair_messages = mp_update_messages(initial_messages(pair, num_kernels),
+                                   pair, [-a / eta, -b / eta])
+via_messages = mp_combine_weights(-a / eta, [pair_messages[(1, 0)]])
 via_product = combine_weights(a, [b], eta)
 print("\ntwo-node check, max |difference|: %.2e"
       % np.abs(via_messages - via_product).max())

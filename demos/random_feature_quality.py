@@ -12,19 +12,19 @@ import os
 
 import numpy as np
 
-from domkl import KernelSpec, build_feature_map, gaussian_kernel
+from domkl import build_feature_map, gaussian_kernel
 
-spec = KernelSpec(bandwidth=1.0)
+bandwidth = 1.0
 rng = np.random.default_rng(5)
 pairs = [(rng.random(5), rng.random(5)) for _ in range(200)]
-exact = np.array([gaussian_kernel(spec, x, y) for x, y in pairs])
+exact = np.array([gaussian_kernel(bandwidth, x, y) for x, y in pairs])
 
 print("%8s %12s %12s" % ("M", "max |err|", "mean |err|"))
 sizes = (10, 50, 200, 1000, 2000, 8000)
 curves = []
 for num_features in sizes:
-    fmap = build_feature_map(spec, input_dim=5, num_features=num_features,
-                             seed=123)
+    fmap = build_feature_map(bandwidth, input_dim=5,
+                             num_features=num_features, seed=123)
     approx = np.array([float(fmap.map(x) @ fmap.map(y)) for x, y in pairs])
     err = np.abs(approx - exact)
     curves.append((err.max(), err.mean()))

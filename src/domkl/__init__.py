@@ -18,9 +18,9 @@ importable from its submodule as ``domkl.<module>.<name>``.
 from .admm import AdmmConfig
 from .baselines import comkl_step, rff_dokl_step
 from .errors import ConfigError
-from .features import KernelSpec, build_feature_map, gaussian_kernel
+from .features import build_feature_map, gaussian_kernel
 from .graph import Graph, sample_connected_er
-from .hedge import MessageBoard, combine_weights, mp_combine_weights
+from .hedge import combine_weights, mp_combine_weights
 from .learners import step
 from .metrics import cv_curve, mse_curve
 from .simulator import (
@@ -42,8 +42,6 @@ __all__ = [
     "CsvTaskConfig",
     "ExperimentConfig",
     "Graph",
-    "KernelSpec",
-    "MessageBoard",
     "SyntheticTaskConfig",
     "build_feature_map",
     "combine_weights",

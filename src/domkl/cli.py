@@ -96,7 +96,6 @@ _SOURCES = {
 # topology file does leave connection_prob and max_attempts unread, but
 # configs that keep both beside a topology load today, so they still do.
 _EVERY = ()
-_ADMM = ("domkl", "dokl")
 _DOMKL = ("domkl",)
 _CSV = ("regression", "csv_timeseries")
 _SYN = ("synthetic",)
@@ -123,7 +122,7 @@ _KEYS = {
     ("algorithm.domkl", "rho"):
         (_parse_float, "admm", "rho", READERS["rho"]),
     ("algorithm.domkl", "eta_local"):
-        (_parse_float, "admm", "eta_local", _ADMM),
+        (_parse_float, "admm", "eta_local", READERS["rho"]),
     ("algorithm.domkl", "eta_global"):
         (_parse_float, "experiment", "eta_global", READERS["eta_global"]),
     ("algorithm.domkl", "num_features"):
@@ -251,15 +250,15 @@ def _write_results(path, result):
     return rows
 
 
-def cmd_run(config_path, overrides=None, out_dir="."):
-    """Execute one configured experiment.  Returns the exit code."""
-    overrides = overrides or {}
+def cmd_run(config_path, out_dir=".", seed=None, trials=None):
+    """Execute one configured experiment, with ``seed`` and ``trials``
+    replacing the config's values when given.  Returns the exit code."""
     try:
         cfg = load_config(config_path)
-        if "seed" in overrides:
-            cfg = replace(cfg, master_seed=overrides["seed"])
-        if "trials" in overrides:
-            cfg = replace(cfg, trials=overrides["trials"])
+        if seed is not None:
+            cfg = replace(cfg, master_seed=seed)
+        if trials is not None:
+            cfg = replace(cfg, trials=trials)
     except (ConfigError, configparser.Error, OSError) as exc:
         print("config error: %s" % (exc,), file=sys.stderr)
         return 2
@@ -358,12 +357,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        return cmd_run(args.config, overrides, out_dir=args.out)
+        return cmd_run(args.config, args.out, args.seed, args.trials)
     if args.command == "sweep":
         try:
             rhos = _parse_floats(args.rho)

@@ -25,27 +25,18 @@ _BLOCK_VALUES = 1 << 16
 DEFAULT_BANDWIDTHS = tuple(10.0 ** ((p - 9) / 2.0) for p in range(1, 18))
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A Gaussian kernel identified by its bandwidth (the variance sigma^2)."""
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
-
-
-def gaussian_kernel(spec, x, y):
-    """Evaluate exp(-||x - y||^2 / (2 * bandwidth)).
+def gaussian_kernel(bandwidth, x, y):
+    """Evaluate exp(-||x - y||^2 / (2 * bandwidth)), bandwidth = sigma^2.
 
     Accepts single vectors or broadcastable stacks of vectors; the last
     axis is the input dimension.
     """
+    if not bandwidth > 0.0:  # at 0, x = y would give exp(0 / 0) = NaN
+        raise ValueError("bandwidth must be positive")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     sq = np.sum((x - y) ** 2, axis=-1)
-    return np.exp(-sq / (2.0 * spec.bandwidth))
+    return np.exp(-sq / (2.0 * bandwidth))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,22 +213,25 @@ def map_stack(maps, x):
     return out
 
 
-def build_feature_map(spec, input_dim, num_features, seed, kernel_index=0):
-    """Draw the frequency rows for ``spec`` and freeze them in a FeatureMap.
+def build_feature_map(bandwidth, input_dim, num_features, seed,
+                      kernel_index=0):
+    """Draw a Gaussian kernel's frequency rows and freeze them in a FeatureMap.
 
     Rows are i.i.d. N(0, I/bandwidth), the spectral measure of the
     Gaussian kernel, so inner products of mapped points are unbiased
     kernel estimates.
     """
+    if not bandwidth > 0.0:
+        raise ValueError("bandwidth must be positive")
     if input_dim < 1:
         raise ValueError("input_dim must be at least 1")
     if num_features < 1:
         raise ValueError("num_features must be at least 1")
     rng = np.random.default_rng(seed)
-    std = 1.0 / math.sqrt(spec.bandwidth)
+    std = 1.0 / math.sqrt(bandwidth)
     weights = rng.standard_normal((num_features, input_dim)) * std
     return FeatureMap(weights=weights, kernel_index=kernel_index, seed=seed,
-                      bandwidth=spec.bandwidth)
+                      bandwidth=bandwidth)
 
 
 def build_maps(bandwidths, input_dim, num_features, shared_seed):
@@ -249,7 +243,7 @@ def build_maps(bandwidths, input_dim, num_features, shared_seed):
     if len(bandwidths) < 1:
         raise ValueError("dictionary needs at least one kernel")
     return tuple(
-        build_feature_map(KernelSpec(b), input_dim, num_features,
+        build_feature_map(b, input_dim, num_features,
                           seed=shared_seed + p + 1, kernel_index=p)
         for p, b in enumerate(bandwidths)
     )

@@ -6,13 +6,13 @@ long runs cannot underflow the multiplicative-update form.  Two
 combination rules are provided: the neighbor-product rule (sum your
 neighbors' cumulative losses into your own) and a message-passing
 variant for acyclic topologies that relays losses from beyond the
-immediate neighborhood.
+immediate neighborhood; its messages are a dict of (P,) log weights
+keyed by directed edge (sender, receiver), from ``initial_messages``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,51 +59,45 @@ def combine_weights(own_cumulative, neighbor_cumulatives, eta_global):
     return _softmax_in_place(total)
 
 
-@dataclass(frozen=True)
-class MessageBoard:
-    """Log-domain messages on every directed edge, one vector per kernel."""
+def initial_messages(graph, num_kernels, allow_cycles=False):
+    """All-zero log messages (multiplicative identity) on every directed
+    edge, a dict keyed by (sender, receiver).
 
-    messages: dict
-
-    @classmethod
-    def initial(cls, graph, num_kernels, allow_cycles=False):
-        """All-zero messages (multiplicative identity) on both edge directions.
-
-        Relaying is exact on forests only, so a cyclic graph is refused
-        unless ``allow_cycles`` is set, and then warned about.
-        """
-        if not is_forest(graph):
-            if not allow_cycles:
-                raise ConfigError(
-                    "message passing on a cyclic graph double counts "
-                    "losses; set allow_cycles = true to run it anyway",
-                    key="allow_cycles")
-            warnings.warn(
-                "message passing on a cyclic graph double counts losses",
-                RuntimeWarning,
-            )
-        messages = {}
-        for k, l in graph.edges:
-            messages[(k, l)] = np.zeros(num_kernels)
-            messages[(l, k)] = np.zeros(num_kernels)
-        return cls(messages=messages)
+    Relaying is exact on forests only, so a cyclic graph is refused
+    unless ``allow_cycles`` is set, and then warned about.
+    """
+    if not is_forest(graph):
+        if not allow_cycles:
+            raise ConfigError(
+                "message passing on a cyclic graph double counts "
+                "losses; set allow_cycles = true to run it anyway",
+                key="allow_cycles")
+        warnings.warn(
+            "message passing on a cyclic graph double counts losses",
+            RuntimeWarning,
+        )
+    messages = {}
+    for k, l in graph.edges:
+        messages[(k, l)] = np.zeros(num_kernels)
+        messages[(l, k)] = np.zeros(num_kernels)
+    return messages
 
 
-def mp_update_messages(board, graph, latest_log_w):
+def mp_update_messages(messages, graph, latest_log_w):
     """One relay round: each edge forwards the sender's fresh log weight
     plus everything previously received from the sender's other edges.
 
-    ``board`` must come from ``MessageBoard.initial`` on the same graph,
-    which decides once whether the graph may carry messages.
+    ``messages`` must descend from ``initial_messages`` on the same
+    graph, which decides once whether the graph may carry messages.
     """
     updated = {}
-    for k, l in board.messages:
+    for k, l in messages:
         total = np.array(latest_log_w[k], dtype=np.float64)
         for i in graph.neighbors[k]:
             if i != l:
-                total = total + board.messages[(i, k)]
+                total = total + messages[(i, k)]
         updated[(k, l)] = total
-    return MessageBoard(messages=updated)
+    return updated
 
 
 def mp_combine_weights(own_log_w, incoming_log_messages):

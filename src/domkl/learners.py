@@ -6,7 +6,8 @@ neighbors' latest broadcast enables, predicts with the round's state,
 refits every kernel's parameters, and emits a new broadcast.  Running
 the dual/weight finalization on arrival instead of after the exchange
 produces the exact same trajectory as the mid-round-exchange ordering,
-while keeping the step a single call fed only by previous-round output.
+while keeping the step a single call fed only by previous-round output;
+relayed hedge messages, when ``step`` is given them, pick the relay rule.
 With one feature map a network of nodes runs the single-kernel consensus
 round that ``oracle.joint_round`` solves as one dense system; the
 validation suite and the tests check ``step`` against it.
@@ -22,8 +23,6 @@ from .admm import gamma_hat, lambda_update, theta_update_quadratic
 from .errors import ProtocolError
 from .features import map_stack
 from .hedge import accumulate, combine_weights, mp_combine_weights
-
-VARIANTS = ("product", "message_passing")
 
 
 @dataclass(frozen=True)
@@ -87,23 +86,20 @@ class LearnerNode:
         )
 
 
-def step(node, neighbor_exchanges, sample, cfg, variant="product",
-         incoming_messages=None):
+def step(node, neighbor_exchanges, sample, cfg, incoming_messages=None):
     """Advance one node by one round.
 
     ``neighbor_exchanges`` must be the previous round's broadcasts of
     exactly the node's neighbors (any order; they are sorted by sender
-    internally).  For ``variant="message_passing"``
-    ``incoming_messages`` supplies one log-message vector per neighbor,
-    aligned with the sorted neighbor order.
+    internally).  Without ``incoming_messages`` the weights follow the
+    neighbor-product rule; with them, one relayed log-message vector per
+    neighbor in sorted neighbor order, they follow the message-passing rule.
 
     The call finalizes the dual and weight updates owed to the arriving
     broadcasts, predicts the sample's label with the resulting round
     state, accumulates per-kernel prediction losses, refits every
     kernel, and returns (prediction, per_kernel_losses, outgoing).
     """
-    if variant not in VARIANTS:
-        raise ValueError("unknown variant %r" % (variant,))
     exchanges = sorted(neighbor_exchanges, key=lambda e: e.sender)
     senders = tuple(e.sender for e in exchanges)
     if senders != node.neighbors:
@@ -111,6 +107,10 @@ def step(node, neighbor_exchanges, sample, cfg, variant="product",
             "node %d expected exchanges from %s, got %s"
             % (node.node_id, node.neighbors, senders)
         )
+    if incoming_messages is not None and len(incoming_messages) != len(senders):
+        raise ProtocolError("node %d expected %d incoming messages, got %d"
+                            % (node.node_id, len(senders),
+                               len(incoming_messages)))
     x, y = sample
 
     # Dual ascent owed from the previous round, now that the neighbors'
@@ -119,15 +119,13 @@ def step(node, neighbor_exchanges, sample, cfg, variant="product",
     node.lams = lambda_update(node.lams, node.thetas, neighbor_thetas, cfg.rho)
 
     # Weight update owed from the previous round's loss broadcasts.
-    if variant == "product":
+    if incoming_messages is None:
         weights = combine_weights(
             node.cumulative_loss,
             [e.cumulative_losses for e in exchanges],
             node.eta_global,
         )
     else:
-        if incoming_messages is None:
-            raise ProtocolError("message_passing variant needs incoming_messages")
         weights = mp_combine_weights(-node.cumulative_loss / node.eta_global,
                                      incoming_messages)
 

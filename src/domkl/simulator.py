@@ -46,7 +46,6 @@ from .data import (
 from .errors import ConfigError
 from .features import (
     DEFAULT_BANDWIDTHS,
-    KernelSpec,
     _share_cpus,
     build_feature_map,
     build_maps,
@@ -55,7 +54,7 @@ from .features import (
 # can time it apart from the mapping inside learners.step.
 from .features import map_stack as _map_stack
 from .graph import connected_components, from_edge_list, sample_connected_er
-from .hedge import MessageBoard, mp_update_messages
+from .hedge import initial_messages, mp_update_messages
 from .learners import LearnerNode, _combined_prediction, step
 from .metrics import (
     RunTrace,
@@ -68,7 +67,8 @@ from .metrics import (
 ALGORITHMS = ("domkl", "dokl", "comkl", "rff_dokl")
 # The algorithms that read each parameter that only some of them read;
 # the config keys that set them have the same readers.  dokl's one-kernel
-# hedge weight is always 1, so eta_global changes nothing there.
+# hedge weight is always 1, so eta_global changes nothing there.  rho's
+# readers are the ADMM learners, which also read the ADMM's eta_local.
 READERS = {"rho": ("domkl", "dokl"), "eta_global": ("domkl", "comkl"),
            "kernel_index": ("dokl", "rff_dokl")}
 TASKS = ("synthetic", "regression", "timeseries")
@@ -215,6 +215,13 @@ class ExperimentConfig:
         if not self.diffusion_step_size > 0.0:
             raise ConfigError("rff_dokl step_size must be positive",
                               key="step_size")
+        reads = {"synthetic": "synthetic", "regression": "csv_data",
+                 "timeseries": "ar_synth" if self.csv_data is None
+                 else "csv_data"}[self.task]
+        for name in ("synthetic", "csv_data", "ar_synth"):
+            if name != reads and getattr(self, name) is not None:
+                raise ConfigError("a %s task never reads %s"
+                                  % (self.task, name), key=name)
         if self.task == "synthetic":
             if self.rounds is None:
                 raise ConfigError("synthetic task needs rounds", key="rounds")
@@ -395,7 +402,7 @@ def build_trial_context(cfg, trial_index, inputs=None):
                 break
         else:
             generator = build_feature_map(
-                KernelSpec(synth.bandwidth), synth.input_dim, cfg.num_features,
+                synth.bandwidth, synth.input_dim, cfg.num_features,
                 seed=derive_seed(cfg.master_seed, trial_index, _DATA, 2))
         ds = synth_regression(
             generator, theta, synth.noise_std, cfg.num_learners * cfg.rounds,
@@ -456,7 +463,7 @@ def _empty_trace(ctx, algorithm, num_kernels):
     )
 
 
-def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product"):
+def _run_admm_family(ctx, cfg, kernel_indices, algorithm):
     """Round loop shared by the multi-kernel and single-kernel runs.
 
     Raises ``FloatingPointError`` naming the learner and round whose
@@ -472,27 +479,28 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm, variant="product"):
         for k in range(num_nodes)
     ]
     exchanges = {k: nodes[k].initial_exchange() for k in range(num_nodes)}
-    board = (MessageBoard.initial(graph, len(maps), cfg.allow_cycles)
-             if variant == "message_passing" else None)
+    messages = None
+    if algorithm == "domkl" and cfg.hedge_variant == "message_passing":
+        messages = initial_messages(graph, len(maps), cfg.allow_cycles)
 
     try:
         for t in range(ctx.horizon):
-            if board is not None:
+            if messages is not None:
                 log_w = [
                     -exchanges[k].cumulative_losses / cfg.eta_global
                     for k in range(num_nodes)
                 ]
-                board = mp_update_messages(board, graph, log_w)
+                messages = mp_update_messages(messages, graph, log_w)
             fresh = {}
             for k in range(num_nodes):
                 inbox = [exchanges[l] for l in graph.neighbors[k]]
-                messages = (
-                    [board.messages[(l, k)] for l in graph.neighbors[k]]
-                    if board is not None else None
+                incoming = (
+                    [messages[(l, k)] for l in graph.neighbors[k]]
+                    if messages is not None else None
                 )
                 pred, kernel_losses, outgoing = step(
                     nodes[k], inbox, (ctx.inputs[t, k], ctx.labels[t, k]),
-                    cfg.admm, variant=variant, incoming_messages=messages,
+                    cfg.admm, incoming_messages=incoming,
                 )
                 trace.predictions[t, k] = pred
                 trace.per_kernel_losses[t, k] = kernel_losses
@@ -616,7 +624,6 @@ def run_trial(cfg, trial_index, inputs=None):
             if algorithm == "domkl":
                 traces[algorithm] = _run_admm_family(
                     ctx, cfg, list(range(len(ctx.maps))), "domkl",
-                    variant=cfg.hedge_variant,
                 )
             elif algorithm == "dokl":
                 traces[algorithm] = _run_admm_family(

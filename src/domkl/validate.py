@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .admm import AdmmConfig
-from .features import KernelSpec, build_feature_map, build_maps
+from .features import build_feature_map, build_maps
 from .graph import Graph, sample_connected_er
 from .hedge import combine_weights
 from .learners import LearnerNode, step
@@ -21,7 +21,7 @@ from .simulator import ExperimentConfig, run_trial
 def check_feature_norm():
     """Random feature vectors sit on the unit sphere."""
     rng = np.random.default_rng(7)
-    fmap = build_feature_map(KernelSpec(0.1), input_dim=5, num_features=40,
+    fmap = build_feature_map(0.1, input_dim=5, num_features=40,
                              seed=11)
     xs = rng.standard_normal((10_000, 5))
     z = fmap.map(xs)
@@ -138,7 +138,7 @@ def check_joint_equivalence():
     """One-map learner rounds track the monolithic reference solver."""
     rng = np.random.default_rng(41)
     graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
-    fmap = build_feature_map(KernelSpec(0.5), input_dim=2, num_features=2,
+    fmap = build_feature_map(0.5, input_dim=2, num_features=2,
                              seed=13)
     features = rng.standard_normal((20, 3, 2))
     labels = rng.standard_normal((20, 3))

@@ -17,7 +17,7 @@ from domkl.admm import (
     lambda_update,
     theta_update_quadratic,
 )
-from domkl.features import KernelSpec, build_feature_map, gaussian_kernel
+from domkl.features import build_feature_map, gaussian_kernel
 from domkl.graph import Graph
 from domkl.hedge import mp_combine_weights
 from domkl.metrics import cv_curve, kernel_mse_curves, mse_curve
@@ -74,7 +74,7 @@ def test_distributed_updates_match_dense_joint_solve():
     for case, (name, graph) in enumerate(graphs.items()):
         for num_features in (1, 2):
             rng = np.random.default_rng(10 * case + num_features)
-            fmap = build_feature_map(KernelSpec(0.5), 2, num_features,
+            fmap = build_feature_map(0.5, 2, num_features,
                                      seed=num_features)
             num_nodes = graph.num_nodes
             dim = 2 * num_features
@@ -297,14 +297,14 @@ def test_invariant_suite_passes_quickly():
 # 8. A wide random feature map reproduces the Gaussian kernel pointwise.
 
 def test_feature_map_approximates_gaussian_kernel():
-    spec = KernelSpec(1.0)
-    fmap = build_feature_map(spec, input_dim=5, num_features=2000, seed=123)
+    bandwidth = 1.0
+    fmap = build_feature_map(bandwidth, input_dim=5, num_features=2000, seed=123)
     rng = np.random.default_rng(5)
     errors = np.empty(100)
     for i in range(100):
         x, y = rng.random(5), rng.random(5)
         approx = float(fmap.map(x) @ fmap.map(y))
-        errors[i] = abs(approx - gaussian_kernel(spec, x, y))
+        errors[i] = abs(approx - gaussian_kernel(bandwidth, x, y))
     ok = errors.max() <= 0.05 and errors.mean() <= 0.02
     assert _report(ok, "feature-map-fidelity",
                    "max err %.3f (<= 0.05), mean %.4f (<= 0.02)"

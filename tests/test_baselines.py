@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from domkl.baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
-from domkl.features import KernelSpec, build_feature_map
+from domkl.features import build_feature_map
 from domkl.graph import Graph, sample_connected_er
 
 
 def _maps(num_kernels, dim, num_features=7, seed=30):
-    specs = [KernelSpec(bandwidth=0.5 * (p + 1)) for p in range(num_kernels)]
     return [
-        build_feature_map(spec, dim, num_features, seed + p)
-        for p, spec in enumerate(specs)
+        build_feature_map(0.5 * (p + 1), dim, num_features, seed + p)
+        for p in range(num_kernels)
     ]
 
 
@@ -222,7 +221,7 @@ def test_diffusion_state_validation():
 
 def test_diffusion_step_matches_oracle():
     graph = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    fmap = build_feature_map(KernelSpec(1.0), 2, 6, seed=9)
+    fmap = build_feature_map(1.0, 2, 6, seed=9)
     rng = np.random.default_rng(14)
     state = DiffusionState.fresh(graph, 12, step_size=0.2)
     inputs, labels = _batch(rng, 4, 2)
@@ -302,7 +301,7 @@ def test_diffusion_validation():
 
 def test_complete_graph_reaches_consensus_in_one_round():
     graph = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
-    fmap = build_feature_map(KernelSpec(1.0), 2, 5, seed=6)
+    fmap = build_feature_map(1.0, 2, 5, seed=6)
     rng = np.random.default_rng(5)
     state = DiffusionState.fresh(graph, 10)
     # Break symmetry first with a structured round on a fresh start.
@@ -314,7 +313,7 @@ def test_complete_graph_reaches_consensus_in_one_round():
 
 def test_diffusion_tracks_stationary_target():
     graph = Graph(3, ((0, 1), (1, 2)))
-    fmap = build_feature_map(KernelSpec(1.0), 2, 40, seed=17)
+    fmap = build_feature_map(1.0, 2, 40, seed=17)
     rng = np.random.default_rng(33)
     target = rng.normal(size=80)
     state = DiffusionState.fresh(graph, 80, step_size=0.3)
@@ -386,7 +385,7 @@ def test_non_finite_hedge_prediction_raises():
 
 def test_diverging_diffusion_step_raises():
     graph = Graph(3, ((0, 1), (1, 2)))
-    fmap = build_feature_map(KernelSpec(1.0), 2, 4, seed=2)
+    fmap = build_feature_map(1.0, 2, 4, seed=2)
     rng = np.random.default_rng(13)
     state = DiffusionState.fresh(graph, 8, step_size=1e300)
     inputs, labels = _batch(rng, 3, 2)

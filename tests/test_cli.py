@@ -215,8 +215,18 @@ def test_seed_override_changes_results(tmp_path):
     path = _write_ini(tmp_path)
     assert cmd_run(path, out_dir=str(tmp_path)) == 0
     first = (tmp_path / "results.csv").read_bytes()
-    assert cmd_run(path, overrides={"seed": 4}, out_dir=str(tmp_path)) == 0
-    assert (tmp_path / "results.csv").read_bytes() != first
+    assert cmd_run(path, out_dir=str(tmp_path), seed=4) == 0
+    seeded = (tmp_path / "results.csv").read_bytes()
+    assert seeded != first
+    # main hands --seed and --trials to the same keywords.
+    run = ["run", "--config", path, "--out", str(tmp_path)]
+    assert main(run + ["--seed", "4"]) == 0
+    assert (tmp_path / "results.csv").read_bytes() == seeded
+    assert main(run + ["--trials", "2"]) == 0
+    two_trials = (tmp_path / "results.csv").read_bytes()
+    assert two_trials not in (first, seeded)
+    assert cmd_run(path, out_dir=str(tmp_path), trials=2) == 0
+    assert (tmp_path / "results.csv").read_bytes() == two_trials
 
 
 def test_run_through_main_with_topology(tmp_path):

@@ -19,7 +19,7 @@ from domkl.data import (
     synth_regression,
 )
 from domkl.errors import ConfigError
-from domkl.features import KernelSpec, build_feature_map
+from domkl.features import build_feature_map
 
 
 def test_dataset_validation():
@@ -172,7 +172,7 @@ def test_ar_embed_validation():
 
 def _generator(num_features=6):
     """A feature map and parameters that define a generating function."""
-    fmap = build_feature_map(KernelSpec(0.5), input_dim=2,
+    fmap = build_feature_map(0.5, input_dim=2,
                              num_features=num_features, seed=7)
     return fmap, np.random.default_rng(100).normal(size=2 * num_features)
 
@@ -220,11 +220,11 @@ _LABEL_DIGESTS = """\
 import hashlib
 import numpy as np
 from domkl.data import synth_regression
-from domkl.features import KernelSpec, build_feature_map
+from domkl.features import build_feature_map
 
 theta = np.random.default_rng(0).standard_normal(100)
 for dim in (1, 2, 5):
-    fmap = build_feature_map(KernelSpec(0.1), dim, 50, seed=3)
+    fmap = build_feature_map(0.1, dim, 50, seed=3)
     for num_samples in (8001, 16001, 40001):
         ds = synth_regression(fmap, theta, 0.0, num_samples, seed=4,
                               noise_seed=5)

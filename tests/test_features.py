@@ -11,7 +11,6 @@ from domkl import features
 from domkl.features import (
     DEFAULT_BANDWIDTHS,
     FeatureMap,
-    KernelSpec,
     build_feature_map,
     build_maps,
     gaussian_kernel,
@@ -19,25 +18,26 @@ from domkl.features import (
 
 
 def test_bandwidth_must_be_positive():
-    with pytest.raises(ValueError):
-        KernelSpec(0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(-1.0)
+    """A kernel is its bandwidth, so both of its users check it; at 0 the
+    kernel would read NaN where x = y."""
+    for bandwidth in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            build_feature_map(bandwidth, input_dim=2, num_features=3, seed=1)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            gaussian_kernel(bandwidth, np.zeros(2), np.zeros(2))
 
 
 def test_gaussian_kernel_frozen_value():
     # exp(-||x-y||^2 / (2 sigma^2)) at distance sqrt(2), sigma^2 = 0.5
-    spec = KernelSpec(0.5)
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 1.0])
-    assert gaussian_kernel(spec, x, y) == pytest.approx(0.1353352832366127, abs=1e-15)
+    assert gaussian_kernel(0.5, x, y) == pytest.approx(0.1353352832366127, abs=1e-15)
 
 
 def test_gaussian_kernel_broadcasts():
-    spec = KernelSpec(2.0)
     x = np.zeros((4, 3))
     y = np.ones((4, 3))
-    vals = gaussian_kernel(spec, x, y)
+    vals = gaussian_kernel(2.0, x, y)
     assert vals.shape == (4,)
     assert np.allclose(vals, np.exp(-3.0 / 4.0))
 
@@ -47,7 +47,7 @@ def test_feature_vectors_have_unit_norm():
     for _ in range(50):
         d = int(rng.integers(1, 8))
         m = int(rng.integers(1, 40))
-        fmap = build_feature_map(KernelSpec(float(10 ** rng.uniform(-2, 1))),
+        fmap = build_feature_map(float(10 ** rng.uniform(-2, 1)),
                                  input_dim=d, num_features=m,
                                  seed=int(rng.integers(1 << 30)))
         x = rng.standard_normal(d) * 10.0
@@ -58,7 +58,7 @@ def test_feature_vectors_have_unit_norm():
 
 def test_single_feature_inner_product_is_cosine_of_gap():
     """With M=1 the sin and cos blocks make z.z' = cos(v.(x - x'))."""
-    fmap = build_feature_map(KernelSpec(0.7), input_dim=3, num_features=1,
+    fmap = build_feature_map(0.7, input_dim=3, num_features=1,
                              seed=21)
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -69,7 +69,7 @@ def test_single_feature_inner_product_is_cosine_of_gap():
 
 
 def test_map_batches_match_single_inputs():
-    fmap = build_feature_map(KernelSpec(0.3), input_dim=4, num_features=6,
+    fmap = build_feature_map(0.3, input_dim=4, num_features=6,
                              seed=8)
     rng = np.random.default_rng(12)
     batch = rng.standard_normal((10, 4))
@@ -80,30 +80,29 @@ def test_map_batches_match_single_inputs():
 
 def test_weight_rows_scale_with_inverse_bandwidth():
     # rows are N(0, I / sigma^2); at M=2000 the sample variance is close
-    wide = build_feature_map(KernelSpec(4.0), input_dim=3, num_features=2000,
+    wide = build_feature_map(4.0, input_dim=3, num_features=2000,
                              seed=14)
     assert np.var(wide.weights) == pytest.approx(1.0 / 4.0, rel=0.1)
-    sharp = build_feature_map(KernelSpec(0.04), input_dim=3, num_features=2000,
+    sharp = build_feature_map(0.04, input_dim=3, num_features=2000,
                               seed=14)
     assert np.var(sharp.weights) == pytest.approx(25.0, rel=0.1)
 
 
 def test_kernel_approximation_improves_with_m():
-    spec = KernelSpec(1.0)
     rng = np.random.default_rng(4)
     x = rng.random((40, 5))
     y = rng.random((40, 5))
-    exact = gaussian_kernel(spec, x, y)
+    exact = gaussian_kernel(1.0, x, y)
     errs = []
     for m in (10, 100, 1000):
-        fmap = build_feature_map(spec, input_dim=5, num_features=m, seed=33)
+        fmap = build_feature_map(1.0, input_dim=5, num_features=m, seed=33)
         approx = (fmap.map(x) * fmap.map(y)).sum(axis=-1)
         errs.append(float(np.abs(approx - exact).mean()))
     assert errs[2] < errs[0]
 
 
 def test_weights_are_read_only():
-    fmap = build_feature_map(KernelSpec(1.0), input_dim=2, num_features=3,
+    fmap = build_feature_map(1.0, input_dim=2, num_features=3,
                              seed=2)
     with pytest.raises(ValueError):
         fmap.weights[0, 0] = 5.0
@@ -128,15 +127,15 @@ def test_map_takes_its_sizes_from_its_weights():
 
 
 def test_map_is_deterministic_in_seed():
-    a = build_feature_map(KernelSpec(1.0), 2, 5, seed=6)
-    b = build_feature_map(KernelSpec(1.0), 2, 5, seed=6)
-    c = build_feature_map(KernelSpec(1.0), 2, 5, seed=7)
+    a = build_feature_map(1.0, 2, 5, seed=6)
+    b = build_feature_map(1.0, 2, 5, seed=6)
+    c = build_feature_map(1.0, 2, 5, seed=7)
     assert np.array_equal(a.weights, b.weights)
     assert not np.array_equal(a.weights, c.weights)
 
 
 def test_fingerprint_matches_digest_recipe_and_frozen_value():
-    fmap = build_feature_map(KernelSpec(0.25), input_dim=1, num_features=2,
+    fmap = build_feature_map(0.25, input_dim=1, num_features=2,
                              seed=1)
     digest = hashlib.sha256()
     digest.update(fmap.weights.tobytes())
@@ -165,7 +164,7 @@ def test_dictionary_map_seeds_are_offset_from_shared_seed():
     assert [fm.kernel_index for fm in maps] == [0, 1]
     assert [fm.bandwidth for fm in maps] == [0.1, 1.0]
     for fm in maps:
-        alone = build_feature_map(KernelSpec(fm.bandwidth), 3, 4, fm.seed)
+        alone = build_feature_map(fm.bandwidth, 3, 4, fm.seed)
         assert fm.weights.tobytes() == alone.weights.tobytes()
     again = build_maps((0.1, 1.0), 3, 4, shared_seed=100)
     for a, b in zip(maps, again):
@@ -286,7 +285,7 @@ def test_map_is_bitwise_the_same_at_any_width(monkeypatch, d, lead, most):
 def test_wide_map_never_splits_off_one_row(monkeypatch, rows):
     """With more than 2**16 features one row holds enough values for a
     block, but a one-row block would take another BLAS kernel."""
-    fmap = build_feature_map(KernelSpec(0.5), input_dim=3,
+    fmap = build_feature_map(0.5, input_dim=3,
                              num_features=70000, seed=4)
     x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 3))
     want = None

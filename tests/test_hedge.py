@@ -6,9 +6,9 @@ import pytest
 from domkl.errors import ConfigError
 from domkl.graph import Graph
 from domkl.hedge import (
-    MessageBoard,
     accumulate,
     combine_weights,
+    initial_messages,
     mp_combine_weights,
     mp_update_messages,
 )
@@ -144,11 +144,11 @@ def test_weights_concentrate_on_the_cheapest_kernel():
     assert weights[2] > 0.99
 
 
-def test_board_initial_messages_are_zero_both_directions():
+def test_initial_messages_are_zero_both_directions():
     graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
-    board = MessageBoard.initial(graph, 4)
-    assert set(board.messages) == {(0, 1), (1, 0), (1, 2), (2, 1)}
-    for value in board.messages.values():
+    messages = initial_messages(graph, 4)
+    assert set(messages) == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    for value in messages.values():
         assert not value.any()
 
 
@@ -168,46 +168,47 @@ def test_relay_messages_are_delayed_log_weight_sums():
     """On a path, each hop adds one round of delay to the relayed terms."""
     graph = Graph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3)))
     rng = np.random.default_rng(13)
-    board = MessageBoard.initial(graph, 3)
+    messages = initial_messages(graph, 3)
     history = []
     for s in range(6):
         logs = [rng.standard_normal(3) for _ in range(4)]
         history.append(logs)
-        board = mp_update_messages(board, graph, logs)
-        for (k, l), msg in board.messages.items():
+        messages = mp_update_messages(messages, graph, logs)
+        for (k, l), msg in messages.items():
             want = _oracle_message(history, graph, k, l, s + 1, 3)
             assert np.allclose(msg, want, atol=1e-12)
     # spot check the closed form on the chain end: message 2 -> 3 stacks
     # the last three rounds of nodes 2, 1, 0 with delays 0, 1, 2
     closed = history[5][2] + history[4][1] + history[3][0]
-    assert np.allclose(board.messages[(2, 3)], closed, atol=1e-12)
+    assert np.allclose(messages[(2, 3)], closed, atol=1e-12)
 
 
 def test_star_center_relays_every_leaf():
     graph = Graph(num_nodes=4, edges=((0, 1), (0, 2), (0, 3)))
-    board = MessageBoard.initial(graph, 2)
+    messages = initial_messages(graph, 2)
     logs = [np.full(2, float(k)) for k in range(4)]
-    board = mp_update_messages(board, graph, logs)
-    board = mp_update_messages(board, graph, logs)
+    messages = mp_update_messages(messages, graph, logs)
+    messages = mp_update_messages(messages, graph, logs)
     # center -> leaf 1 carries the center's weight plus leaves 2 and 3
-    assert np.allclose(board.messages[(0, 1)], logs[0] + logs[2] + logs[3])
+    assert np.allclose(messages[(0, 1)], logs[0] + logs[2] + logs[3])
     # leaf -> center carries only the leaf itself
-    assert np.allclose(board.messages[(1, 0)], logs[1])
+    assert np.allclose(messages[(1, 0)], logs[1])
 
 
 def test_cycle_gate_raises_then_warns_when_overridden():
-    """The board decides acyclicity once; relay rounds do not re-check."""
+    """initial_messages decides acyclicity once; relay rounds do not
+    re-check."""
     triangle = Graph(num_nodes=3, edges=((0, 1), (1, 2), (0, 2)))
     with pytest.raises(ConfigError, match="allow_cycles = true") as info:
-        MessageBoard.initial(triangle, 2)
+        initial_messages(triangle, 2)
     assert info.value.key == "allow_cycles"
     with pytest.warns(RuntimeWarning):
-        board = MessageBoard.initial(triangle, 2, allow_cycles=True)
+        messages = initial_messages(triangle, 2, allow_cycles=True)
     logs = [np.zeros(2)] * 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(3):
-            board = mp_update_messages(board, triangle, logs)
+            messages = mp_update_messages(messages, triangle, logs)
 
 
 def test_mp_combination_equals_product_rule_on_one_edge():
@@ -216,14 +217,14 @@ def test_mp_combination_equals_product_rule_on_one_edge():
     eta = 10.0
     rng = np.random.default_rng(21)
     cumulatives = [np.zeros(4) for _ in range(2)]
-    board = MessageBoard.initial(graph, 4)
+    messages = initial_messages(graph, 4)
     for _ in range(5):
-        board = mp_update_messages(board, graph,
-                                   [-c / eta for c in cumulatives])
+        messages = mp_update_messages(messages, graph,
+                                      [-c / eta for c in cumulatives])
         for k in range(2):
             product = combine_weights(cumulatives[k], [cumulatives[1 - k]], eta)
             relayed = mp_combine_weights(
-                -cumulatives[k] / eta, [board.messages[(1 - k, k)]]
+                -cumulatives[k] / eta, [messages[(1 - k, k)]]
             )
             assert np.allclose(product, relayed, atol=1e-12)
         cumulatives = [accumulate(c, rng.uniform(0.0, 2.0, size=4))

@@ -5,9 +5,9 @@ import pytest
 
 from domkl.admm import AdmmConfig
 from domkl.errors import ProtocolError
-from domkl.features import KernelSpec, build_feature_map, build_maps, map_stack
+from domkl.features import build_feature_map, build_maps, map_stack
 from domkl.graph import Graph
-from domkl.hedge import MessageBoard, combine_weights, mp_update_messages
+from domkl.hedge import combine_weights, initial_messages, mp_update_messages
 from domkl.learners import LearnerNode, RoundExchange, _combined_prediction, step
 
 
@@ -46,8 +46,8 @@ def test_exchange_never_carries_raw_samples():
 
 
 def test_node_rejects_mismatched_maps():
-    a = build_feature_map(KernelSpec(0.1), input_dim=2, num_features=4, seed=1)
-    b = build_feature_map(KernelSpec(0.2), input_dim=2, num_features=5, seed=2)
+    a = build_feature_map(0.1, input_dim=2, num_features=4, seed=1)
+    b = build_feature_map(0.2, input_dim=2, num_features=5, seed=2)
     with pytest.raises(ValueError):
         LearnerNode(0, (a, b), ())
     with pytest.raises(ValueError):
@@ -85,22 +85,24 @@ def test_step_accepts_exchanges_in_any_order():
     assert np.array_equal(nodes_a[0].thetas, nodes_b[0].thetas)
 
 
-def test_unknown_variant_is_rejected():
-    maps = _maps()
-    graph = Graph(num_nodes=2, edges=((0, 1),))
-    nodes, exchanges = _network(graph, maps)
-    with pytest.raises(ValueError):
-        step(nodes[0], [exchanges[1]], (np.zeros(2), 0.0), AdmmConfig(),
-             variant="gossip")
-
-
 def test_message_passing_variant_needs_messages():
+    """Relayed messages come one per neighbor; a short or long list is
+    refused before the node's state moves."""
     maps = _maps()
-    graph = Graph(num_nodes=2, edges=((0, 1),))
+    graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
     nodes, exchanges = _network(graph, maps)
-    with pytest.raises(ProtocolError):
-        step(nodes[0], [exchanges[1]], (np.zeros(2), 0.0), AdmmConfig(),
-             variant="message_passing")
+    inbox = [exchanges[0], exchanges[2]]
+    sample = (np.array([0.3, -0.4]), 1.0)
+    step(nodes[1], inbox, sample, AdmmConfig(),
+         incoming_messages=[np.zeros(3)] * 2)
+    state = nodes[1].thetas.copy(), nodes[1].cumulative_loss.copy()
+    assert state[0].any() and state[1].any()
+    for count in (0, 1, 3):
+        with pytest.raises(ProtocolError, match="expected 2 incoming"):
+            step(nodes[1], inbox, sample, AdmmConfig(),
+                 incoming_messages=[np.zeros(3)] * count)
+        assert np.array_equal(nodes[1].thetas, state[0])
+        assert np.array_equal(nodes[1].cumulative_loss, state[1])
 
 
 def test_first_round_prediction_is_zero_and_losses_accumulate():
@@ -224,10 +226,10 @@ def test_message_passing_on_one_edge_equals_product_weights():
     ]
     nodes_p, ex_p = _network(graph, maps)
     nodes_m, ex_m = _network(graph, maps)
-    board = MessageBoard.initial(graph, 3)
+    messages = initial_messages(graph, 3)
     for t in range(6):
-        board = mp_update_messages(
-            board, graph,
+        messages = mp_update_messages(
+            messages, graph,
             [-ex_m[k].cumulative_losses / 10.0 for k in range(2)],
         )
         fresh_p, fresh_m = {}, {}
@@ -236,8 +238,7 @@ def test_message_passing_on_one_edge_equals_product_weights():
                                     samples[t][k], cfg)
             _, _, fresh_m[k] = step(
                 nodes_m[k], [ex_m[1 - k]], samples[t][k], cfg,
-                variant="message_passing",
-                incoming_messages=[board.messages[(1 - k, k)]],
+                incoming_messages=[messages[(1 - k, k)]],
             )
             assert np.allclose(nodes_m[k].round_weights,
                                nodes_p[k].round_weights, atol=1e-12)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from domkl.admm import AdmmConfig
-from domkl.features import DEFAULT_BANDWIDTHS, KernelSpec, build_feature_map
+from domkl.features import DEFAULT_BANDWIDTHS, build_feature_map
 from domkl.graph import Graph
 from domkl.learners import LearnerNode, step
 from domkl.oracle import (
@@ -160,7 +160,7 @@ def test_joint_rounds_match_distributed_single_kernel():
     """
     rng = np.random.default_rng(6)
     graph = _path3()
-    fmap = build_feature_map(KernelSpec(0.5), input_dim=2, num_features=3, seed=8)
+    fmap = build_feature_map(0.5, input_dim=2, num_features=3, seed=8)
     rounds = 15
     features = rng.random((rounds, 3, 2))
     labels = rng.normal(size=(rounds, 3))

@@ -33,9 +33,9 @@ from domkl.simulator import (
     aggregate,
 )
 from domkl.features import (
-    DEFAULT_BANDWIDTHS, FeatureMap, KernelSpec, build_feature_map, map_stack,
+    DEFAULT_BANDWIDTHS, FeatureMap, build_feature_map, map_stack,
 )
-from domkl.hedge import MessageBoard, mp_update_messages
+from domkl.hedge import initial_messages, mp_update_messages
 from domkl.learners import LearnerNode, _combined_prediction, step
 from domkl.metrics import regret_accuracy
 from domkl import oracle
@@ -97,7 +97,7 @@ def test_config_validation():
         (dict(bandwidths=(0.0,)), "bandwidths"),
         (dict(bandwidths=(float("nan"),)), "bandwidths"),
         (dict(bandwidths=()), "bandwidths"),
-        (dict(task="timeseries", num_learners=4,
+        (dict(task="timeseries", num_learners=4, synthetic=None,
               ar_synth=ArTaskConfig(num_samples=8, ar_order=5)), "ar_samples"),
     ]
     for overrides, key in bad_values:
@@ -125,6 +125,25 @@ def test_config_validation():
         ExperimentConfig(task="regression", num_learners=3)
     with pytest.raises(ConfigError):
         ExperimentConfig(task="timeseries", num_learners=3)
+
+
+def test_config_rejects_data_its_task_never_reads():
+    """Each task reads one data config; setting another would silently
+    mean nothing, so the config names it and refuses."""
+    csv_data = CsvTaskConfig(path="series.csv")
+    cases = [
+        (dict(task="synthetic", rounds=10, csv_data=csv_data), "csv_data"),
+        (dict(task="regression", csv_data=csv_data,
+              synthetic=SyntheticTaskConfig()), "synthetic"),
+        (dict(task="timeseries", csv_data=csv_data,
+              ar_synth=ArTaskConfig()), "ar_synth"),
+    ]
+    for kwargs, key in cases:
+        with pytest.raises(ConfigError, match="never reads " + key) as info:
+            ExperimentConfig(**kwargs)
+        assert info.value.key == key, kwargs
+        kwargs.pop(key)
+        ExperimentConfig(**kwargs)
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -201,7 +220,7 @@ def test_synthetic_alignment_with_dictionary_kernel():
 def test_synthetic_fallback_seed_off_dictionary():
     cfg = _small_cfg(synthetic=SyntheticTaskConfig(bandwidth=0.07, noise_std=0.0))
     ctx = build_trial_context(cfg, 0)
-    generator = build_feature_map(KernelSpec(0.07), 2, cfg.num_features,
+    generator = build_feature_map(0.07, 2, cfg.num_features,
                                   seed=derive_seed(cfg.master_seed, 0, _DATA, 2))
     assert np.array_equal(ctx.labels, _noiseless_labels(ctx, cfg, generator))
 
@@ -394,10 +413,10 @@ def test_diverging_comkl_names_kernel_and_round():
             run_trial(cfg, 0)
 
 
-def _shuffled_order_run(ctx, cfg, kernel_indices, variant, rng):
+def _shuffled_order_run(ctx, cfg, kernel_indices, relay, rng):
     """Predictions, per-kernel losses, weights and cross predictions of a
     consensus run in which the learners step in a fresh random order
-    every round.  Cross prediction [t, k, l] is learner l's round-t
+    every round, relaying hedge messages when ``relay`` is set.  Cross prediction [t, k, l] is learner l's round-t
     function, its previous broadcast under its round-t weights, at
     learner k's round-t input."""
     maps = tuple(ctx.maps[i] for i in kernel_indices)
@@ -405,28 +424,27 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, variant, rng):
     nodes = [LearnerNode(k, maps, graph.neighbors[k],
                          eta_global=cfg.eta_global) for k in range(num_nodes)]
     exchanges = [node.initial_exchange() for node in nodes]
-    board = (MessageBoard.initial(graph, len(maps))
-             if variant == "message_passing" else None)
+    messages = initial_messages(graph, len(maps)) if relay else None
     predictions = np.zeros(ctx.labels.shape)
     losses = np.zeros(ctx.labels.shape + (len(maps),))
     weights = np.zeros_like(losses)
     cross = np.zeros((ctx.horizon, num_nodes, num_nodes))
     orders = set()
     for t in range(ctx.horizon):
-        if board is not None:
-            board = mp_update_messages(
-                board, graph,
+        if relay:
+            messages = mp_update_messages(
+                messages, graph,
                 [-e.cumulative_losses / cfg.eta_global for e in exchanges])
         order = rng.permutation(num_nodes).tolist()
         orders.add(tuple(order))
         fresh = [None] * num_nodes
         for k in order:
-            messages = (None if board is None else
-                        [board.messages[(l, k)] for l in graph.neighbors[k]])
+            incoming = ([messages[(l, k)] for l in graph.neighbors[k]]
+                        if relay else None)
             predictions[t, k], losses[t, k], fresh[k] = step(
                 nodes[k], [exchanges[l] for l in graph.neighbors[k]],
                 (ctx.inputs[t, k], ctx.labels[t, k]), cfg.admm,
-                variant=variant, incoming_messages=messages)
+                incoming_messages=incoming)
             weights[t, k] = nodes[k].round_weights
         for k in range(num_nodes):
             z_stack = map_stack(maps, ctx.inputs[t, k])
@@ -453,10 +471,11 @@ def test_node_order_cannot_affect_results(tmp_path):
     for cfg in (product, message_passing):
         result = run_trial(cfg, 0)
         ctx = result.context
-        scopes = {"domkl": (list(range(len(ctx.maps))), cfg.hedge_variant),
-                  "dokl": ([cfg.kernel_index], "product")}
-        for algorithm, (kernel_indices, variant) in scopes.items():
-            shuffled = _shuffled_order_run(ctx, cfg, kernel_indices, variant,
+        scopes = {"domkl": (list(range(len(ctx.maps))),
+                            cfg.hedge_variant == "message_passing"),
+                  "dokl": ([cfg.kernel_index], False)}
+        for algorithm, (kernel_indices, relay) in scopes.items():
+            shuffled = _shuffled_order_run(ctx, cfg, kernel_indices, relay,
                                            rng)
             for name, array in shuffled.items():
                 got = getattr(result.traces[algorithm], name)
@@ -993,8 +1012,8 @@ def test_public_api_is_the_documented_one():
 
     assert sorted(domkl.__all__) == [
         "AdmmConfig", "ArTaskConfig", "ConfigError", "CsvTaskConfig",
-        "ExperimentConfig", "Graph", "KernelSpec",
-        "MessageBoard", "SyntheticTaskConfig", "build_feature_map",
+        "ExperimentConfig", "Graph", "SyntheticTaskConfig",
+        "build_feature_map",
         "combine_weights", "comkl_step", "cv_curve", "gaussian_kernel",
         "mp_combine_weights", "mse_curve", "rff_dokl_step", "run_experiment",
         "run_trial", "sample_connected_er", "step", "sweep",
