@@ -21,6 +21,10 @@ from .errors import ConfigError
 
 # Rows of each block of the label product in ``synth_regression``.
 _LABEL_ROWS = 1024
+# Label blocks whose inputs ``synth_regression`` maps in one call: 4,096
+# rows, at least 2 * 2**16 projected values from 32 random features on, so
+# ``FeatureMap.map`` still splits a chunk over the CPUs.
+_MAP_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -184,18 +188,26 @@ def synth_regression(fmap, theta, noise_std, num_samples, seed, noise_seed):
 
     The product is taken in blocks of ``_LABEL_ROWS`` rows (at least 2
     each): one product over all rows splits across BLAS threads at
-    places that depend on the thread count, and rounds differently.
+    places that depend on the thread count, and rounds differently.  The
+    inputs are mapped ``_MAP_BLOCKS`` whole blocks at a time, so the
+    mapped features never take more than one such chunk; a map treats
+    each row on its own, so the labels are bitwise those of one map call
+    over all rows.
     """
     if noise_std < 0.0:
         raise ValueError("noise_std must be nonnegative")
     x = np.random.default_rng(seed).random((num_samples, fmap.input_dim))
-    z = fmap.map(x)
     y = np.empty(num_samples)
     bounds = list(range(0, num_samples, _LABEL_ROWS)) + [num_samples]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # a one-row product takes another BLAS kernel
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.matmul(z[lo:hi], theta, out=y[lo:hi])
+    for i in range(0, len(bounds) - 1, _MAP_BLOCKS):
+        blocks = bounds[i:i + _MAP_BLOCKS + 1]
+        start = blocks[0]
+        z = fmap.map(x[start:blocks[-1]])
+        for lo, hi in zip(blocks, blocks[1:]):
+            np.matmul(z[lo - start:hi - start], theta, out=y[lo:hi])
+        del z  # before the next chunk is mapped
     if noise_std > 0.0:
         y += noise_std * np.random.default_rng(noise_seed).standard_normal(
             num_samples)

@@ -86,6 +86,35 @@ class LearnerNode:
         )
 
 
+def _check_inbox(node, exchanges, incoming_messages):
+    """Raise ProtocolError unless a round's exchanges (sorted by sender)
+    and relayed messages are what ``node`` expects: a vector of another
+    length would broadcast over the node's kernels, or fail inside numpy.
+    """
+    senders = tuple(e.sender for e in exchanges)
+    if senders != node.neighbors:
+        raise ProtocolError("node %d expected exchanges from %s, got %s"
+                            % (node.node_id, node.neighbors, senders))
+    want = node.thetas.shape, node.cumulative_loss.shape
+    for e in exchanges:
+        if (e.thetas.shape, e.cumulative_losses.shape) != want:
+            raise ProtocolError(
+                "node %d expected thetas %s and losses %s from node %d, got "
+                "%s and %s" % (node.node_id, want[0], want[1], e.sender,
+                               e.thetas.shape, e.cumulative_losses.shape))
+    if incoming_messages is None:
+        return
+    if len(incoming_messages) != len(senders):
+        raise ProtocolError("node %d expected %d incoming messages, got %d"
+                            % (node.node_id, len(senders),
+                               len(incoming_messages)))
+    for sender, message in zip(senders, incoming_messages):
+        if message.shape != want[1]:
+            raise ProtocolError(
+                "node %d expected a message of shape %s from node %d, got %s"
+                % (node.node_id, want[1], sender, message.shape))
+
+
 def step(node, neighbor_exchanges, sample, cfg, incoming_messages=None):
     """Advance one node by one round.
 
@@ -94,6 +123,9 @@ def step(node, neighbor_exchanges, sample, cfg, incoming_messages=None):
     internally).  Without ``incoming_messages`` the weights follow the
     neighbor-product rule; with them, one relayed log-message vector per
     neighbor in sorted neighbor order, they follow the message-passing rule.
+    Exchanges and messages hold numpy arrays; a wrong sender set,
+    message count or array shape raises ``ProtocolError`` before the
+    node's state moves.
 
     The call finalizes the dual and weight updates owed to the arriving
     broadcasts, predicts the sample's label with the resulting round
@@ -101,16 +133,7 @@ def step(node, neighbor_exchanges, sample, cfg, incoming_messages=None):
     kernel, and returns (prediction, per_kernel_losses, outgoing).
     """
     exchanges = sorted(neighbor_exchanges, key=lambda e: e.sender)
-    senders = tuple(e.sender for e in exchanges)
-    if senders != node.neighbors:
-        raise ProtocolError(
-            "node %d expected exchanges from %s, got %s"
-            % (node.node_id, node.neighbors, senders)
-        )
-    if incoming_messages is not None and len(incoming_messages) != len(senders):
-        raise ProtocolError("node %d expected %d incoming messages, got %d"
-                            % (node.node_id, len(senders),
-                               len(incoming_messages)))
+    _check_inbox(node, exchanges, incoming_messages)
     x, y = sample
 
     # Dual ascent owed from the previous round, now that the neighbors'

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most squared gaps ``cv_curve`` holds at once (a few whole rounds' worth).
+_GAP_VALUES = 1 << 15
+
 
 @dataclass(frozen=True)
 class RunTrace:
@@ -90,13 +93,23 @@ def cv_curve(trace):
     CV(t) = (1/(t K (K-1))) sum over rounds up to t, learners k, and
     other learners l of (f_k(x_k) - f_l(x_k))^2.  Undefined for a
     single learner.  Returns the (T,) array of values.
+
+    The squared gaps are formed a few whole rounds at a time, at most
+    ``_GAP_VALUES`` of them, never a (T, K, K) array; each round's sum is
+    the same contiguous K^2 reduction as over all rounds at once.
     """
     learners = trace.num_learners
     if learners < 2:
         raise ValueError("consensus violation needs at least 2 learners")
-    own = np.diagonal(trace.cross_predictions, axis1=1, axis2=2)  # (T, K)
-    gaps = (own[:, :, None] - trace.cross_predictions) ** 2
-    per_round = gaps.sum(axis=(1, 2))  # diagonal contributes zero
+    cross = trace.cross_predictions
+    own = np.diagonal(cross, axis1=1, axis2=2)  # (T, K)
+    per_round = np.empty(trace.num_rounds)
+    step = max(1, _GAP_VALUES // learners ** 2)
+    for lo in range(0, trace.num_rounds, step):
+        hi = lo + step
+        # The diagonal contributes zero.
+        per_round[lo:hi] = ((own[lo:hi, :, None] - cross[lo:hi]) ** 2).sum(
+            axis=(1, 2))
     return _running_mean(per_round, learners * (learners - 1))
 
 

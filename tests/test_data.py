@@ -216,6 +216,28 @@ def test_synth_regression_validation():
         synth_regression(fmap, theta[:-1], 0.1, 10, seed=5, noise_seed=6)
 
 
+@pytest.mark.parametrize("input_dim", [1, 2, 5])
+def test_synth_regression_labels_are_bitwise_one_map_call(input_dim):
+    """Labels mapped in chunks of whole label blocks are the bytes of one
+    map call over all rows with the same 1,024-row products, at sizes
+    that straddle chunk and block edges (a one-row remainder joins the
+    block before it)."""
+    fmap = build_feature_map(0.1, input_dim, 50, seed=3)
+    theta = np.random.default_rng(0).standard_normal(100)
+    for num_samples in (1, 2, 3, 1025, 4096, 4097, 5121, 8193, 16385,
+                        40001):
+        ds = synth_regression(fmap, theta, 0.0, num_samples, seed=4,
+                              noise_seed=5)
+        x = np.random.default_rng(4).random((num_samples, input_dim))
+        z = fmap.map(x)
+        bounds = list(range(0, num_samples, 1024)) + [num_samples]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        want = np.concatenate([z[lo:hi] @ theta
+                               for lo, hi in zip(bounds, bounds[1:])])
+        assert ds.labels.tobytes() == want.tobytes(), num_samples
+
+
 _LABEL_DIGESTS = """\
 import hashlib
 import numpy as np

@@ -105,6 +105,38 @@ def test_message_passing_variant_needs_messages():
         assert np.array_equal(nodes[1].cumulative_loss, state[1])
 
 
+@pytest.mark.parametrize("length", [1, 2])
+def test_step_rejects_vectors_of_another_length(length):
+    """On a 3-kernel node an exchange or a message of another length is
+    refused, naming the node and the sender, before the state moves: a
+    length-1 vector would broadcast over the kernels, a length-2 one fail
+    inside numpy."""
+    maps = _maps()
+    graph = Graph(num_nodes=2, edges=((0, 1),))
+    nodes, exchanges = _network(graph, maps)
+    sample = (np.array([0.3, -0.4]), 1.0)
+    step(nodes[0], [exchanges[1]], sample, AdmmConfig())
+    state = nodes[0].thetas.copy(), nodes[0].cumulative_loss.copy()
+    good = exchanges[1]
+    bad_exchanges = [
+        RoundExchange(1, good.thetas, np.full(length, 7.0)),
+        RoundExchange(1, good.thetas[:length], good.cumulative_losses),
+    ]
+    named = "node 0 expected .* from node 1"
+    for bad in bad_exchanges:
+        with pytest.raises(ProtocolError, match=named):
+            step(nodes[0], [bad], sample, AdmmConfig())
+        with pytest.raises(ProtocolError, match=named):
+            step(nodes[0], [bad], sample, AdmmConfig(),
+                 incoming_messages=[np.zeros(3)])
+    with pytest.raises(ProtocolError,
+                       match="node 0 expected a message .* from node 1"):
+        step(nodes[0], [good], sample, AdmmConfig(),
+             incoming_messages=[np.full(length, -50.0)])
+    assert np.array_equal(nodes[0].thetas, state[0])
+    assert np.array_equal(nodes[0].cumulative_loss, state[1])
+
+
 def test_first_round_prediction_is_zero_and_losses_accumulate():
     maps = _maps()
     graph = Graph(num_nodes=2, edges=((0, 1),))

@@ -1,13 +1,16 @@
 """Tests for run traces and the evaluation curves built from them."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from domkl.graph import Graph, sample_connected_er
 from domkl.metrics import (
+    _GAP_VALUES,
     RunTrace,
+    _running_mean,
     cv_curve,
     mse_curve,
     regret_accuracy,
@@ -113,6 +116,37 @@ def test_cv_curve_matches_naive_sum():
                            - trace.cross_predictions[s, k, l])
                     total += gap ** 2
         assert abs(curve[t] - total / ((t + 1) * 3 * 2)) < 1e-12
+
+
+@pytest.mark.parametrize("learners, rounds", [
+    (2, 997), (2, 3 * (_GAP_VALUES // 4) + 5), (5, 997), (7, 997),
+    (12, 997), (20, 997), (33, 997), (64, 997), (200, 7),
+])
+def test_cv_curve_is_bitwise_the_one_shot_sum(learners, rounds):
+    """Summed a few rounds at a time, with a last chunk shorter than the
+    others (one round per chunk at K=200), the curve is the bytes of the
+    sum over one (T, K, K) array of squared gaps."""
+    trace = _trace(np.random.default_rng(learners), rounds=rounds,
+                   learners=learners)
+    cross = trace.cross_predictions
+    own = np.diagonal(cross, axis1=1, axis2=2)
+    per_round = ((own[:, :, None] - cross) ** 2).sum(axis=(1, 2))
+    want = _running_mean(per_round, learners * (learners - 1))
+    assert cv_curve(trace).tobytes() == want.tobytes()
+
+
+def test_cv_curve_holds_no_cross_sized_temporary():
+    """The squared gaps of a (1000, 60, 60) cross matrix, 28.8 MB at once,
+    are formed a few rounds at a time."""
+    trace = _trace(np.random.default_rng(8), rounds=1000, learners=60)
+    cv_curve(trace)  # warm-up
+    tracemalloc.start()
+    try:
+        cv_curve(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_cv_requires_two_learners():

@@ -14,6 +14,7 @@ import pytest
 
 from domkl.baselines import DiffusionState, rff_dokl_step
 from domkl import features, simulator
+from domkl.data import _LABEL_ROWS, _MAP_BLOCKS
 from domkl.errors import ConfigError
 from domkl.graph import sample_connected_er
 from domkl.simulator import (
@@ -761,6 +762,23 @@ def test_comkl_holds_one_feature_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * block, peak / block
+
+
+def test_synthetic_set_up_maps_one_chunk_at_a_time():
+    """Labelling K*T = 40,000 samples holds one chunk of mapped rows at a
+    time, not the (K*T, 2M) block of 32 MB that one map call would take."""
+    cfg = ExperimentConfig(task="synthetic", algorithms=("domkl",),
+                           num_learners=50, connection_prob=0.5, rounds=800,
+                           num_features=50)
+    ctx = build_trial_context(cfg, 0)  # warm-up
+    chunk = _MAP_BLOCKS * _LABEL_ROWS * 2 * cfg.num_features * 8
+    tracemalloc.start()
+    try:
+        build_trial_context(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * chunk + ctx.inputs.nbytes, peak / chunk
 
 
 @pytest.mark.parametrize("cfg, split_maps", [
