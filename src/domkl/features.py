@@ -8,6 +8,7 @@ kernel predictors reduce to linear ones in 2M dimensions.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -169,38 +170,51 @@ def _map_rows(x, weights_t, scale, out):
     out *= scale
 
 
-def _map_blocks(x, weights_t, scale, out, bounds):
-    """Map the row blocks ``x[bounds[i]:bounds[i + 1]]`` into the same
-    rows of ``out`` at the same time, the first on the calling thread.
+def _run_together(calls):
+    """Call each of ``calls`` with no arguments, all at the same time: the
+    first on the calling thread, each other on a helper thread.
 
-    numpy releases the GIL in every step.  Helpers run under the
-    caller's floating-point error state, and an error raised in any
-    block is raised here once every block has ended.  A single block
-    starts no thread.
+    Helpers run under the caller's floating-point error state.  Once
+    every call has ended, the error of the first call in ``calls`` that
+    raised one is raised here.  A single call starts no thread.  Nothing
+    here outlives the calls: the threads and the error list die on return.
     """
-    errors = []
-    helpers = []
-    if len(bounds) > 2:  # reading the error state takes microseconds
-        errstate = dict(np.geterr(), call=np.geterrcall())
+    if len(calls) == 1:  # reading the error state takes microseconds
+        calls[0]()
+        return
+    errors = [None] * len(calls)
+    errstate = dict(np.geterr(), call=np.geterrcall())
 
-        def helper(lo, hi):
-            try:
-                with np.errstate(**errstate):
-                    _map_rows(x[lo:hi], weights_t, scale, out[lo:hi])
-            except BaseException as exc:
-                errors.append(exc)
+    def helper(i):
+        try:
+            with np.errstate(**errstate):
+                calls[i]()
+        except BaseException as exc:
+            errors[i] = exc
 
-        helpers = [threading.Thread(target=helper, args=(lo, hi))
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    helpers = [threading.Thread(target=helper, args=(i,))
+               for i in range(1, len(calls))]
     for thread in helpers:
         thread.start()
     try:
-        _map_rows(x[:bounds[1]], weights_t, scale, out[:bounds[1]])
+        calls[0]()
+    except BaseException as exc:
+        errors[0] = exc
     finally:
         for thread in helpers:
             thread.join()
-    if errors:
-        raise errors[0]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _map_blocks(x, weights_t, scale, out, bounds):
+    """Map the row blocks ``x[bounds[i]:bounds[i + 1]]`` into the same
+    rows of ``out`` at the same time (``_run_together``), the first on
+    the calling thread; numpy releases the GIL in every step."""
+    _run_together([
+        functools.partial(_map_rows, x[lo:hi], weights_t, scale, out[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def map_stack(maps, x):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import oracle
+from . import features, oracle
 from .admm import AdmmConfig
 from .baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
 from .data import (
@@ -543,12 +543,15 @@ def _pooled_pass(ctx, cfg, dots=None):
     The pool holds every stream's samples, stream after stream.  Each
     kernel's (K*T, 2M) block is mapped at most once: when ``dots`` is
     given, comkl's learner of kernel p steps on it into ``dots[:, p]``,
-    and when a regret reads the kernel, its hindsight ridge fit is taken.
-    Returns ``(best, at_index)``, the (T, K) squared errors of the fit
-    with the lowest pooled loss over every kernel (the lower index on
-    ties; None unless domkl or comkl is configured) and of the fit of
-    ``cfg.kernel_index`` (None unless dokl or rff_dokl is); both are None
-    when accuracy regret is off.  One block is live at a time.
+    and when a regret reads the kernel, its hindsight ridge fit is taken;
+    when the process may use 2 or more CPUs (``features._map_width``),
+    the fit runs on a helper thread while comkl steps, and comkl's error
+    is raised first.  Returns ``(best, at_index)``, the (T, K) squared
+    errors of the fit with the lowest pooled loss over every kernel (the
+    lower index on ties; None unless domkl or comkl is configured) and
+    of the fit of ``cfg.kernel_index`` (None unless dokl or rff_dokl
+    is); both are None when accuracy regret is off.  One block is live
+    at a time.
     """
     horizon, num_nodes = ctx.labels.shape
     fit_all = cfg.compute_accuracy_regret and any(
@@ -557,32 +560,45 @@ def _pooled_pass(ctx, cfg, dots=None):
     pooled_x = ctx.inputs.transpose(1, 0, 2).reshape(-1, ctx.inputs.shape[2])
     pooled_y = ctx.labels.T.ravel()
     best = best_loss = at_index = None
-    for p, fmap in enumerate(ctx.maps):
-        fit = fit_all or p == index
-        if dots is None and not fit:
-            continue
-        block = fmap.map(pooled_x)
+
+    # Both read the current kernel's block from this frame, so neither
+    # keeps a block alive once the loop drops it.
+    def step_comkl():
         # Round t's rows are z[t], shape (K, D).
         z = block.reshape(num_nodes, horizon, -1).transpose(1, 0, 2)
-        if dots is not None:
-            try:
-                dots[:, p], _ = comkl_step(np.zeros(block.shape[1]),
-                                           (z, ctx.labels),
-                                           cfg.comkl_step_size)
-            except FloatingPointError as exc:
-                raise FloatingPointError("comkl kernel %d: %s"
-                                         % (fmap.kernel_index, exc)) from None
-        if fit:
-            _, loss, residual = oracle.hindsight_best(block, pooled_y)
-            losses = np.ascontiguousarray(
-                (residual ** 2).reshape(num_nodes, horizon).T)
-            if fit_all and (best is None or loss < best_loss):
-                best, best_loss = losses, loss
-            if p == index:
-                at_index = losses
-            del losses
-        # Still bound, these would be live while the next block is mapped.
-        del block, z
+        try:
+            dots[:, p], _ = comkl_step(np.zeros(block.shape[1]),
+                                       (z, ctx.labels), cfg.comkl_step_size)
+        except FloatingPointError as exc:
+            raise FloatingPointError("comkl kernel %d: %s"
+                                     % (fmap.kernel_index, exc)) from None
+
+    def fit_kernel():
+        nonlocal best, best_loss, at_index
+        _, loss, residual = oracle.hindsight_best(block, pooled_y)
+        losses = np.ascontiguousarray(
+            (residual ** 2).reshape(num_nodes, horizon).T)
+        if fit_all and (best is None or loss < best_loss):
+            best, best_loss = losses, loss
+        if p == index:
+            at_index = losses
+
+    for p, fmap in enumerate(ctx.maps):
+        calls = [step_comkl] if dots is not None else []
+        if fit_all or p == index:
+            calls.append(fit_kernel)
+        if not calls:
+            continue
+        block = fmap.map(pooled_x)
+        # The fit is BLAS, which releases the GIL, and comkl's steps are
+        # mostly Python: on 2 or more CPUs they overlap.
+        if features._map_width() >= 2:
+            features._run_together(calls)
+        else:
+            for call in calls:
+                call()
+        # Still bound, it would be live while the next block is mapped.
+        del block
     return best, at_index
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ from domkl.baselines import DiffusionState, rff_dokl_step
 from domkl import features, simulator
 from domkl.data import _LABEL_ROWS, _MAP_BLOCKS
 from domkl.errors import ConfigError
-from domkl.graph import sample_connected_er
+from domkl.graph import from_edge_list, sample_connected_er
 from domkl.simulator import (
     ArTaskConfig,
     CsvTaskConfig,
@@ -484,6 +485,68 @@ def test_node_order_cannot_affect_results(tmp_path):
                     cfg.hedge_variant, algorithm, name)
 
 
+_CONE_ROUND = 10  # the round whose sample of learner 0 is perturbed
+
+# The first round at which each learner's prediction changes after
+# learner 0's label at _CONE_ROUND does.  On the ER graph learners 0-7
+# are 0, 3, 4, 2, 1, 1, 2, 2 hops from learner 0; on the path, k hops.
+# With t0 = _CONE_ROUND and d the hops, the first change is at:
+# - dokl: t0 + d + 1, a neighbour's refit reaching a learner one round
+#   after it is made, which then predicts with its previous refit;
+# - domkl, product: t0 + 1 at d = 1, where the hedge reads the
+#   neighbours' loss totals, and t0 + d + 1 beyond;
+# - domkl, message passing: t0 + d, the relay carrying losses one hop
+#   per round;
+# - rff_dokl: t0 + d, adapt-then-combine mixing the same round's steps;
+# - learner 0 itself: t0 + 1 (t0 when its input changes instead).
+_CONE_FIRST_CHANGE = {
+    ("dokl", "product"): [11, 14, 15, 13, 12, 12, 13, 13],
+    ("domkl", "product"): [11, 14, 15, 13, 11, 11, 13, 13],
+    ("domkl", "message_passing"): [11, 11, 12, 13, 14, 15, 16, 17],
+    ("rff_dokl", "product"): [11, 13, 14, 12, 11, 11, 12, 12],
+}
+
+
+@pytest.mark.parametrize("kind", ["label", "input"])
+@pytest.mark.parametrize("algorithm, variant", list(_CONE_FIRST_CHANGE))
+def test_influence_travels_one_hop_per_round(algorithm, variant, kind):
+    """A learner reads only its neighbours' earlier broadcasts: a change
+    to one learner's sample reaches every other learner exactly at the
+    round its hop distance allows, neither earlier nor later."""
+    cfg = ExperimentConfig(
+        task="synthetic", algorithms=(algorithm,), num_learners=8,
+        connection_prob=0.3, bandwidths=(0.05, 0.1, 0.5), num_features=10,
+        rounds=40, master_seed=3, kernel_index=1, hedge_variant=variant,
+        synthetic=SyntheticTaskConfig(bandwidth=0.1))
+    ctx = build_trial_context(cfg, 0)
+    if variant == "message_passing":  # relaying needs a forest
+        ctx = dataclasses.replace(ctx, graph=from_edge_list(
+            "".join("%d %d\n" % (k, k + 1) for k in range(7))))
+    else:
+        assert ctx.graph.edges == ((0, 4), (0, 5), (1, 2), (1, 3), (1, 6),
+                                   (3, 5), (3, 7), (4, 6), (5, 7))
+    inputs, labels = ctx.inputs.copy(), ctx.labels.copy()
+    if kind == "label":
+        labels[_CONE_ROUND, 0] += 1.0
+    else:
+        inputs[_CONE_ROUND, 0] += 0.3
+    perturbed = dataclasses.replace(ctx, inputs=inputs, labels=labels)
+
+    def predictions(ctx):
+        if algorithm == "rff_dokl":
+            return simulator._run_rff_dokl(ctx, cfg).predictions
+        kernels = [cfg.kernel_index] if algorithm == "dokl" else [0, 1, 2]
+        return simulator._run_admm_family(ctx, cfg, kernels,
+                                          algorithm).predictions
+
+    changed = predictions(ctx) != predictions(perturbed)
+    assert changed.any(axis=0).all()
+    want = list(_CONE_FIRST_CHANGE[algorithm, variant])
+    if kind == "input":
+        want[0] = _CONE_ROUND
+    assert changed.argmax(axis=0).tolist() == want
+
+
 def test_contexts_are_algorithm_independent():
     base = _small_cfg()
     other = _small_cfg(algorithms=("comkl",))
@@ -762,6 +825,106 @@ def test_comkl_holds_one_feature_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * block, peak / block
+
+
+def _fit_threads(monkeypatch, fit=None):
+    """Replace ``oracle.hindsight_best`` with ``fit`` (the real one by
+    default), and record whether each call ran on the calling thread."""
+    fit = fit or hindsight_best
+    caller, on_caller = threading.get_ident(), []
+
+    def recording(z_pool, y_pool):
+        on_caller.append(threading.get_ident() == caller)
+        return fit(z_pool, y_pool)
+
+    monkeypatch.setattr(oracle, "hindsight_best", recording)
+    return on_caller
+
+
+_COMKL_REGRET = dict(_AR_CFG, algorithms=("comkl", "rff_dokl"))
+
+
+def test_comkl_fits_beside_its_steps_bitwise(monkeypatch):
+    """With 2 CPUs each kernel's fit runs on a helper thread while comkl
+    steps on the calling thread; dots and comparators are bitwise those
+    of the one-after-the-other pass on 1 CPU."""
+    cfg = ExperimentConfig(**_COMKL_REGRET)
+    ctx = build_trial_context(cfg, 0)
+    hedged = []
+    original = simulator.comkl_hedge
+
+    def recording(dots, *args):
+        hedged.append(dots.copy())
+        return original(dots, *args)
+
+    monkeypatch.setattr(simulator, "comkl_hedge", recording)
+    results = {}
+    for width in (1, 2):
+        monkeypatch.setattr(features, "_map_width", lambda: width)
+        on_caller = _fit_threads(monkeypatch)
+        _, comparators = _run_comkl(ctx, cfg)
+        assert on_caller == [width == 1] * len(ctx.maps), width
+        results[width] = (hedged[-1],) + comparators
+    for one, two in zip(results[1], results[2]):
+        assert one is not None and one.tobytes() == two.tobytes()
+
+
+def _failing_fit(z_pool, y_pool):
+    raise RuntimeError("fit failed")
+
+
+@pytest.mark.parametrize("fit_fails", [False, True])
+@pytest.mark.parametrize("width", [1, 2])
+def test_diverging_comkl_beside_a_fit_names_its_kernel(monkeypatch, width,
+                                                       fit_fails):
+    """comkl's error is raised even when the fit beside it fails too, and
+    no helper thread outlives the pass."""
+    monkeypatch.setattr(features, "_map_width", lambda: width)
+    if fit_fails:
+        _fit_threads(monkeypatch, _failing_fit)
+    cfg = ExperimentConfig(**dict(_COMKL_REGRET, comkl_step_size=1e300))
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^comkl kernel 0: comkl_step: non-finite "
+                                 r".* round \d+ of \d+$"):
+            run_trial(cfg, 0)
+    assert threading.active_count() == threads
+
+
+def test_failing_fit_on_a_helper_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(features, "_map_width", lambda: 2)
+    on_caller = _fit_threads(monkeypatch, _failing_fit)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^fit failed$"):
+        run_trial(ExperimentConfig(**_COMKL_REGRET), 0)
+    assert on_caller == [False]
+    assert threading.active_count() == threads
+
+
+def test_fit_on_a_helper_keeps_the_callers_error_state(monkeypatch):
+    """A fit on a helper thread runs under the caller's floating-point
+    error state, as every block of a split map does."""
+    monkeypatch.setattr(features, "_map_width", lambda: 2)
+    seen = []
+
+    def recording(z_pool, y_pool):
+        seen.append((np.geterr(), np.geterrcall()))
+        return hindsight_best(z_pool, y_pool)
+
+    on_caller = _fit_threads(monkeypatch, recording)
+    cfg = ExperimentConfig(**_COMKL_REGRET)
+    ctx = build_trial_context(cfg, 0)
+    def handler(kind, flag):
+        pass
+
+    with np.errstate(divide="raise", over="warn", under="call",
+                     invalid="ignore", call=handler):
+        want = (np.geterr(), np.geterrcall())
+        _run_comkl(ctx, cfg)
+    assert on_caller == [False] * len(ctx.maps)
+    assert seen == [want] * len(ctx.maps)
 
 
 def test_synthetic_set_up_maps_one_chunk_at_a_time():
