@@ -13,7 +13,7 @@ class GraphSamplingError(RuntimeError):
 
 
 class ProtocolError(RuntimeError):
-    """Raised when a node receives exchanges inconsistent with the topology."""
+    """Raised when a node receives broadcasts inconsistent with the topology."""
 
 
 class ConfigError(ValueError):

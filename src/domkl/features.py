@@ -176,11 +176,14 @@ def _run_together(calls):
 
     Helpers run under the caller's floating-point error state.  Once
     every call has ended, the error of the first call in ``calls`` that
-    raised one is raised here.  A single call starts no thread.  Nothing
-    here outlives the calls: the threads and the error list die on return.
+    raised one is raised here.  A single call, or any on fewer than 2
+    CPUs (``_map_width``), starts no thread: they run one after another
+    on the caller, the first error stopping them.  Nothing here outlives
+    the calls: the threads and the error list die on return.
     """
-    if len(calls) == 1:  # reading the error state takes microseconds
-        calls[0]()
+    if len(calls) == 1 or _map_width() < 2:  # error state costs µs to read
+        for call in calls:
+            call()
         return
     errors = [None] * len(calls)
     errstate = dict(np.geterr(), call=np.geterrcall())

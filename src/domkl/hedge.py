@@ -87,8 +87,9 @@ def mp_update_messages(messages, graph, latest_log_w):
     """One relay round: each edge forwards the sender's fresh log weight
     plus everything previously received from the sender's other edges.
 
-    ``messages`` must descend from ``initial_messages`` on the same
-    graph, which decides once whether the graph may carry messages.
+    Row k of ``latest_log_w`` is node k's (P,) log weight.  ``messages``
+    must descend from ``initial_messages`` on the same graph, which
+    decides once whether the graph may carry messages.
     """
     updated = {}
     for k, l in messages:

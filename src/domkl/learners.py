@@ -3,11 +3,12 @@
 A node owns one consensus learner per kernel plus a hedge state over the
 kernels.  Each round it finalizes the dual and weight updates that its
 neighbors' latest broadcast enables, predicts with the round's state,
-refits every kernel's parameters, and emits a new broadcast.  Running
-the dual/weight finalization on arrival instead of after the exchange
-produces the exact same trajectory as the mid-round-exchange ordering,
-while keeping the step a single call fed only by previous-round output;
-relayed hedge messages, when ``step`` is given them, pick the relay rule.
+refits every kernel's parameters; its parameters and kernel-loss totals
+are its broadcast, a row of each of the network's two broadcast arrays.
+Running the dual/weight finalization on arrival instead of after the
+broadcast gives exactly the trajectory of the mid-round-exchange
+ordering, in a single call fed only by previous-round output; relayed
+hedge messages, when ``step`` is given them, pick the relay rule.
 With one feature map a network of nodes runs the single-kernel consensus
 round that ``oracle.joint_round`` solves as one dense system; the
 validation suite and the tests check ``step`` against it.
@@ -15,28 +16,12 @@ validation suite and the tests check ``step`` against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .admm import gamma_hat, lambda_update, theta_update_quadratic
 from .errors import ProtocolError
 from .features import map_stack
 from .hedge import accumulate, combine_weights, mp_combine_weights
-
-
-@dataclass(frozen=True)
-class RoundExchange:
-    """What a node broadcasts after a round: parameters and loss totals.
-
-    ``thetas`` is the node's (P, D) block of refitted parameters and
-    ``cumulative_losses`` its (P,) running kernel losses.  Raw samples
-    never enter an exchange.
-    """
-
-    sender: int
-    thetas: np.ndarray
-    cumulative_losses: np.ndarray
 
 
 def _combined_prediction(thetas, weights, z_stack):
@@ -53,8 +38,8 @@ def _combined_prediction(thetas, weights, z_stack):
 class LearnerNode:
     """State of one learner: P kernel learners, hedge weights, feature maps.
 
-    ``neighbors`` is the sorted tuple of adjacent node ids; exchanges
-    from exactly that set are expected every round.
+    ``neighbors`` is the sorted tuple of adjacent node ids, whose rows of
+    the network's broadcasts the node reads every round.
     """
 
     def __init__(self, node_id, feature_maps, neighbors, eta_global=10.0):
@@ -77,77 +62,64 @@ class LearnerNode:
         # Kernel weights of the round most recently stepped.
         self.round_weights = np.full(self.num_kernels, 1.0 / self.num_kernels)
 
-    def initial_exchange(self):
-        """The zero broadcast that seeds a network before round one."""
-        return RoundExchange(
-            sender=self.node_id,
-            thetas=self.thetas.copy(),
-            cumulative_losses=self.cumulative_loss.copy(),
-        )
 
-
-def _check_inbox(node, exchanges, incoming_messages):
-    """Raise ProtocolError unless a round's exchanges (sorted by sender)
-    and relayed messages are what ``node`` expects: a vector of another
+def _check_inbox(node, thetas, cumulative_losses, incoming_messages):
+    """Raise ProtocolError unless the broadcast arrays have a row of the
+    node's own shapes for every neighbour, and the relayed messages are
+    one per neighbour of the node's loss shape: a vector of another
     length would broadcast over the node's kernels, or fail inside numpy.
     """
-    senders = tuple(e.sender for e in exchanges)
-    if senders != node.neighbors:
-        raise ProtocolError("node %d expected exchanges from %s, got %s"
-                            % (node.node_id, node.neighbors, senders))
     want = node.thetas.shape, node.cumulative_loss.shape
-    for e in exchanges:
-        if (e.thetas.shape, e.cumulative_losses.shape) != want:
-            raise ProtocolError(
-                "node %d expected thetas %s and losses %s from node %d, got "
-                "%s and %s" % (node.node_id, want[0], want[1], e.sender,
-                               e.thetas.shape, e.cumulative_losses.shape))
+    got = thetas.shape, cumulative_losses.shape
+    if ((got[0][1:], got[1][1:]) != want
+            or min(got[0][0], got[1][0]) <= max(node.neighbors, default=-1)):
+        raise ProtocolError("node %d expected rows of shapes %s and %s for "
+                            "nodes %s, got arrays of %s and %s" % (
+                                node.node_id, *want, node.neighbors, *got))
     if incoming_messages is None:
         return
-    if len(incoming_messages) != len(senders):
+    if len(incoming_messages) != len(node.neighbors):
         raise ProtocolError("node %d expected %d incoming messages, got %d"
-                            % (node.node_id, len(senders),
+                            % (node.node_id, len(node.neighbors),
                                len(incoming_messages)))
-    for sender, message in zip(senders, incoming_messages):
+    for sender, message in zip(node.neighbors, incoming_messages):
         if message.shape != want[1]:
             raise ProtocolError(
                 "node %d expected a message of shape %s from node %d, got %s"
                 % (node.node_id, want[1], sender, message.shape))
 
 
-def step(node, neighbor_exchanges, sample, cfg, incoming_messages=None):
+def step(node, thetas, cumulative_losses, sample, cfg, incoming_messages=None):
     """Advance one node by one round.
 
-    ``neighbor_exchanges`` must be the previous round's broadcasts of
-    exactly the node's neighbors (any order; they are sorted by sender
-    internally).  Without ``incoming_messages`` the weights follow the
-    neighbor-product rule; with them, one relayed log-message vector per
-    neighbor in sorted neighbor order, they follow the message-passing rule.
-    Exchanges and messages hold numpy arrays; a wrong sender set,
-    message count or array shape raises ``ProtocolError`` before the
-    node's state moves.
+    ``thetas`` (n, P, D) and ``cumulative_losses`` (n, P) are a network's
+    previous-round broadcasts, one row per node id; the node reads only
+    its neighbours' rows, in ascending id order.  Without
+    ``incoming_messages`` the weights follow the neighbor-product rule;
+    with them, one relayed log-message vector per neighbor in that
+    order, the message-passing rule.  Arrays that miss a neighbour or
+    whose rows differ in shape from the node's own, and a wrong message
+    count or shape, raise ``ProtocolError`` before the node's state moves.
 
     The call finalizes the dual and weight updates owed to the arriving
     broadcasts, predicts the sample's label with the resulting round
     state, accumulates per-kernel prediction losses, refits every
-    kernel, and returns (prediction, per_kernel_losses, outgoing).
+    kernel, and returns (prediction, per_kernel_losses); the node's
+    ``thetas`` and ``cumulative_loss`` are then its next broadcast.
     """
-    exchanges = sorted(neighbor_exchanges, key=lambda e: e.sender)
-    _check_inbox(node, exchanges, incoming_messages)
+    _check_inbox(node, thetas, cumulative_losses, incoming_messages)
     x, y = sample
 
     # Dual ascent owed from the previous round, now that the neighbors'
     # refitted parameters have arrived.
-    neighbor_thetas = [e.thetas for e in exchanges]
+    neighbor_thetas = [thetas[l] for l in node.neighbors]
     node.lams = lambda_update(node.lams, node.thetas, neighbor_thetas, cfg.rho)
 
     # Weight update owed from the previous round's loss broadcasts.
     if incoming_messages is None:
-        weights = combine_weights(
-            node.cumulative_loss,
-            [e.cumulative_losses for e in exchanges],
-            node.eta_global,
-        )
+        neighbor_losses = [cumulative_losses[l] for l in node.neighbors]
+        weights = combine_weights(node.cumulative_loss, neighbor_losses,
+                                  node.eta_global)
     else:
         weights = mp_combine_weights(-node.cumulative_loss / node.eta_global,
                                      incoming_messages)
@@ -155,18 +127,11 @@ def step(node, neighbor_exchanges, sample, cfg, incoming_messages=None):
     z_stack = map_stack(node.feature_maps, x)
     node.round_weights = weights
     dots, prediction = _combined_prediction(node.thetas, weights, z_stack)
-    prediction = float(prediction)
     per_kernel_losses = (dots - y) ** 2
 
     gamma = gamma_hat(node.thetas, neighbor_thetas)
     node.thetas = theta_update_quadratic(
-        node.thetas, node.lams, z_stack, y, gamma, len(exchanges), cfg
+        node.thetas, node.lams, z_stack, y, gamma, len(node.neighbors), cfg
     )
     node.cumulative_loss = accumulate(node.cumulative_loss, per_kernel_losses)
-
-    outgoing = RoundExchange(
-        sender=node.node_id,
-        thetas=node.thetas.copy(),
-        cumulative_losses=node.cumulative_loss.copy(),
-    )
-    return prediction, per_kernel_losses, outgoing
+    return float(prediction), per_kernel_losses

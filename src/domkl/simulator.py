@@ -478,7 +478,11 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm):
         LearnerNode(k, maps, graph.neighbors[k], eta_global=cfg.eta_global)
         for k in range(num_nodes)
     ]
-    exchanges = {k: nodes[k].initial_exchange() for k in range(num_nodes)}
+    # The previous round's broadcasts, which every step reads, and the
+    # next round's, which each node writes its row of after its step.
+    shape = (num_nodes,) + nodes[0].thetas.shape
+    thetas, next_thetas = np.zeros(shape), np.empty(shape)
+    losses, next_losses = np.zeros(shape[:2]), np.empty(shape[:2])
     messages = None
     if algorithm == "domkl" and cfg.hedge_variant == "message_passing":
         messages = initial_messages(graph, len(maps), cfg.allow_cycles)
@@ -486,34 +490,27 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm):
     try:
         for t in range(ctx.horizon):
             if messages is not None:
-                log_w = [
-                    -exchanges[k].cumulative_losses / cfg.eta_global
-                    for k in range(num_nodes)
-                ]
-                messages = mp_update_messages(messages, graph, log_w)
-            fresh = {}
+                messages = mp_update_messages(messages, graph,
+                                              -losses / cfg.eta_global)
             for k in range(num_nodes):
-                inbox = [exchanges[l] for l in graph.neighbors[k]]
-                incoming = (
-                    [messages[(l, k)] for l in graph.neighbors[k]]
-                    if messages is not None else None
-                )
-                pred, kernel_losses, outgoing = step(
-                    nodes[k], inbox, (ctx.inputs[t, k], ctx.labels[t, k]),
+                incoming = (None if messages is None else
+                            [messages[(l, k)] for l in graph.neighbors[k]])
+                trace.predictions[t, k], trace.per_kernel_losses[t, k] = step(
+                    nodes[k], thetas, losses,
+                    (ctx.inputs[t, k], ctx.labels[t, k]),
                     cfg.admm, incoming_messages=incoming,
                 )
-                trace.predictions[t, k] = pred
-                trace.per_kernel_losses[t, k] = kernel_losses
                 trace.weights[t, k] = nodes[k].round_weights
-                fresh[k] = outgoing
+                next_thetas[k] = nodes[k].thetas
+                next_losses[k] = nodes[k].cumulative_loss
             # Every learner predicted with its previous broadcast.
-            broadcast = np.stack([exchanges[l].thetas for l in range(num_nodes)])
             for k in range(num_nodes):
                 z_stack = _map_stack(maps, ctx.inputs[t, k])
                 _, trace.cross_predictions[t, k] = _combined_prediction(
-                    broadcast, trace.weights[t], z_stack[None, :, :]
+                    thetas, trace.weights[t], z_stack[None, :, :]
                 )
-            exchanges = fresh
+            thetas, next_thetas = next_thetas, thetas
+            losses, next_losses = next_losses, losses
     except FloatingPointError as exc:
         raise FloatingPointError("%s learner %d: %s at round %d of %d"
                                  % (algorithm, k, exc, t + 1,
@@ -592,11 +589,7 @@ def _pooled_pass(ctx, cfg, dots=None):
         block = fmap.map(pooled_x)
         # The fit is BLAS, which releases the GIL, and comkl's steps are
         # mostly Python: on 2 or more CPUs they overlap.
-        if features._map_width() >= 2:
-            features._run_together(calls)
-        else:
-            for call in calls:
-                call()
+        features._run_together(calls)
         # Still bound, it would be live while the next block is mapped.
         del block
     return best, at_index
@@ -690,20 +683,21 @@ def _experiment_inputs(cfg):
 
 
 def _trial_results(cfg, inputs):
-    """Every trial's result in trial order (run in ``cfg.workers``
-    processes), each trial run or collected only when asked for."""
+    """Every trial's result in trial order (run in ``min(cfg.workers,
+    cfg.trials)`` processes), each trial run or collected only when asked
+    for.  A pool forks all its workers up front, so none is left idle."""
     payloads = [(cfg, i, inputs) for i in range(cfg.trials)]
+    busy = min(cfg.workers, cfg.trials)
     with contextlib.ExitStack() as stack:
-        if cfg.workers > 1:
+        if busy > 1:
             # Imported here: the pool modules take tens of ms to import
             # and the default run uses one process.
             from concurrent.futures import ProcessPoolExecutor
 
             # Each worker splits its feature maps over its own share of
             # the CPUs, so the pool does not run more threads than CPUs.
-            busy = min(cfg.workers, cfg.trials)
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=cfg.workers, initializer=_share_cpus,
+                max_workers=busy, initializer=_share_cpus,
                 initargs=(busy,)))
             results = pool.map(_trial_worker, payloads)
         else:
@@ -717,7 +711,7 @@ def _trial_results(cfg, inputs):
 
 
 def run_experiment(cfg):
-    """Run all trials (in ``cfg.workers`` processes) and aggregate."""
+    """Run all trials (in up to ``cfg.workers`` processes) and aggregate."""
     return aggregate(cfg, _trial_results(cfg, _experiment_inputs(cfg)))
 
 
@@ -767,10 +761,14 @@ def sweep(cfg, rhos, eta_globals):
 
     The cells differ only in parameters that ``load_inputs`` does not
     read, so the files are read once for the whole grid.  Raises
-    ``ConfigError`` for an axis with more than one value that no
-    selected algorithm reads: its cells would all be the same run.
+    ``ConfigError`` for an axis that repeats a value, or that has more
+    than one value and no selected algorithm reads it: either way, two
+    of its cells would be the same run.
     """
     for name, values in (("rho", rhos), ("eta_global", eta_globals)):
+        if len(set(values)) < len(values):
+            raise ConfigError("%s lists a value twice: %s" % (
+                name, ", ".join(map(str, values))), key="grid")
         readers = READERS[name]
         if len(set(values)) > 1 and set(readers).isdisjoint(cfg.algorithms):
             raise ConfigError(

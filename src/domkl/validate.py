@@ -2,7 +2,7 @@
 
 Each check returns ``(name, passed, detail)``.  The suite is meant to
 finish in seconds and to be run after any change that touches the
-update rules, the feature maps, or the exchange protocol.
+update rules, the feature maps, or the broadcast protocol.
 """
 
 from __future__ import annotations
@@ -44,23 +44,26 @@ def check_hedge_simplex():
     return ("hedge_simplex", worst <= 1e-12, "max |sum - 1| = %.3e" % worst)
 
 
+def _broadcasts(nodes):
+    """The nodes' broadcasts: their thetas and loss totals, row by row."""
+    return (np.stack([node.thetas for node in nodes]),
+            np.stack([node.cumulative_loss for node in nodes]))
+
+
 def check_lambda_sum(rounds=200):
     """Network-wide multiplier sums stay at zero as rounds accumulate."""
     rng = np.random.default_rng(23)
     graph = sample_connected_er(5, 0.5, seed=3)
     maps = build_maps((0.01, 0.1, 1.0), 2, 20, shared_seed=5)
     nodes = [LearnerNode(k, maps, graph.neighbors[k]) for k in range(5)]
-    exchanges = {k: nodes[k].initial_exchange() for k in range(5)}
     cfg = AdmmConfig()
     worst = 0.0
     ok = True
     for t in range(rounds):
-        fresh = {}
+        broadcasts = _broadcasts(nodes)
         for k in range(5):
             sample = (rng.standard_normal(2), float(rng.standard_normal()))
-            inbox = [exchanges[l] for l in graph.neighbors[k]]
-            _, _, fresh[k] = step(nodes[k], inbox, sample, cfg)
-        exchanges = fresh
+            step(nodes[k], *broadcasts, sample, cfg)
         total = np.add.reduce([node.lams for node in nodes])
         drift = float(np.abs(total).max())
         worst = max(worst, drift / (t + 1))
@@ -144,13 +147,12 @@ def check_joint_equivalence():
     labels = rng.standard_normal((20, 3))
     cfg = AdmmConfig(rho=50.0, eta_local=5.0)
     nodes = [LearnerNode(k, (fmap,), graph.neighbors[k]) for k in range(3)]
-    exchanges = [node.initial_exchange() for node in nodes]
     problem = JointStepProblem.initial(graph, dim=4, rho=50.0, eta_local=5.0)
     gap = 0.0
     for t in range(20):
-        exchanges = [step(nodes[k], [exchanges[l] for l in graph.neighbors[k]],
-                          (features[t, k], labels[t, k]), cfg)[2]
-                     for k in range(3)]
+        broadcasts = _broadcasts(nodes)
+        for k in range(3):
+            step(nodes[k], *broadcasts, (features[t, k], labels[t, k]), cfg)
         # step t finalizes the duals of round t-1, the oracle's current ones.
         duals = np.stack([problem.aggregated_dual(k) for k in range(3)])
         z = np.stack([fmap.map(features[t, k]) for k in range(3)])

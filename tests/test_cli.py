@@ -317,6 +317,11 @@ def test_sweep_axis_no_algorithm_reads_exits_2(tmp_path, capsys, algorithm,
     assert capsys.readouterr().err.startswith(
         "config error: %s takes 2 values, but only " % axis)
     assert not (tmp_path / "sweep.csv").exists()
+    # A repeated value would write one cell twice, on any axis.
+    assert sweep_main("10,10,100", "10") == 2
+    assert capsys.readouterr().err == (
+        "config error: rho lists a value twice: 10.0, 10.0, 100.0\n")
+    assert not (tmp_path / "sweep.csv").exists()
     # One value on each axis runs, and so do several on an axis that the
     # algorithm reads.
     rhos = "10,100" if algorithm == "dokl" else "10"

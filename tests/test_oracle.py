@@ -154,7 +154,7 @@ def test_dual_step_moves_along_residual():
 def test_joint_rounds_match_distributed_single_kernel():
     """``step`` with one feature map is the dense joint round, node by node.
 
-    ``step`` finalizes round t's dual only when round t+1's exchanges
+    ``step`` finalizes round t's dual only when round t+1's broadcasts
     arrive, so the node duals after step t+1 are the oracle's after
     round t.
     """
@@ -166,18 +166,16 @@ def test_joint_rounds_match_distributed_single_kernel():
     labels = rng.normal(size=(rounds, 3))
     cfg = AdmmConfig(rho=5.0, eta_local=3.0)
     nodes = [LearnerNode(k, (fmap,), graph.neighbors[k]) for k in range(3)]
-    exchanges = [node.initial_exchange() for node in nodes]
 
     problem = JointStepProblem.initial(graph, dim=6, rho=5.0, eta_local=3.0)
     for t in range(rounds):
         z = np.stack([fmap.map(features[t, k]) for k in range(3)])
-        outputs = [
-            step(nodes[k], [exchanges[l] for l in graph.neighbors[k]],
-                 (features[t, k], labels[t, k]), cfg)
+        broadcasts = (np.stack([node.thetas for node in nodes]),
+                      np.stack([node.cumulative_loss for node in nodes]))
+        predictions = [
+            step(nodes[k], *broadcasts, (features[t, k], labels[t, k]), cfg)[0]
             for k in range(3)
         ]
-        exchanges = [out[2] for out in outputs]
-        predictions = [out[0] for out in outputs]
         assert np.allclose(predictions, (problem.prev_thetas * z).sum(axis=1),
                            rtol=0, atol=1e-8)
         for k in range(3):

@@ -425,7 +425,8 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, relay, rng):
     graph, num_nodes = ctx.graph, ctx.graph.num_nodes
     nodes = [LearnerNode(k, maps, graph.neighbors[k],
                          eta_global=cfg.eta_global) for k in range(num_nodes)]
-    exchanges = [node.initial_exchange() for node in nodes]
+    thetas = np.zeros((num_nodes, len(maps), nodes[0].dim))
+    cumulative = np.zeros((num_nodes, len(maps)))
     messages = initial_messages(graph, len(maps)) if relay else None
     predictions = np.zeros(ctx.labels.shape)
     losses = np.zeros(ctx.labels.shape + (len(maps),))
@@ -434,26 +435,26 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, relay, rng):
     orders = set()
     for t in range(ctx.horizon):
         if relay:
-            messages = mp_update_messages(
-                messages, graph,
-                [-e.cumulative_losses / cfg.eta_global for e in exchanges])
+            messages = mp_update_messages(messages, graph,
+                                          -cumulative / cfg.eta_global)
         order = rng.permutation(num_nodes).tolist()
         orders.add(tuple(order))
-        fresh = [None] * num_nodes
+        fresh = np.empty_like(thetas), np.empty_like(cumulative)
         for k in order:
             incoming = ([messages[(l, k)] for l in graph.neighbors[k]]
                         if relay else None)
-            predictions[t, k], losses[t, k], fresh[k] = step(
-                nodes[k], [exchanges[l] for l in graph.neighbors[k]],
+            predictions[t, k], losses[t, k] = step(
+                nodes[k], thetas, cumulative,
                 (ctx.inputs[t, k], ctx.labels[t, k]), cfg.admm,
                 incoming_messages=incoming)
             weights[t, k] = nodes[k].round_weights
+            fresh[0][k], fresh[1][k] = nodes[k].thetas, nodes[k].cumulative_loss
         for k in range(num_nodes):
             z_stack = map_stack(maps, ctx.inputs[t, k])
             for l in range(num_nodes):
                 _, cross[t, k, l] = _combined_prediction(
-                    exchanges[l].thetas, weights[t, l], z_stack)
-        exchanges = fresh
+                    thetas[l], weights[t, l], z_stack)
+        thetas, cumulative = fresh
     assert len(orders) > 1
     return {"predictions": predictions, "per_kernel_losses": losses,
             "weights": weights, "cross_predictions": cross}
@@ -601,8 +602,36 @@ def test_pool_workers_split_maps_over_a_share_of_the_cpus(
     monkeypatch.setattr(features, "_workers", 1)
     cfg = _small_cfg(trials=trials, rounds=5, workers=workers)
     run_experiment(cfg)
-    assert pools == [(workers, (busy,))]
+    assert pools == [(busy, (busy,))]
     assert features._workers == busy
+
+
+@pytest.mark.parametrize("trials, pool", [(1, None), (2, 2)])
+def test_trial_pool_forks_no_more_workers_than_trials(monkeypatch, trials,
+                                                      pool):
+    """A pool gets one worker per trial at most, and none runs for one
+    trial; results are bitwise those of one process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    cfg = _small_cfg(trials=trials, rounds=5)
+    one = run_experiment(cfg)
+    assert sizes == []
+    four = run_experiment(dataclasses.replace(cfg, workers=4))
+    assert sizes == ([] if pool is None else [pool])
+    for field in ("mse_mean", "mse_std", "cv_mean", "cv_std"):
+        for algorithm in cfg.algorithms:
+            assert (getattr(one, field)[algorithm].tobytes()
+                    == getattr(four, field)[algorithm].tobytes())
+    assert one.final_regret_d == four.final_regret_d
 
 
 def test_trial_failures_carry_the_trial_index():
@@ -1111,10 +1140,13 @@ def test_sweep_rejects_an_axis_no_algorithm_reads(algorithms, grid, named):
     with pytest.raises(ConfigError, match="^%s takes 2 values" % named) as info:
         sweep(cfg, **grid)
     assert info.value.key == "grid"
-    # A repeated value is one value; an algorithm that reads the axis
-    # makes a mixed selection run.
+    # A repeated value would run one cell twice, whoever reads the axis;
+    # an algorithm that reads the axis makes a mixed selection run.
     flat = {name: values[:1] * 2 for name, values in grid.items()}
-    assert len(sweep(cfg, **flat)) == 4 * len(algorithms)
+    with pytest.raises(ConfigError,
+                       match=r"^rho lists a value twice: 10\.0, 10\.0$") as info:
+        sweep(cfg, **flat)
+    assert info.value.key == "grid"
     mixed = dataclasses.replace(cfg, algorithms=algorithms + ("domkl",))
     assert len(sweep(mixed, **grid)) == 2 * len(mixed.algorithms)
 
