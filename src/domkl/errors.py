@@ -4,16 +4,16 @@
 class GraphSamplingError(RuntimeError):
     """Raised when rejection sampling fails to produce a connected graph.
 
-    Carries the number of attempts made before giving up.
+    Carries the number of attempts made before giving up, also through
+    the pickling that brings it back from a trial pool's worker.
     """
 
     def __init__(self, message, attempts):
         super().__init__(message)
         self.attempts = attempts
 
-
-class ProtocolError(RuntimeError):
-    """Raised when a node receives broadcasts inconsistent with the topology."""
+    def __reduce__(self):
+        return type(self), (str(self), self.attempts)
 
 
 class ConfigError(ValueError):

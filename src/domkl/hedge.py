@@ -6,8 +6,8 @@ long runs cannot underflow the multiplicative-update form.  Two
 combination rules are provided: the neighbor-product rule (sum your
 neighbors' cumulative losses into your own) and a message-passing
 variant for acyclic topologies that relays losses from beyond the
-immediate neighborhood; its messages are a dict of (P,) log weights
-keyed by directed edge (sender, receiver), from ``initial_messages``.
+immediate neighborhood; its messages are one (K, K, P) array of log
+weights, row [sender, receiver], from ``initial_messages``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,12 @@ from .graph import is_forest
 
 
 def _softmax_in_place(scores):
-    """Softmax of a float64 array that the caller owns, overwriting it."""
-    scores -= scores.max()
+    """Softmax of a float64 array that the caller owns, overwriting it;
+    a top score that is not finite raises ``FloatingPointError``."""
+    top = scores.max()
+    if not np.isfinite(top):
+        raise FloatingPointError("non-finite kernel score")
+    scores -= top
     np.exp(scores, out=scores)
     scores /= scores.sum()
     return scores
@@ -60,8 +64,8 @@ def combine_weights(own_cumulative, neighbor_cumulatives, eta_global):
 
 
 def initial_messages(graph, num_kernels, allow_cycles=False):
-    """All-zero log messages (multiplicative identity) on every directed
-    edge, a dict keyed by (sender, receiver).
+    """All-zero (K, K, P) log messages (multiplicative identity), row
+    [sender, receiver]; only the rows of directed edges are ever used.
 
     Relaying is exact on forests only, so a cyclic graph is refused
     unless ``allow_cycles`` is set, and then warned about.
@@ -76,28 +80,32 @@ def initial_messages(graph, num_kernels, allow_cycles=False):
             "message passing on a cyclic graph double counts losses",
             RuntimeWarning,
         )
-    messages = {}
-    for k, l in graph.edges:
-        messages[(k, l)] = np.zeros(num_kernels)
-        messages[(l, k)] = np.zeros(num_kernels)
-    return messages
+    return np.zeros((graph.num_nodes, graph.num_nodes, num_kernels))
 
 
 def mp_update_messages(messages, graph, latest_log_w):
     """One relay round: each edge forwards the sender's fresh log weight
-    plus everything previously received from the sender's other edges.
+    plus everything previously received from the sender's other edges,
+    added in ascending id order.  Returns the new (K, K, P) messages.
 
-    Row k of ``latest_log_w`` is node k's (P,) log weight.  ``messages``
-    must descend from ``initial_messages`` on the same graph, which
-    decides once whether the graph may carry messages.
+    Row k of the (K, P) ``latest_log_w`` is node k's log weight.
+    ``messages`` must descend from ``initial_messages`` on the same
+    graph, which decides once whether the graph may carry messages;
+    arrays of other shapes raise ``ValueError``.
     """
-    updated = {}
-    for k, l in messages:
-        total = np.array(latest_log_w[k], dtype=np.float64)
-        for i in graph.neighbors[k]:
-            if i != l:
-                total = total + messages[(i, k)]
-        updated[(k, l)] = total
+    shape = (graph.num_nodes, graph.num_nodes, messages.shape[-1])
+    if messages.shape != shape or np.shape(latest_log_w) != shape[1:]:
+        raise ValueError("need %s messages and %s log weights, got %s and %s"
+                         % (shape, shape[1:], messages.shape,
+                            np.shape(latest_log_w)))
+    updated = np.zeros_like(messages)
+    for k, neighbors in enumerate(graph.neighbors):
+        for l in neighbors:
+            total = updated[k, l]
+            total[:] = latest_log_w[k]
+            for i in neighbors:
+                if i != l:
+                    total += messages[i, k]
     return updated
 
 

@@ -1,17 +1,16 @@
 """Per-learner orchestration: many kernels, one node, one round at a time.
 
-A node owns one consensus learner per kernel plus a hedge state over the
-kernels.  Each round it finalizes the dual and weight updates that its
-neighbors' latest broadcast enables, predicts with the round's state,
-refits every kernel's parameters; its parameters and kernel-loss totals
-are its broadcast, a row of each of the network's two broadcast arrays.
-Running the dual/weight finalization on arrival instead of after the
-broadcast gives exactly the trajectory of the mid-round-exchange
-ordering, in a single call fed only by previous-round output; relayed
-hedge messages, when ``step`` is given them, pick the relay rule.
-With one feature map a network of nodes runs the single-kernel consensus
-round that ``oracle.joint_round`` solves as one dense system; the
-validation suite and the tests check ``step`` against it.
+A network's state is arrays with one row per learner: each kernel's
+parameters and dual, and the kernel-loss totals.  A learner's broadcast
+is its row of the parameters and loss totals.  Each round a learner
+finalizes the dual and weight updates that its neighbors' previous-round
+broadcast enables, predicts, and refits every kernel into the next
+round's buffers.  Finalizing on arrival instead of after the broadcast
+gives exactly the trajectory of the mid-round-exchange ordering; relayed
+hedge messages, when the network carries them, pick the relay rule.
+With one feature map a network runs the single-kernel consensus round
+that ``oracle.joint_round`` solves as one dense system; the validation
+suite and the tests check ``step`` against it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .admm import gamma_hat, lambda_update, theta_update_quadratic
-from .errors import ProtocolError
 from .features import map_stack
 from .hedge import accumulate, combine_weights, mp_combine_weights
 
@@ -35,14 +33,18 @@ def _combined_prediction(thetas, weights, z_stack):
     return dots, (weights * dots).sum(axis=-1)
 
 
-class LearnerNode:
-    """State of one learner: P kernel learners, hedge weights, feature maps.
+class NetworkState:
+    """Every learner's round state; row k of each array is learner k's.
 
-    ``neighbors`` is the sorted tuple of adjacent node ids, whose rows of
-    the network's broadcasts the node reads every round.
+    ``thetas`` (K, P, D) and ``losses`` (K, P) are the previous round's
+    broadcasts, which steps read; ``next_thetas`` and ``next_losses``
+    take the round's new broadcasts, and ``end_round`` swaps the pairs.
+    ``lams`` (K, P, D) holds the duals.  ``messages`` is None under the
+    product rule, or the relay's (K, K, P) log messages, row [sender,
+    receiver], from ``hedge.initial_messages``.
     """
 
-    def __init__(self, node_id, feature_maps, neighbors, eta_global=10.0):
+    def __init__(self, graph, feature_maps, eta_global, messages=None):
         if not feature_maps:
             raise ValueError("need at least one feature map")
         dims = {2 * fm.num_features for fm in feature_maps}
@@ -50,88 +52,60 @@ class LearnerNode:
             raise ValueError("feature maps disagree on dimension")
         if not eta_global > 0.0:
             raise ValueError("eta_global must be positive")
-        self.node_id = node_id
+        self.graph = graph
         self.feature_maps = tuple(feature_maps)
-        self.neighbors = tuple(sorted(neighbors))
-        self.dim = dims.pop()
-        self.num_kernels = len(self.feature_maps)
-        self.thetas = np.zeros((self.num_kernels, self.dim))
-        self.lams = np.zeros((self.num_kernels, self.dim))
-        self.cumulative_loss = np.zeros(self.num_kernels)
         self.eta_global = eta_global
-        # Kernel weights of the round most recently stepped.
-        self.round_weights = np.full(self.num_kernels, 1.0 / self.num_kernels)
+        self.messages = messages
+        shape = (graph.num_nodes, len(self.feature_maps), dims.pop())
+        self.thetas, self.next_thetas = np.zeros(shape), np.empty(shape)
+        self.lams = np.zeros(shape)
+        self.losses, self.next_losses = np.zeros(shape[:2]), np.empty(shape[:2])
+
+    def end_round(self):
+        """Make the round's new broadcasts the ones the next round reads."""
+        self.thetas, self.next_thetas = self.next_thetas, self.thetas
+        self.losses, self.next_losses = self.next_losses, self.losses
 
 
-def _check_inbox(node, thetas, cumulative_losses, incoming_messages):
-    """Raise ProtocolError unless the broadcast arrays have a row of the
-    node's own shapes for every neighbour, and the relayed messages are
-    one per neighbour of the node's loss shape: a vector of another
-    length would broadcast over the node's kernels, or fail inside numpy.
-    """
-    want = node.thetas.shape, node.cumulative_loss.shape
-    got = thetas.shape, cumulative_losses.shape
-    if ((got[0][1:], got[1][1:]) != want
-            or min(got[0][0], got[1][0]) <= max(node.neighbors, default=-1)):
-        raise ProtocolError("node %d expected rows of shapes %s and %s for "
-                            "nodes %s, got arrays of %s and %s" % (
-                                node.node_id, *want, node.neighbors, *got))
-    if incoming_messages is None:
-        return
-    if len(incoming_messages) != len(node.neighbors):
-        raise ProtocolError("node %d expected %d incoming messages, got %d"
-                            % (node.node_id, len(node.neighbors),
-                               len(incoming_messages)))
-    for sender, message in zip(node.neighbors, incoming_messages):
-        if message.shape != want[1]:
-            raise ProtocolError(
-                "node %d expected a message of shape %s from node %d, got %s"
-                % (node.node_id, want[1], sender, message.shape))
+def step(net, k, sample, cfg):
+    """Advance learner ``k`` of the network ``net`` by one round.
 
-
-def step(node, thetas, cumulative_losses, sample, cfg, incoming_messages=None):
-    """Advance one node by one round.
-
-    ``thetas`` (n, P, D) and ``cumulative_losses`` (n, P) are a network's
-    previous-round broadcasts, one row per node id; the node reads only
-    its neighbours' rows, in ascending id order.  Without
-    ``incoming_messages`` the weights follow the neighbor-product rule;
-    with them, one relayed log-message vector per neighbor in that
-    order, the message-passing rule.  Arrays that miss a neighbour or
-    whose rows differ in shape from the node's own, and a wrong message
-    count or shape, raise ``ProtocolError`` before the node's state moves.
+    Reads the learner's own rows and its neighbours' rows of the
+    previous round's broadcasts, in ascending id order, and with relayed
+    messages the neighbours' messages to it; writes only row k of
+    ``net.lams``, ``net.next_thetas`` and ``net.next_losses``.
 
     The call finalizes the dual and weight updates owed to the arriving
     broadcasts, predicts the sample's label with the resulting round
     state, accumulates per-kernel prediction losses, refits every
-    kernel, and returns (prediction, per_kernel_losses); the node's
-    ``thetas`` and ``cumulative_loss`` are then its next broadcast.
+    kernel, and returns (prediction, per_kernel_losses, weights).
     """
-    _check_inbox(node, thetas, cumulative_losses, incoming_messages)
     x, y = sample
+    neighbors = net.graph.neighbors[k]
+    theta = net.thetas[k]
 
     # Dual ascent owed from the previous round, now that the neighbors'
     # refitted parameters have arrived.
-    neighbor_thetas = [thetas[l] for l in node.neighbors]
-    node.lams = lambda_update(node.lams, node.thetas, neighbor_thetas, cfg.rho)
+    neighbor_thetas = [net.thetas[l] for l in neighbors]
+    lams = lambda_update(net.lams[k], theta, neighbor_thetas, cfg.rho)
+    net.lams[k] = lams
 
     # Weight update owed from the previous round's loss broadcasts.
-    if incoming_messages is None:
-        neighbor_losses = [cumulative_losses[l] for l in node.neighbors]
-        weights = combine_weights(node.cumulative_loss, neighbor_losses,
-                                  node.eta_global)
+    if net.messages is None:
+        weights = combine_weights(net.losses[k],
+                                  [net.losses[l] for l in neighbors],
+                                  net.eta_global)
     else:
-        weights = mp_combine_weights(-node.cumulative_loss / node.eta_global,
-                                     incoming_messages)
+        weights = mp_combine_weights(-net.losses[k] / net.eta_global,
+                                     [net.messages[l, k] for l in neighbors])
 
-    z_stack = map_stack(node.feature_maps, x)
-    node.round_weights = weights
-    dots, prediction = _combined_prediction(node.thetas, weights, z_stack)
+    z_stack = map_stack(net.feature_maps, x)
+    dots, prediction = _combined_prediction(theta, weights, z_stack)
     per_kernel_losses = (dots - y) ** 2
 
-    gamma = gamma_hat(node.thetas, neighbor_thetas)
-    node.thetas = theta_update_quadratic(
-        node.thetas, node.lams, z_stack, y, gamma, len(node.neighbors), cfg
+    gamma = gamma_hat(theta, neighbor_thetas)
+    net.next_thetas[k] = theta_update_quadratic(
+        theta, lams, z_stack, y, gamma, len(neighbors), cfg
     )
-    node.cumulative_loss = accumulate(node.cumulative_loss, per_kernel_losses)
-    return float(prediction), per_kernel_losses
+    net.next_losses[k] = accumulate(net.losses[k], per_kernel_losses)
+    return float(prediction), per_kernel_losses, weights

@@ -55,7 +55,7 @@ from .features import (
 from .features import map_stack as _map_stack
 from .graph import connected_components, from_edge_list, sample_connected_er
 from .hedge import initial_messages, mp_update_messages
-from .learners import LearnerNode, _combined_prediction, step
+from .learners import NetworkState, _combined_prediction, step
 from .metrics import (
     RunTrace,
     cv_curve,
@@ -471,46 +471,28 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm):
     """
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph = ctx.graph
-    num_nodes = graph.num_nodes
     trace = _empty_trace(ctx, algorithm, len(maps))
-
-    nodes = [
-        LearnerNode(k, maps, graph.neighbors[k], eta_global=cfg.eta_global)
-        for k in range(num_nodes)
-    ]
-    # The previous round's broadcasts, which every step reads, and the
-    # next round's, which each node writes its row of after its step.
-    shape = (num_nodes,) + nodes[0].thetas.shape
-    thetas, next_thetas = np.zeros(shape), np.empty(shape)
-    losses, next_losses = np.zeros(shape[:2]), np.empty(shape[:2])
     messages = None
     if algorithm == "domkl" and cfg.hedge_variant == "message_passing":
         messages = initial_messages(graph, len(maps), cfg.allow_cycles)
+    net = NetworkState(graph, maps, cfg.eta_global, messages)
 
     try:
         for t in range(ctx.horizon):
-            if messages is not None:
-                messages = mp_update_messages(messages, graph,
-                                              -losses / cfg.eta_global)
-            for k in range(num_nodes):
-                incoming = (None if messages is None else
-                            [messages[(l, k)] for l in graph.neighbors[k]])
-                trace.predictions[t, k], trace.per_kernel_losses[t, k] = step(
-                    nodes[k], thetas, losses,
-                    (ctx.inputs[t, k], ctx.labels[t, k]),
-                    cfg.admm, incoming_messages=incoming,
-                )
-                trace.weights[t, k] = nodes[k].round_weights
-                next_thetas[k] = nodes[k].thetas
-                next_losses[k] = nodes[k].cumulative_loss
+            if net.messages is not None:
+                net.messages = mp_update_messages(
+                    net.messages, graph, -net.losses / cfg.eta_global)
+            for k in range(graph.num_nodes):
+                (trace.predictions[t, k], trace.per_kernel_losses[t, k],
+                 trace.weights[t, k]) = step(
+                    net, k, (ctx.inputs[t, k], ctx.labels[t, k]), cfg.admm)
             # Every learner predicted with its previous broadcast.
-            for k in range(num_nodes):
+            for k in range(graph.num_nodes):
                 z_stack = _map_stack(maps, ctx.inputs[t, k])
                 _, trace.cross_predictions[t, k] = _combined_prediction(
-                    thetas, trace.weights[t], z_stack[None, :, :]
+                    net.thetas, trace.weights[t], z_stack[None, :, :]
                 )
-            thetas, next_thetas = next_thetas, thetas
-            losses, next_losses = next_losses, losses
+            net.end_round()
     except FloatingPointError as exc:
         raise FloatingPointError("%s learner %d: %s at round %d of %d"
                                  % (algorithm, k, exc, t + 1,
@@ -696,9 +678,12 @@ def _trial_results(cfg, inputs):
 
             # Each worker splits its feature maps over its own share of
             # the CPUs, so the pool does not run more threads than CPUs.
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=busy, initializer=_share_cpus,
-                initargs=(busy,)))
+            pool = ProcessPoolExecutor(max_workers=busy,
+                                       initializer=_share_cpus,
+                                       initargs=(busy,))
+            # On exit, after a failure or when the caller stops drawing
+            # results, trials not yet started are dropped, not run.
+            stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_trial_worker, payloads)
         else:
             results = map(_trial_worker, payloads)

@@ -13,7 +13,7 @@ from .admm import AdmmConfig
 from .features import build_feature_map, build_maps
 from .graph import Graph, sample_connected_er
 from .hedge import combine_weights
-from .learners import LearnerNode, step
+from .learners import NetworkState, step
 from .oracle import JointStepProblem, joint_round
 from .simulator import ExperimentConfig, run_trial
 
@@ -44,27 +44,21 @@ def check_hedge_simplex():
     return ("hedge_simplex", worst <= 1e-12, "max |sum - 1| = %.3e" % worst)
 
 
-def _broadcasts(nodes):
-    """The nodes' broadcasts: their thetas and loss totals, row by row."""
-    return (np.stack([node.thetas for node in nodes]),
-            np.stack([node.cumulative_loss for node in nodes]))
-
-
 def check_lambda_sum(rounds=200):
     """Network-wide multiplier sums stay at zero as rounds accumulate."""
     rng = np.random.default_rng(23)
     graph = sample_connected_er(5, 0.5, seed=3)
     maps = build_maps((0.01, 0.1, 1.0), 2, 20, shared_seed=5)
-    nodes = [LearnerNode(k, maps, graph.neighbors[k]) for k in range(5)]
+    net = NetworkState(graph, maps, 10.0)
     cfg = AdmmConfig()
     worst = 0.0
     ok = True
     for t in range(rounds):
-        broadcasts = _broadcasts(nodes)
         for k in range(5):
             sample = (rng.standard_normal(2), float(rng.standard_normal()))
-            step(nodes[k], *broadcasts, sample, cfg)
-        total = np.add.reduce([node.lams for node in nodes])
+            step(net, k, sample, cfg)
+        net.end_round()
+        total = np.add.reduce(net.lams)
         drift = float(np.abs(total).max())
         worst = max(worst, drift / (t + 1))
         ok = ok and drift <= 1e-9 * (t + 1)
@@ -146,21 +140,19 @@ def check_joint_equivalence():
     features = rng.standard_normal((20, 3, 2))
     labels = rng.standard_normal((20, 3))
     cfg = AdmmConfig(rho=50.0, eta_local=5.0)
-    nodes = [LearnerNode(k, (fmap,), graph.neighbors[k]) for k in range(3)]
+    net = NetworkState(graph, (fmap,), 10.0)
     problem = JointStepProblem.initial(graph, dim=4, rho=50.0, eta_local=5.0)
     gap = 0.0
     for t in range(20):
-        broadcasts = _broadcasts(nodes)
         for k in range(3):
-            step(nodes[k], *broadcasts, (features[t, k], labels[t, k]), cfg)
+            step(net, k, (features[t, k], labels[t, k]), cfg)
+        net.end_round()
         # step t finalizes the duals of round t-1, the oracle's current ones.
         duals = np.stack([problem.aggregated_dual(k) for k in range(3)])
         z = np.stack([fmap.map(features[t, k]) for k in range(3)])
         problem = joint_round(problem, z, labels[t])
-        lams = np.stack([node.lams[0] for node in nodes])
-        thetas = np.stack([node.thetas[0] for node in nodes])
-        gap = max(gap, float(np.abs(duals - lams).max()),
-                  float(np.abs(problem.prev_thetas - thetas).max()))
+        gap = max(gap, float(np.abs(duals - net.lams[:, 0]).max()),
+                  float(np.abs(problem.prev_thetas - net.thetas[:, 0]).max()))
     return ("joint_equivalence", gap <= 1e-6,
             "max theta and dual gap over 20 rounds = %.3e" % gap)
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,10 @@ def test_sampler_reports_attempts_on_failure():
     with pytest.raises(GraphSamplingError) as info:
         sample_connected_er(10, 0.001, seed=0, max_attempts=7)
     assert info.value.attempts == 7
+    # A trial pool sends the error back from its worker pickled.
+    back = pickle.loads(pickle.dumps(info.value))
+    assert (type(back), str(back), back.attempts) == (
+        GraphSamplingError, str(info.value), 7)
 
 
 def test_edge_list_round_trip():

@@ -63,6 +63,17 @@ def test_softmax_shift_invariance_and_extremes():
     assert huge[0] == pytest.approx(1.0)
     assert np.isfinite(huge).all()
     assert huge.sum() == pytest.approx(1.0)
+    assert mp_combine_weights([-np.inf, 0.0, 0.0], []).tolist() == [0, 0.5, 0.5]
+    # A non-finite top score stops with an error, not NaN weights: every
+    # total overflows -1/eta_global at eta_global = 1e-320.
+    with np.errstate(all="ignore"):
+        for scores in ([-np.inf] * 3, [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(FloatingPointError,
+                               match="^non-finite kernel score$"):
+                mp_combine_weights(scores, [])
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite kernel score$"):
+            combine_weights(np.array([1.0, 2.0]), [np.ones(2)], 1e-320)
 
 
 def test_softmax_of_equal_scores_is_exactly_uniform():
@@ -147,9 +158,8 @@ def test_weights_concentrate_on_the_cheapest_kernel():
 def test_initial_messages_are_zero_both_directions():
     graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
     messages = initial_messages(graph, 4)
-    assert set(messages) == {(0, 1), (1, 0), (1, 2), (2, 1)}
-    for value in messages.values():
-        assert not value.any()
+    assert messages.shape == (3, 3, 4)
+    assert not messages.any()
 
 
 def _oracle_message(history, graph, k, l, s, num_kernels):
@@ -171,28 +181,44 @@ def test_relay_messages_are_delayed_log_weight_sums():
     messages = initial_messages(graph, 3)
     history = []
     for s in range(6):
-        logs = [rng.standard_normal(3) for _ in range(4)]
+        logs = rng.standard_normal((4, 3))
         history.append(logs)
         messages = mp_update_messages(messages, graph, logs)
-        for (k, l), msg in messages.items():
-            want = _oracle_message(history, graph, k, l, s + 1, 3)
-            assert np.allclose(msg, want, atol=1e-12)
+        for k in range(4):
+            for l in range(4):
+                want = (_oracle_message(history, graph, k, l, s + 1, 3)
+                        if l in graph.neighbors[k] else np.zeros(3))
+                assert np.allclose(messages[k, l], want, atol=1e-12)
     # spot check the closed form on the chain end: message 2 -> 3 stacks
     # the last three rounds of nodes 2, 1, 0 with delays 0, 1, 2
     closed = history[5][2] + history[4][1] + history[3][0]
-    assert np.allclose(messages[(2, 3)], closed, atol=1e-12)
+    assert np.allclose(messages[2, 3], closed, atol=1e-12)
 
 
 def test_star_center_relays_every_leaf():
     graph = Graph(num_nodes=4, edges=((0, 1), (0, 2), (0, 3)))
     messages = initial_messages(graph, 2)
-    logs = [np.full(2, float(k)) for k in range(4)]
+    logs = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
     messages = mp_update_messages(messages, graph, logs)
     messages = mp_update_messages(messages, graph, logs)
     # center -> leaf 1 carries the center's weight plus leaves 2 and 3
-    assert np.allclose(messages[(0, 1)], logs[0] + logs[2] + logs[3])
+    assert np.allclose(messages[0, 1], logs[0] + logs[2] + logs[3])
     # leaf -> center carries only the leaf itself
-    assert np.allclose(messages[(1, 0)], logs[1])
+    assert np.allclose(messages[1, 0], logs[1])
+
+
+def test_relay_refuses_arrays_of_another_shape():
+    """A (K, 1) log weight would broadcast over every kernel; it and any
+    messages not (K, K, P) are refused."""
+    graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
+    messages = initial_messages(graph, 4)
+    for bad_logs in (np.zeros((3, 1)), np.zeros((2, 4)), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"^need \(3, 3, 4\) messages"):
+            mp_update_messages(messages, graph, bad_logs)
+    for bad_messages in (np.zeros((3, 3)), np.zeros((3, 2, 4)),
+                         np.zeros((2, 2, 4))):
+        with pytest.raises(ValueError, match=r"^need \(3, 3, \d\) messages"):
+            mp_update_messages(bad_messages, graph, np.zeros((3, 4)))
 
 
 def test_cycle_gate_raises_then_warns_when_overridden():
@@ -204,7 +230,7 @@ def test_cycle_gate_raises_then_warns_when_overridden():
     assert info.value.key == "allow_cycles"
     with pytest.warns(RuntimeWarning):
         messages = initial_messages(triangle, 2, allow_cycles=True)
-    logs = [np.zeros(2)] * 3
+    logs = np.zeros((3, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(3):
@@ -220,11 +246,11 @@ def test_mp_combination_equals_product_rule_on_one_edge():
     messages = initial_messages(graph, 4)
     for _ in range(5):
         messages = mp_update_messages(messages, graph,
-                                      [-c / eta for c in cumulatives])
+                                      -np.stack(cumulatives) / eta)
         for k in range(2):
             product = combine_weights(cumulatives[k], [cumulatives[1 - k]], eta)
             relayed = mp_combine_weights(
-                -cumulatives[k] / eta, [messages[(1 - k, k)]]
+                -cumulatives[k] / eta, [messages[1 - k, k]]
             )
             assert np.allclose(product, relayed, atol=1e-12)
         cumulatives = [accumulate(c, rng.uniform(0.0, 2.0, size=4))

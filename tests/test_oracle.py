@@ -10,7 +10,7 @@ import pytest
 from domkl.admm import AdmmConfig
 from domkl.features import DEFAULT_BANDWIDTHS, build_feature_map
 from domkl.graph import Graph
-from domkl.learners import LearnerNode, step
+from domkl.learners import NetworkState, step
 from domkl.oracle import (
     JointStepProblem,
     edge_dual_step,
@@ -165,25 +165,24 @@ def test_joint_rounds_match_distributed_single_kernel():
     features = rng.random((rounds, 3, 2))
     labels = rng.normal(size=(rounds, 3))
     cfg = AdmmConfig(rho=5.0, eta_local=3.0)
-    nodes = [LearnerNode(k, (fmap,), graph.neighbors[k]) for k in range(3)]
+    net = NetworkState(graph, (fmap,), 10.0)
 
     problem = JointStepProblem.initial(graph, dim=6, rho=5.0, eta_local=3.0)
     for t in range(rounds):
         z = np.stack([fmap.map(features[t, k]) for k in range(3)])
-        broadcasts = (np.stack([node.thetas for node in nodes]),
-                      np.stack([node.cumulative_loss for node in nodes]))
         predictions = [
-            step(nodes[k], *broadcasts, (features[t, k], labels[t, k]), cfg)[0]
+            step(net, k, (features[t, k], labels[t, k]), cfg)[0]
             for k in range(3)
         ]
+        net.end_round()
         assert np.allclose(predictions, (problem.prev_thetas * z).sum(axis=1),
                            rtol=0, atol=1e-8)
         for k in range(3):
-            assert np.allclose(nodes[k].lams[0], problem.aggregated_dual(k),
+            assert np.allclose(net.lams[k, 0], problem.aggregated_dual(k),
                                rtol=0, atol=1e-8)
         problem = joint_round(problem, z, labels[t])
-        thetas = np.stack([node.thetas[0] for node in nodes])
-        assert np.allclose(problem.prev_thetas, thetas, rtol=0, atol=1e-8)
+        assert np.allclose(problem.prev_thetas, net.thetas[:, 0],
+                           rtol=0, atol=1e-8)
     assert np.abs(problem.prev_thetas).max() > 1e-3
 
 

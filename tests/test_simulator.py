@@ -38,7 +38,7 @@ from domkl.features import (
     DEFAULT_BANDWIDTHS, FeatureMap, build_feature_map, map_stack,
 )
 from domkl.hedge import initial_messages, mp_update_messages
-from domkl.learners import LearnerNode, _combined_prediction, step
+from domkl.learners import NetworkState, _combined_prediction, step
 from domkl.metrics import regret_accuracy
 from domkl import oracle
 from domkl.oracle import hindsight_best
@@ -405,6 +405,23 @@ def test_diverging_rff_dokl_step_names_its_round():
             run_trial(cfg, 0)
 
 
+@pytest.mark.parametrize("variant", ["product", "message_passing"])
+def test_hedge_overflow_names_learner_and_round(tmp_path, variant):
+    """At eta_global = 1e-320 every kernel's -L/eta_global is -inf from
+    round 2 on: the run stops there, naming the learner, without a numpy
+    warning, instead of returning NaN curves."""
+    tree = tmp_path / "tree.txt"
+    tree.write_text("0 1\n1 2\n")
+    cfg = _small_cfg(eta_global=1e-320, hedge_variant=variant,
+                     topology_path=str(tree))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^domkl learner 0: non-finite kernel score "
+                                 r"at round 2 of 25$"):
+            run_trial(cfg, 0)
+
+
 def test_diverging_comkl_names_kernel_and_round():
     cfg = _small_cfg(algorithms=("comkl",), comkl_step_size=1e300)
     with warnings.catch_warnings():
@@ -423,11 +440,8 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, relay, rng):
     learner k's round-t input."""
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph, num_nodes = ctx.graph, ctx.graph.num_nodes
-    nodes = [LearnerNode(k, maps, graph.neighbors[k],
-                         eta_global=cfg.eta_global) for k in range(num_nodes)]
-    thetas = np.zeros((num_nodes, len(maps), nodes[0].dim))
-    cumulative = np.zeros((num_nodes, len(maps)))
-    messages = initial_messages(graph, len(maps)) if relay else None
+    net = NetworkState(graph, maps, cfg.eta_global,
+                       initial_messages(graph, len(maps)) if relay else None)
     predictions = np.zeros(ctx.labels.shape)
     losses = np.zeros(ctx.labels.shape + (len(maps),))
     weights = np.zeros_like(losses)
@@ -435,26 +449,19 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, relay, rng):
     orders = set()
     for t in range(ctx.horizon):
         if relay:
-            messages = mp_update_messages(messages, graph,
-                                          -cumulative / cfg.eta_global)
+            net.messages = mp_update_messages(net.messages, graph,
+                                              -net.losses / cfg.eta_global)
         order = rng.permutation(num_nodes).tolist()
         orders.add(tuple(order))
-        fresh = np.empty_like(thetas), np.empty_like(cumulative)
         for k in order:
-            incoming = ([messages[(l, k)] for l in graph.neighbors[k]]
-                        if relay else None)
-            predictions[t, k], losses[t, k] = step(
-                nodes[k], thetas, cumulative,
-                (ctx.inputs[t, k], ctx.labels[t, k]), cfg.admm,
-                incoming_messages=incoming)
-            weights[t, k] = nodes[k].round_weights
-            fresh[0][k], fresh[1][k] = nodes[k].thetas, nodes[k].cumulative_loss
+            predictions[t, k], losses[t, k], weights[t, k] = step(
+                net, k, (ctx.inputs[t, k], ctx.labels[t, k]), cfg.admm)
         for k in range(num_nodes):
             z_stack = map_stack(maps, ctx.inputs[t, k])
             for l in range(num_nodes):
                 _, cross[t, k, l] = _combined_prediction(
-                    thetas[l], weights[t, l], z_stack)
-        thetas, cumulative = fresh
+                    net.thetas[l], weights[t, l], z_stack)
+        net.end_round()
     assert len(orders) > 1
     return {"predictions": predictions, "per_kernel_losses": losses,
             "weights": weights, "cross_predictions": cross}
@@ -589,11 +596,8 @@ def test_pool_workers_split_maps_over_a_share_of_the_cpus(
             pools.append((max_workers, initargs))
             initializer(*initargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
         def map(self, fn, items):
             return map(fn, items)
@@ -653,6 +657,49 @@ def test_trial_config_errors_stay_config_errors(tmp_path, workers):
     with pytest.raises(ConfigError, match="trial 0: topology") as info:
         run_experiment(cfg)
     assert info.value.key == "topology"
+
+
+def test_graph_sampling_errors_read_the_same_in_a_pool():
+    """Trial 0's failed ER sampling is reported in the same words by one
+    process and by a pool."""
+    reports = []
+    for workers in (1, 2):
+        cfg = _small_cfg(num_learners=5, connection_prob=0.4, max_attempts=1,
+                         master_seed=0, trials=2, workers=workers)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(cfg)
+        reports.append(str(info.value))
+    assert reports == ["trial 0 failed: no connected graph in 1 attempts "
+                       "(num_nodes=5, connection_prob=0.4)"] * 2
+
+
+def test_trials_not_started_are_cancelled(monkeypatch):
+    """Trials still queued in the pool never run once trial 0 fails, or
+    once the caller stops drawing results."""
+    import concurrent.futures
+
+    futures = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    # At seed 9 only trial 0's one sampling attempt fails; each other
+    # trial runs for a fraction of a second.
+    cfg = _small_cfg(num_learners=5, connection_prob=0.7, max_attempts=1,
+                     master_seed=9, trials=10, workers=2, rounds=300)
+    with pytest.raises(RuntimeError, match="^trial 0 failed: no connected"):
+        run_experiment(cfg)
+    assert len(futures) == 10 and futures[-1].cancelled()
+    futures.clear()
+    results = simulator._trial_results(
+        dataclasses.replace(cfg, max_attempts=50), simulator.load_inputs(cfg))
+    next(results)
+    results.close()
+    assert len(futures) == 10 and futures[-1].cancelled()
 
 
 def _refit_per_stream_regret(ctx, trace, kernel_indices):
