@@ -26,12 +26,15 @@ eta = 10.0
 cumulatives = np.zeros((4, num_kernels))
 cumulatives[0] = accumulate(cumulatives[0], np.array([30.0, 0.0, 0.0]))
 
-# messages[k, l] is what node k last relayed to node l.
+# messages[k, l] is what node k last relayed to node l.  A relay round
+# writes into a second buffer, and the two swap.
 messages = initial_messages(path, num_kernels)
+spare = np.zeros_like(messages)
 print("node 3's view of kernel 0, round by round:")
 for round_index in range(1, 5):
     log_ws = -cumulatives / eta
-    messages = mp_update_messages(messages, path, log_ws)
+    mp_update_messages(messages, path, log_ws, spare)
+    messages, spare = spare, messages
     incoming = [messages[2, 3]]
     weights = mp_combine_weights(log_ws[3], incoming)
     print("  after round %d: weight on kernel 0 = %.4f" % (round_index,
@@ -44,7 +47,8 @@ pair = Graph(2, ((0, 1),))
 a = np.zeros(num_kernels)
 b = accumulate(np.zeros(num_kernels), np.array([0.0, 5.0, 1.0]))
 pair_messages = mp_update_messages(initial_messages(pair, num_kernels),
-                                   pair, -np.stack([a, b]) / eta)
+                                   pair, -np.stack([a, b]) / eta,
+                                   np.zeros((2, 2, num_kernels)))
 via_messages = mp_combine_weights(-a / eta, [pair_messages[1, 0]])
 via_product = combine_weights(a, [b], eta)
 print("\ntwo-node check, max |difference|: %.2e"

@@ -3,14 +3,13 @@
 COMKL learns one central multi-kernel function from the whole network's
 round batch: a mini-batch gradient step per kernel, run one kernel at a
 time over the whole trace, and one hedge over the kernels' losses.
-RFF-DOKL keeps a single-kernel parameter per node, takes a local
-gradient step, then averages over the closed neighborhood
-(adapt-then-combine diffusion).
+RFF-DOKL's state is one (K, D) array, a single-kernel parameter row per
+node: each node takes a local gradient step, then averages over its
+closed neighborhood, read from the graph's table (adapt-then-combine
+diffusion).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,71 +111,40 @@ def comkl_hedge(dots, labels, eta_global, loss_mode="sum"):
     return predictions, weights, squared_errors
 
 
-@dataclass(frozen=True)
-class DiffusionState:
-    """Single-kernel parameters of every node for diffusion OGD.
-
-    ``thetas`` (K, D) holds one row per node.  ``neighborhoods`` (K, W)
-    lists each node's closed neighborhood in ascending id order, padded
-    with K, the index of an all-zero row; ``sizes`` (K,) holds the
-    neighborhood sizes.
-    """
-
-    thetas: np.ndarray
-    neighborhoods: np.ndarray
-    sizes: np.ndarray
-    step_size: float = 0.5
-
-    def __post_init__(self):
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
-
-    @classmethod
-    def fresh(cls, graph, dim, step_size=0.5):
-        num_nodes = graph.num_nodes
-        members = [sorted((k,) + graph.neighbors[k]) for k in range(num_nodes)]
-        sizes = np.array([len(m) for m in members], dtype=np.float64)
-        table = np.full((num_nodes, int(sizes.max())), num_nodes, dtype=np.intp)
-        for k, m in enumerate(members):
-            table[k, :len(m)] = m
-        table.setflags(write=False)
-        sizes.setflags(write=False)
-        return cls(thetas=np.zeros((num_nodes, dim)), neighborhoods=table,
-                   sizes=sizes, step_size=step_size)
-
-
-def rff_dokl_step(state, samples):
+def rff_dokl_step(thetas, graph, samples, step_size):
     """One adapt-then-combine round over the whole network.
 
+    ``thetas`` (K, D) holds one row per node of ``graph``, and
     ``samples`` is a (features, labels) pair holding every node's
     mapped round feature vector, shape (K, D), and label.  Every node
-    takes a gradient step on its own sample, then replaces its
-    parameters with the unweighted average of the stepped parameters
-    over its closed neighborhood.  Returns the new state; raises
-    ``FloatingPointError`` when a prediction error or a new parameter
-    vector is not finite.
+    takes a gradient step of ``step_size`` on its own sample, then
+    replaces its parameters with the unweighted average of the stepped
+    parameters over its closed neighborhood.  Returns the new (K, D)
+    parameters; raises ``FloatingPointError`` when a prediction error or
+    a new parameter vector is not finite.
     """
     z, labels = samples
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    thetas = state.thetas
-    num_nodes = len(thetas)
-    if z.shape != thetas.shape or labels.shape != (num_nodes,):
-        raise ValueError("need one sample per node")
+    num_nodes = graph.num_nodes
+    if not step_size > 0.0:
+        raise ValueError("step_size must be positive")
+    if (thetas.shape[:-1], z.shape, labels.shape) != (
+            (num_nodes,), thetas.shape, (num_nodes,)):
+        raise ValueError("need (K, D) parameters and one sample per node")
     # Bitwise the sums of a per-node loop: one dot product per row, as a
     # stack of (1, D) @ (D, 1) products (a matrix product's diagonal
     # rounds differently), and neighbor sums started from zero in
-    # ascending id order.  A pad adds +0.0, which changes no partial sum,
-    # since none of them is -0.0.
+    # ascending id order.  A pad (row K) adds +0.0, which changes no
+    # partial sum, since none of them is -0.0.
+    neighborhoods, sizes = graph.closed_neighborhoods
     errors = np.matmul(thetas[:, None, :], z[:, :, None])[:, 0, 0] - labels
     stepped = np.zeros((num_nodes + 1, thetas.shape[1]))
-    np.multiply(((state.step_size * 2.0) * errors)[:, None], z,
+    np.multiply(((step_size * 2.0) * errors)[:, None], z,
                 out=stepped[:num_nodes])
     np.subtract(thetas, stepped[:num_nodes], out=stepped[:num_nodes])
-    combined = np.add.reduce(stepped[state.neighborhoods], axis=1,
-                             initial=0.0)
-    combined /= state.sizes[:, None]
+    combined = np.add.reduce(stepped[neighborhoods], axis=1, initial=0.0)
+    combined /= sizes[:, None]
     if not (np.isfinite(errors).all() and np.isfinite(combined).all()):
         raise FloatingPointError("rff_dokl step produced non-finite values")
-    return DiffusionState(thetas=combined, neighborhoods=state.neighborhoods,
-                          sizes=state.sizes, step_size=state.step_size)
+    return combined

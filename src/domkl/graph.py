@@ -2,13 +2,16 @@
 
 Graphs are small (tens of nodes), immutable, and sampled from the
 Erdos-Renyi model with rejection until connected.  Nodes are numbered
-0..num_nodes-1 and edges are unordered pairs without self loops.
+0..num_nodes-1 and edges are unordered pairs without self loops.  A
+graph holds every adjacency table the learners read: the neighbour
+tuples, and the padded closed-neighbourhood table built on first use.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +58,22 @@ class Graph:
         object.__setattr__(
             self, "neighbors", tuple(tuple(sorted(a)) for a in adjacency)
         )
+
+    def __reduce__(self):
+        # Rebuild through __init__, so that unpickled tables are read-only.
+        return (Graph, (self.num_nodes, self.edges))
+
+    @cached_property
+    def closed_neighborhoods(self):
+        """Each node's closed neighbourhood: a read-only (K, W) table of
+        ids in ascending order, padded with K, and the (K,) float sizes."""
+        sizes = np.array([1.0 + len(n) for n in self.neighbors])
+        table = np.full((self.num_nodes, int(sizes.max())), self.num_nodes)
+        for k, n in enumerate(self.neighbors):
+            table[k, :1 + len(n)] = sorted((k,) + n)
+        table.setflags(write=False)
+        sizes.setflags(write=False)
+        return table, sizes
 
     def degree(self, node):
         return len(self.neighbors[node])

@@ -7,7 +7,8 @@ combination rules are provided: the neighbor-product rule (sum your
 neighbors' cumulative losses into your own) and a message-passing
 variant for acyclic topologies that relays losses from beyond the
 immediate neighborhood; its messages are one (K, K, P) array of log
-weights, row [sender, receiver], from ``initial_messages``.
+weights, row [sender, receiver], from ``initial_messages``, and a relay
+round writes them into a second such buffer.
 """
 
 from __future__ import annotations
@@ -83,30 +84,33 @@ def initial_messages(graph, num_kernels, allow_cycles=False):
     return np.zeros((graph.num_nodes, graph.num_nodes, num_kernels))
 
 
-def mp_update_messages(messages, graph, latest_log_w):
+def mp_update_messages(messages, graph, latest_log_w, out):
     """One relay round: each edge forwards the sender's fresh log weight
     plus everything previously received from the sender's other edges,
-    added in ascending id order.  Returns the new (K, K, P) messages.
+    added in ascending id order.  Writes the new messages into the edge
+    rows of ``out``, a second (K, K, P) buffer, and returns it.
 
     Row k of the (K, P) ``latest_log_w`` is node k's log weight.
     ``messages`` must descend from ``initial_messages`` on the same
     graph, which decides once whether the graph may carry messages;
-    arrays of other shapes raise ``ValueError``.
+    arrays of other shapes, or an ``out`` that overlaps ``messages``,
+    raise ``ValueError``.
     """
     shape = (graph.num_nodes, graph.num_nodes, messages.shape[-1])
-    if messages.shape != shape or np.shape(latest_log_w) != shape[1:]:
-        raise ValueError("need %s messages and %s log weights, got %s and %s"
-                         % (shape, shape[1:], messages.shape,
-                            np.shape(latest_log_w)))
-    updated = np.zeros_like(messages)
+    got = (messages.shape, out.shape, np.shape(latest_log_w))
+    if got != (shape, shape, shape[1:]):
+        raise ValueError("need %s messages and out and %s log weights, got "
+                         "%s, %s and %s" % ((shape, shape[1:]) + got))
+    if np.may_share_memory(out, messages):
+        raise ValueError("out must not overlap messages")
     for k, neighbors in enumerate(graph.neighbors):
         for l in neighbors:
-            total = updated[k, l]
+            total = out[k, l]
             total[:] = latest_log_w[k]
             for i in neighbors:
                 if i != l:
                     total += messages[i, k]
-    return updated
+    return out
 
 
 def mp_combine_weights(own_log_w, incoming_log_messages):

@@ -41,7 +41,8 @@ class NetworkState:
     take the round's new broadcasts, and ``end_round`` swaps the pairs.
     ``lams`` (K, P, D) holds the duals.  ``messages`` is None under the
     product rule, or the relay's (K, K, P) log messages, row [sender,
-    receiver], from ``hedge.initial_messages``.
+    receiver], from ``hedge.initial_messages``; a relay round writes
+    into the zeroed spare ``next_messages``, and the caller swaps them.
     """
 
     def __init__(self, graph, feature_maps, eta_global, messages=None):
@@ -56,6 +57,7 @@ class NetworkState:
         self.feature_maps = tuple(feature_maps)
         self.eta_global = eta_global
         self.messages = messages
+        self.next_messages = None if messages is None else np.zeros_like(messages)
         shape = (graph.num_nodes, len(self.feature_maps), dims.pop())
         self.thetas, self.next_thetas = np.zeros(shape), np.empty(shape)
         self.lams = np.zeros(shape)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import features, oracle
 from .admm import AdmmConfig
-from .baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
+from .baselines import comkl_hedge, comkl_step, rff_dokl_step
 from .data import (
     Dataset,
     ar_embed,
@@ -367,10 +367,9 @@ def build_trial_context(cfg, trial_index, inputs=None):
     ``inputs`` are the experiment's files as ``load_inputs(cfg)`` returns
     them; when omitted they are loaded here.
     """
-    if inputs is None:
-        inputs = load_inputs(cfg)
-    if inputs.graph is not None:
-        graph = inputs.graph
+    files = load_inputs(cfg) if inputs is None else inputs
+    if files.graph is not None:
+        graph = files.graph
     else:
         graph = sample_connected_er(
             cfg.num_learners, cfg.connection_prob,
@@ -409,19 +408,19 @@ def build_trial_context(cfg, trial_index, inputs=None):
             seed=derive_seed(cfg.master_seed, trial_index, _DATA, 1),
             noise_seed=derive_seed(cfg.master_seed, trial_index, _NOISE),
         )
-        inputs, labels = partition_regression(ds, cfg.num_learners)
+        round_inputs, labels = partition_regression(ds, cfg.num_learners)
     elif cfg.task == "regression":
-        ds = inputs.dataset
+        ds = files.dataset
         if cfg.csv_data.shuffle:
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, trial_index, _SHUFFLE)
             )
             perm = rng.permutation(len(ds))
             ds = Dataset(features=ds.features[perm], labels=ds.labels[perm])
-        inputs, labels = partition_regression(ds, cfg.num_learners)
+        round_inputs, labels = partition_regression(ds, cfg.num_learners)
     else:  # timeseries
-        if inputs.dataset is not None:
-            embedded = inputs.dataset
+        if files.dataset is not None:
+            embedded = files.dataset
         else:
             ar = cfg.ar_synth
             series = synth_ar(
@@ -429,24 +428,24 @@ def build_trial_context(cfg, trial_index, inputs=None):
                 seed=derive_seed(cfg.master_seed, trial_index, _DATA),
             )
             embedded = ar_embed(scale_unit(series), ar.ar_order)
-        inputs, labels = partition_timeseries_interleaved(embedded,
-                                                          cfg.num_learners)
+        round_inputs, labels = partition_timeseries_interleaved(
+            embedded, cfg.num_learners)
 
     horizon = len(labels)
     if cfg.rounds is not None:
         horizon = min(horizon, cfg.rounds)
     if maps is None:  # the synthetic task built them before its data
-        maps = build_maps(bandwidths, inputs.shape[2], cfg.num_features,
-                          map_seed)
+        maps = build_maps(bandwidths, round_inputs.shape[2],
+                          cfg.num_features, map_seed)
     # Copies: the partitions are views of a dataset that trials may share.
-    inputs = inputs[:horizon].copy()
+    round_inputs = round_inputs[:horizon].copy()
     labels = labels[:horizon].copy()
-    inputs.setflags(write=False)
+    round_inputs.setflags(write=False)
     labels.setflags(write=False)
     return TrialContext(
         graph=graph,
         maps=maps,
-        inputs=inputs,
+        inputs=round_inputs,
         labels=labels,
     )
 
@@ -479,9 +478,10 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm):
 
     try:
         for t in range(ctx.horizon):
-            if net.messages is not None:
-                net.messages = mp_update_messages(
-                    net.messages, graph, -net.losses / cfg.eta_global)
+            if net.messages is not None:  # relay into the spare, swap
+                net.messages, net.next_messages = mp_update_messages(
+                    net.messages, graph, -net.losses / cfg.eta_global,
+                    net.next_messages), net.messages
             for k in range(graph.num_nodes):
                 (trace.predictions[t, k], trace.per_kernel_losses[t, k],
                  trace.weights[t, k]) = step(
@@ -583,18 +583,18 @@ def _run_rff_dokl(ctx, cfg):
     fmap = ctx.maps[cfg.kernel_index]
     trace = _empty_trace(ctx, "rff_dokl", 1)
     trace.weights.fill(1.0)
-    state = DiffusionState.fresh(ctx.graph, 2 * cfg.num_features,
-                                 step_size=cfg.diffusion_step_size)
+    thetas = np.zeros((ctx.graph.num_nodes, 2 * cfg.num_features))
     try:
         for t in range(ctx.horizon):
             z = fmap.map(ctx.inputs[t])                       # (K, D)
-            trace.cross_predictions[t] = z @ state.thetas.T   # [k, l] = theta_l . z_k
+            trace.cross_predictions[t] = z @ thetas.T         # [k, l] = theta_l . z_k
             trace.predictions[t] = np.diagonal(trace.cross_predictions[t])
             trace.per_kernel_losses[t, :, 0] = (trace.predictions[t]
                                                 - ctx.labels[t]) ** 2
             if not np.isfinite(trace.per_kernel_losses[t]).all():
                 raise FloatingPointError("non-finite loss")
-            state = rff_dokl_step(state, (z, ctx.labels[t]))
+            thetas = rff_dokl_step(thetas, ctx.graph, (z, ctx.labels[t]),
+                                   cfg.diffusion_step_size)
     except FloatingPointError as exc:
         raise FloatingPointError("rff_dokl: %s at round %d of %d"
                                  % (exc, t + 1, ctx.horizon)) from None
@@ -612,14 +612,11 @@ def run_trial(cfg, trial_index, inputs=None):
     # warning before it would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for algorithm in cfg.algorithms:
-            if algorithm == "domkl":
-                traces[algorithm] = _run_admm_family(
-                    ctx, cfg, list(range(len(ctx.maps))), "domkl",
-                )
-            elif algorithm == "dokl":
-                traces[algorithm] = _run_admm_family(
-                    ctx, cfg, [cfg.kernel_index], "dokl",
-                )
+            if algorithm in ("domkl", "dokl"):
+                indices = (list(range(len(ctx.maps))) if algorithm == "domkl"
+                           else [cfg.kernel_index])
+                traces[algorithm] = _run_admm_family(ctx, cfg, indices,
+                                                     algorithm)
             elif algorithm == "comkl":
                 traces[algorithm], comparators = _run_comkl(ctx, cfg)
             else:

@@ -1,12 +1,11 @@
 """Tests for the centralized and diffusion baselines."""
 
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from domkl.baselines import DiffusionState, comkl_hedge, comkl_step, rff_dokl_step
+from domkl.baselines import comkl_hedge, comkl_step, rff_dokl_step
 from domkl.features import build_feature_map
 from domkl.graph import Graph, sample_connected_er
 
@@ -208,38 +207,39 @@ def test_comkl_determinism():
         assert got.tobytes() == want.tobytes()
 
 
-def test_diffusion_state_validation():
+def test_diffusion_neighborhoods_come_from_the_graph():
     path = Graph(3, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        DiffusionState.fresh(path, 4, step_size=0.0)
-    state = DiffusionState.fresh(path, 4)
-    assert not state.thetas.any() and state.thetas.shape == (3, 4)
+    table, sizes = path.closed_neighborhoods
     # Closed neighborhoods in ascending order, padded with the zero row 3.
-    assert state.neighborhoods.tolist() == [[0, 1, 3], [0, 1, 2], [1, 2, 3]]
-    assert state.sizes.tolist() == [2.0, 3.0, 2.0]
+    assert table.tolist() == [[0, 1, 3], [0, 1, 2], [1, 2, 3]]
+    assert sizes.tolist() == [2.0, 3.0, 2.0]
+    assert not table.flags.writeable and not sizes.flags.writeable
+    # Built once per graph.
+    assert path.closed_neighborhoods is path.closed_neighborhoods
 
 
 def test_diffusion_step_matches_oracle():
     graph = Graph(4, ((0, 1), (1, 2), (2, 3)))
     fmap = build_feature_map(1.0, 2, 6, seed=9)
     rng = np.random.default_rng(14)
-    state = DiffusionState.fresh(graph, 12, step_size=0.2)
+    thetas = np.zeros((4, 12))
     inputs, labels = _batch(rng, 4, 2)
     z = fmap.map(inputs)
     for _ in range(2):
-        state = rff_dokl_step(state, (z, labels))
+        thetas = rff_dokl_step(thetas, graph, (z, labels), 0.2)
 
     stepped = []
     for k in range(4):
         zk = fmap.map(inputs[k])
-        err = float(state.thetas[k] @ zk) - labels[k]
-        stepped.append(state.thetas[k] - 0.2 * 2.0 * err * zk)
-    new_state = rff_dokl_step(state, (z, labels))
+        err = float(thetas[k] @ zk) - labels[k]
+        stepped.append(thetas[k] - 0.2 * 2.0 * err * zk)
+    before = thetas.copy()
+    new_thetas = rff_dokl_step(thetas, graph, (z, labels), 0.2)
+    assert thetas.tobytes() == before.tobytes()
     for k in range(4):
         members = sorted((k,) + graph.neighbors[k])
         average = np.mean(np.stack([stepped[m] for m in members]), axis=0)
-        assert np.allclose(new_state.thetas[k], average, rtol=0, atol=1e-14)
-    assert new_state.step_size == 0.2
+        assert np.allclose(new_thetas[k], average, rtol=0, atol=1e-14)
 
 
 def _reference_diffusion_step(thetas, graph, z, labels, step_size):
@@ -266,12 +266,10 @@ def test_diffusion_step_is_bitwise_the_per_node_reference(graph):
     if num_nodes > 6:
         # Long enough neighbor sums that a reordered reduction would show.
         assert max(len(n) for n in graph.neighbors) >= 8
-    state = DiffusionState.fresh(graph, dim, step_size=0.3)
     # Signed zeros in the parameters and the features: a stepped entry
     # of -0.0 must come out of the neighbor sums as the loop made it.
     thetas = rng.normal(size=(num_nodes, dim)) / 10.0
     thetas[:, ::7] = -0.0
-    state = dataclasses.replace(state, thetas=thetas)
     want = thetas
     for t in range(5):
         z = rng.normal(size=(num_nodes, dim)) / 10.0
@@ -284,31 +282,49 @@ def test_diffusion_step_is_bitwise_the_per_node_reference(graph):
             z[:, ::7] = 0.0
             labels -= 5.0
         want = _reference_diffusion_step(want, graph, z, labels, 0.3)
-        state = rff_dokl_step(state, (z, labels))
-        assert state.thetas.tobytes() == want.tobytes()
+        thetas = rff_dokl_step(thetas, graph, (z, labels), 0.3)
+        assert thetas.tobytes() == want.tobytes()
 
 
 def test_diffusion_validation():
     graph = Graph(3, ((0, 1), (1, 2)))
-    state = DiffusionState.fresh(graph, 8)
+    thetas = np.zeros((3, 8))
     with pytest.raises(ValueError):
-        rff_dokl_step(state, (np.zeros((2, 8)), np.zeros(2)))
+        rff_dokl_step(thetas, graph, (np.zeros((2, 8)), np.zeros(2)), 0.5)
     with pytest.raises(ValueError):
-        rff_dokl_step(state, (np.zeros((3, 8)), np.zeros(2)))
+        rff_dokl_step(thetas, graph, (np.zeros((3, 8)), np.zeros(2)), 0.5)
     with pytest.raises(ValueError):
-        rff_dokl_step(state, (np.zeros((3, 6)), np.zeros(3)))
+        rff_dokl_step(thetas, graph, (np.zeros((3, 6)), np.zeros(3)), 0.5)
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (4, 8), (3,), (3, 8, 1)],
+                         ids=["fewer_rows", "more_rows", "flat", "3d"])
+def test_diffusion_step_refuses_misshaped_thetas(shape):
+    graph = Graph(3, ((0, 1), (1, 2)))
+    # Samples shaped like the parameters: only the graph tells them apart.
+    samples = (np.zeros(shape), np.zeros(shape[:1]))
+    with pytest.raises(ValueError, match="one sample per node"):
+        rff_dokl_step(np.zeros(shape), graph, samples, 0.5)
+
+
+@pytest.mark.parametrize("step_size", [0.0, -0.5, np.nan])
+def test_diffusion_step_refuses_a_step_size_not_positive(step_size):
+    graph = Graph(3, ((0, 1), (1, 2)))
+    samples = (np.zeros((3, 8)), np.zeros(3))
+    with pytest.raises(ValueError, match="step_size must be positive"):
+        rff_dokl_step(np.zeros((3, 8)), graph, samples, step_size)
 
 
 def test_complete_graph_reaches_consensus_in_one_round():
     graph = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
     fmap = build_feature_map(1.0, 2, 5, seed=6)
     rng = np.random.default_rng(5)
-    state = DiffusionState.fresh(graph, 10)
     # Break symmetry first with a structured round on a fresh start.
     inputs, labels = _batch(rng, 4, 2)
-    state = rff_dokl_step(state, (fmap.map(inputs), labels))
+    thetas = rff_dokl_step(np.zeros((4, 10)), graph,
+                           (fmap.map(inputs), labels), 0.5)
     for k in range(1, 4):
-        assert np.array_equal(state.thetas[k], state.thetas[0])
+        assert np.array_equal(thetas[k], thetas[0])
 
 
 def test_diffusion_tracks_stationary_target():
@@ -316,7 +332,7 @@ def test_diffusion_tracks_stationary_target():
     fmap = build_feature_map(1.0, 2, 40, seed=17)
     rng = np.random.default_rng(33)
     target = rng.normal(size=80)
-    state = DiffusionState.fresh(graph, 80, step_size=0.3)
+    thetas = np.zeros((3, 80))
     first_err = None
     for t in range(300):
         inputs = rng.normal(size=(3, 2))
@@ -324,12 +340,12 @@ def test_diffusion_tracks_stationary_target():
         labels = z @ target
         if t == 0:
             first_err = np.mean(
-                [(float(state.thetas[k] @ z[k]) - labels[k]) ** 2 for k in range(3)]
+                [(float(thetas[k] @ z[k]) - labels[k]) ** 2 for k in range(3)]
             )
-        state = rff_dokl_step(state, (z, labels))
+        thetas = rff_dokl_step(thetas, graph, (z, labels), 0.3)
     final_err = np.mean(
         [
-            (float(state.thetas[k] @ fmap.map(np.ones(2))) - float(fmap.map(np.ones(2)) @ target)) ** 2
+            (float(thetas[k] @ fmap.map(np.ones(2))) - float(fmap.map(np.ones(2)) @ target)) ** 2
             for k in range(3)
         ]
     )
@@ -387,9 +403,10 @@ def test_diverging_diffusion_step_raises():
     graph = Graph(3, ((0, 1), (1, 2)))
     fmap = build_feature_map(1.0, 2, 4, seed=2)
     rng = np.random.default_rng(13)
-    state = DiffusionState.fresh(graph, 8, step_size=1e300)
+    thetas = np.zeros((3, 8))
     inputs, labels = _batch(rng, 3, 2)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                   match="rff_dokl"):
         for _ in range(3):
-            state = rff_dokl_step(state, (fmap.map(inputs), labels))
+            thetas = rff_dokl_step(thetas, graph, (fmap.map(inputs), labels),
+                                   1e300)

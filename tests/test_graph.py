@@ -39,6 +39,34 @@ def test_bad_edges_rejected():
         Graph(num_nodes=0, edges=())
 
 
+def test_closed_neighborhoods_are_padded_ascending_and_built_on_use():
+    g = Graph(num_nodes=5, edges=((3, 1), (1, 0), (1, 4), (2, 4)))
+    # Rejected sampler candidates never pay for the table.
+    assert "closed_neighborhoods" not in vars(g)
+    table, sizes = g.closed_neighborhoods
+    assert table.tolist() == [[0, 1, 5, 5], [0, 1, 3, 4], [2, 4, 5, 5],
+                              [1, 3, 5, 5], [1, 2, 4, 5]]
+    assert sizes.tolist() == [2.0, 4.0, 2.0, 2.0, 3.0]
+    assert table.dtype == np.intp and sizes.dtype == np.float64
+    assert not table.flags.writeable and not sizes.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+def test_pickled_graph_round_trips_with_read_only_tables():
+    """A graph sent to or from a worker process comes back equal, with
+    read-only tables equal to a fresh build's."""
+    g = sample_connected_er(12, 0.3, seed=8)
+    g.closed_neighborhoods
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back.neighbors == g.neighbors
+    fresh = Graph(g.num_nodes, g.edges)
+    for got, want in zip(back.closed_neighborhoods, fresh.closed_neighborhoods):
+        assert not got.flags.writeable
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_er_full_probability_gives_complete_graph():
     g1 = generate_er(6, 1.0, seed=4)
     assert len(g1.edges) == 15

@@ -179,11 +179,14 @@ def test_relay_messages_are_delayed_log_weight_sums():
     graph = Graph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3)))
     rng = np.random.default_rng(13)
     messages = initial_messages(graph, 3)
+    spare = np.zeros_like(messages)
     history = []
     for s in range(6):
         logs = rng.standard_normal((4, 3))
         history.append(logs)
-        messages = mp_update_messages(messages, graph, logs)
+        out = mp_update_messages(messages, graph, logs, spare)
+        assert out is spare
+        messages, spare = spare, messages
         for k in range(4):
             for l in range(4):
                 want = (_oracle_message(history, graph, k, l, s + 1, 3)
@@ -198,9 +201,12 @@ def test_relay_messages_are_delayed_log_weight_sums():
 def test_star_center_relays_every_leaf():
     graph = Graph(num_nodes=4, edges=((0, 1), (0, 2), (0, 3)))
     messages = initial_messages(graph, 2)
+    spare = np.zeros_like(messages)
     logs = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
-    messages = mp_update_messages(messages, graph, logs)
-    messages = mp_update_messages(messages, graph, logs)
+    mp_update_messages(messages, graph, logs, spare)
+    messages, spare = spare, messages
+    mp_update_messages(messages, graph, logs, spare)
+    messages, spare = spare, messages
     # center -> leaf 1 carries the center's weight plus leaves 2 and 3
     assert np.allclose(messages[0, 1], logs[0] + logs[2] + logs[3])
     # leaf -> center carries only the leaf itself
@@ -208,17 +214,43 @@ def test_star_center_relays_every_leaf():
 
 
 def test_relay_refuses_arrays_of_another_shape():
-    """A (K, 1) log weight would broadcast over every kernel; it and any
-    messages not (K, K, P) are refused."""
+    """A (K, 1) log weight would broadcast over every kernel; it, any
+    messages or ``out`` not (K, K, P), and an ``out`` that overlaps the
+    messages it reads are refused."""
     graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
     messages = initial_messages(graph, 4)
+    spare = np.zeros_like(messages)
     for bad_logs in (np.zeros((3, 1)), np.zeros((2, 4)), np.zeros(4)):
         with pytest.raises(ValueError, match=r"^need \(3, 3, 4\) messages"):
-            mp_update_messages(messages, graph, bad_logs)
+            mp_update_messages(messages, graph, bad_logs, spare)
     for bad_messages in (np.zeros((3, 3)), np.zeros((3, 2, 4)),
                          np.zeros((2, 2, 4))):
         with pytest.raises(ValueError, match=r"^need \(3, 3, \d\) messages"):
-            mp_update_messages(bad_messages, graph, np.zeros((3, 4)))
+            mp_update_messages(bad_messages, graph, np.zeros((3, 4)), spare)
+    for bad_out in (np.zeros((3, 3)), np.zeros((3, 3, 2)),
+                    np.zeros((2, 2, 4))):
+        with pytest.raises(ValueError, match=r"^need \(3, 3, 4\) messages"):
+            mp_update_messages(messages, graph, np.zeros((3, 4)), bad_out)
+    for overlapping in (messages, messages[...]):
+        with pytest.raises(ValueError, match="must not overlap"):
+            mp_update_messages(messages, graph, np.zeros((3, 4)), overlapping)
+    assert not messages.any() and not spare.any()
+
+
+def test_relay_writes_only_the_edge_rows_of_out():
+    """Rows of ``out`` that are no edge keep what they held; the
+    messages read are left as they were."""
+    graph = Graph(num_nodes=4, edges=((0, 1), (1, 2), (1, 3)))
+    rng = np.random.default_rng(8)
+    messages = rng.standard_normal((4, 4, 2))
+    before = messages.copy()
+    out = np.full((4, 4, 2), 7.0)
+    mp_update_messages(messages, graph, rng.standard_normal((4, 2)), out)
+    assert messages.tobytes() == before.tobytes()
+    edges = {(k, l) for k in range(4) for l in graph.neighbors[k]}
+    for k in range(4):
+        for l in range(4):
+            assert ((out[k, l] == 7.0).all()) == ((k, l) not in edges)
 
 
 def test_cycle_gate_raises_then_warns_when_overridden():
@@ -230,11 +262,13 @@ def test_cycle_gate_raises_then_warns_when_overridden():
     assert info.value.key == "allow_cycles"
     with pytest.warns(RuntimeWarning):
         messages = initial_messages(triangle, 2, allow_cycles=True)
+    spare = np.zeros_like(messages)
     logs = np.zeros((3, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(3):
-            messages = mp_update_messages(messages, triangle, logs)
+            mp_update_messages(messages, triangle, logs, spare)
+            messages, spare = spare, messages
 
 
 def test_mp_combination_equals_product_rule_on_one_edge():
@@ -244,9 +278,11 @@ def test_mp_combination_equals_product_rule_on_one_edge():
     rng = np.random.default_rng(21)
     cumulatives = [np.zeros(4) for _ in range(2)]
     messages = initial_messages(graph, 4)
+    spare = np.zeros_like(messages)
     for _ in range(5):
-        messages = mp_update_messages(messages, graph,
-                                      -np.stack(cumulatives) / eta)
+        mp_update_messages(messages, graph, -np.stack(cumulatives) / eta,
+                           spare)
+        messages, spare = spare, messages
         for k in range(2):
             product = combine_weights(cumulatives[k], [cumulatives[1 - k]], eta)
             relayed = mp_combine_weights(

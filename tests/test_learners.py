@@ -21,9 +21,11 @@ def _network(graph, maps, eta_global=10.0, relay=False):
 
 
 def _relay(net):
-    """Advance the network's relayed messages by one round."""
-    net.messages = mp_update_messages(net.messages, net.graph,
-                                      -net.losses / net.eta_global)
+    """Advance the network's relayed messages by one round: into the
+    spare buffer, which then swaps with the messages steps read."""
+    mp_update_messages(net.messages, net.graph, -net.losses / net.eta_global,
+                       net.next_messages)
+    net.messages, net.next_messages = net.next_messages, net.messages
 
 
 def test_exchange_never_carries_raw_samples():
@@ -122,12 +124,12 @@ def test_first_round_prediction_is_zero_and_losses_accumulate():
 def test_step_never_writes_the_broadcasts_it_reads():
     """Under either hedge rule a step writes only row k of ``lams``,
     ``next_thetas`` and ``next_losses``, and leaves ``thetas``,
-    ``losses`` and ``messages`` bitwise as they were."""
+    ``losses`` and both message buffers bitwise as they were."""
     maps = _maps()
     graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
     rng = np.random.default_rng(59)
-    names = ("thetas", "losses", "messages", "lams", "next_thetas",
-             "next_losses")
+    names = ("thetas", "losses", "messages", "next_messages", "lams",
+             "next_thetas", "next_losses")
     for relay in (False, True):
         net = _network(graph, maps, relay=relay)
         for t in range(3):
@@ -138,11 +140,11 @@ def test_step_never_writes_the_broadcasts_it_reads():
                           for name in names}
                 step(net, k, (rng.standard_normal(2),
                               float(rng.standard_normal())), AdmmConfig())
-                for name in names[:3]:
+                for name in names[:4]:
                     assert (np.asarray(getattr(net, name)).tobytes()
                             == np.asarray(before[name]).tobytes()), name
                 others = [l for l in range(3) if l != k]
-                for name in names[3:]:
+                for name in names[4:]:
                     assert (getattr(net, name)[others].tobytes()
                             == before[name][others].tobytes()), name
             net.end_round()

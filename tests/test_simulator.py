@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domkl.baselines import DiffusionState, rff_dokl_step
+from domkl.baselines import rff_dokl_step
 from domkl import features, simulator
 from domkl.data import _LABEL_ROWS, _MAP_BLOCKS
 from domkl.errors import ConfigError
@@ -365,8 +365,7 @@ def _check_baseline_traces(cfg):
     ctx = result.context
     num_nodes, dim = cfg.num_learners, 2 * cfg.num_features
     fmap = ctx.maps[cfg.kernel_index]
-    diffusion = DiffusionState.fresh(ctx.graph, dim,
-                                     step_size=cfg.diffusion_step_size)
+    thetas = np.zeros((num_nodes, dim))
     fields = ("predictions", "labels", "per_kernel_losses", "weights",
               "cross_predictions")
     expected = {alg: {name: [] for name in fields} for alg in cfg.algorithms}
@@ -376,14 +375,15 @@ def _check_baseline_traces(cfg):
         expected["comkl"]["labels"].append(y)
 
         z = fmap.map(x)
-        cross = z @ diffusion.thetas.T
+        cross = z @ thetas.T
         rows = expected["rff_dokl"]
         rows["predictions"].append(np.diagonal(cross))
         rows["labels"].append(y)
         rows["per_kernel_losses"].append((np.diagonal(cross) - y)[:, None] ** 2)
         rows["weights"].append(np.ones((num_nodes, 1)))
         rows["cross_predictions"].append(cross)
-        diffusion = rff_dokl_step(diffusion, (z, y))
+        thetas = rff_dokl_step(thetas, ctx.graph, (z, y),
+                               cfg.diffusion_step_size)
 
     for algorithm, by_field in expected.items():
         trace = result.traces[algorithm]
@@ -422,6 +422,30 @@ def test_hedge_overflow_names_learner_and_round(tmp_path, variant):
             run_trial(cfg, 0)
 
 
+def test_relay_alternates_between_two_message_buffers(monkeypatch,
+                                                     tmp_path):
+    """Each relay round reads one message buffer and writes the other,
+    and the next round swaps them, so three rounds use the same two."""
+    tree = tmp_path / "tree.txt"
+    tree.write_text("0 1\n1 2\n")
+    calls = []
+    relay = simulator.mp_update_messages
+
+    def recording(messages, graph, latest_log_w, out):
+        calls.append((messages, out))
+        return relay(messages, graph, latest_log_w, out)
+
+    monkeypatch.setattr(simulator, "mp_update_messages", recording)
+    run_trial(_small_cfg(rounds=3, hedge_variant="message_passing",
+                         topology_path=str(tree)), 0)
+    first, second = calls[0]
+    assert first is not second
+    assert len(calls) == 3
+    for (messages, out), (read, written) in zip(
+            calls, [(first, second), (second, first), (first, second)]):
+        assert messages is read and out is written
+
+
 def test_diverging_comkl_names_kernel_and_round():
     cfg = _small_cfg(algorithms=("comkl",), comkl_step_size=1e300)
     with warnings.catch_warnings():
@@ -449,8 +473,9 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, relay, rng):
     orders = set()
     for t in range(ctx.horizon):
         if relay:
-            net.messages = mp_update_messages(net.messages, graph,
-                                              -net.losses / cfg.eta_global)
+            mp_update_messages(net.messages, graph,
+                               -net.losses / cfg.eta_global, net.next_messages)
+            net.messages, net.next_messages = net.next_messages, net.messages
         order = rng.permutation(num_nodes).tolist()
         orders.add(tuple(order))
         for k in order:
