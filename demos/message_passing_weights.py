@@ -2,19 +2,20 @@
 Spreading kernel scores along a tree without flooding
 =====================================================
 
-On tree networks the learners can pool their per-kernel loss records
-with a message-passing recursion instead of summing direct neighbors
-only: each edge carries the accumulated score of everything behind it.
-This demo runs the recursion by hand on a 4-node path, shows how a
-score planted at node 0 reaches node 3 over three rounds, and checks
-that on a single edge the recursion collapses to plain neighbor
-summing.
+The learners can pool their per-kernel loss records with a
+message-passing recursion instead of summing direct neighbors only: each
+edge of the graph's breadth-first spanning tree carries the accumulated
+score of everything behind it, so on any connected graph every score is
+counted once.  This demo runs the recursion by hand on a 4-node path,
+which is its own spanning tree, shows how a score planted at node 0
+reaches node 3 over three rounds, and checks that on a single edge the
+recursion collapses to plain neighbor summing.
 """
 
 import numpy as np
 
 from domkl import Graph, combine_weights, mp_combine_weights
-from domkl.hedge import accumulate, initial_messages, mp_update_messages
+from domkl.hedge import accumulate, mp_update_messages
 
 path = Graph(4, ((0, 1), (1, 2), (2, 3)))
 num_kernels = 3
@@ -26,9 +27,10 @@ eta = 10.0
 cumulatives = np.zeros((4, num_kernels))
 cumulatives[0] = accumulate(cumulatives[0], np.array([30.0, 0.0, 0.0]))
 
-# messages[k, l] is what node k last relayed to node l.  A relay round
-# writes into a second buffer, and the two swap.
-messages = initial_messages(path, num_kernels)
+# messages[k, l] is what node k last relayed to node l; zero is the
+# multiplicative identity.  A relay round writes into a second buffer,
+# and the two swap.
+messages = np.zeros((4, 4, num_kernels))
 spare = np.zeros_like(messages)
 print("node 3's view of kernel 0, round by round:")
 for round_index in range(1, 5):
@@ -46,7 +48,7 @@ print("(the planted score needs 3 hops to reach the far end)")
 pair = Graph(2, ((0, 1),))
 a = np.zeros(num_kernels)
 b = accumulate(np.zeros(num_kernels), np.array([0.0, 5.0, 1.0]))
-pair_messages = mp_update_messages(initial_messages(pair, num_kernels),
+pair_messages = mp_update_messages(np.zeros((2, 2, num_kernels)),
                                    pair, -np.stack([a, b]) / eta,
                                    np.zeros((2, 2, num_kernels)))
 via_messages = mp_combine_weights(-a / eta, [pair_messages[1, 0]])

@@ -69,18 +69,17 @@ def comkl_step(theta, samples, step_size):
     return dots, theta
 
 
-def comkl_hedge(dots, labels, eta_global, loss_mode="sum"):
+def comkl_hedge(dots, labels, eta_global):
     """Kernel weights and combined predictions of the central learner.
 
     Round t weights the kernels' (T, P, K) ``dots`` by the softmax of
     minus their batch losses before t over ``eta_global``; a batch loss
-    sums, or in "mean" ``loss_mode`` averages, the learners' squared
-    errors.  Returns the (T, K) predictions, (T, P) weights and (T, P, K)
-    squared errors; raises ``FloatingPointError`` naming the first round
-    with a non-finite batch loss or prediction.
+    sums the learners' squared errors (a hedge on their mean is this one
+    at K times ``eta_global``, up to rounding).  Returns the (T, K)
+    predictions, (T, P) weights and (T, P, K) squared errors; raises
+    ``FloatingPointError`` naming the first round with a non-finite
+    batch loss or prediction.
     """
-    if loss_mode not in ("sum", "mean"):
-        raise ValueError("loss_mode must be 'sum' or 'mean'")
     if not eta_global > 0.0:
         raise ValueError("eta_global must be positive")
     if dots.ndim != 3 or dots[:, 0].shape != labels.shape:
@@ -91,8 +90,6 @@ def comkl_hedge(dots, labels, eta_global, loss_mode="sum"):
     with np.errstate(over="ignore", invalid="ignore"):
         squared_errors = (dots - labels[:, None, :]) ** 2
         batch_losses = squared_errors.sum(axis=-1)
-        if loss_mode == "mean":
-            batch_losses = batch_losses / labels.shape[1]
         cumulative = np.zeros_like(batch_losses)
         np.cumsum(batch_losses[:-1], axis=0, out=cumulative[1:])
         weights = -cumulative / eta_global

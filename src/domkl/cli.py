@@ -96,7 +96,6 @@ _SOURCES = {
 # topology file does leave connection_prob and max_attempts unread, but
 # configs that keep both beside a topology load today, so they still do.
 _EVERY = ()
-_DOMKL = ("domkl",)
 _CSV = ("regression", "csv_timeseries")
 _SYN = ("synthetic",)
 _AR = ("ar_timeseries",)
@@ -132,13 +131,9 @@ _KEYS = {
     ("algorithm.domkl", "kernel_index"):
         (int, "experiment", "kernel_index", READERS["kernel_index"]),
     ("algorithm.domkl", "hedge_variant"):
-        (str, "experiment", "hedge_variant", _DOMKL),
-    ("algorithm.domkl", "allow_cycles"):
-        (_parse_bool, "experiment", "allow_cycles", _DOMKL),
+        (str, "experiment", "hedge_variant", ("domkl",)),
     ("algorithm.comkl", "step_size"):
         (_parse_float, "experiment", "comkl_step_size", ("comkl",)),
-    ("algorithm.comkl", "loss_mode"):
-        (str, "experiment", "comkl_loss_mode", ("comkl",)),
     ("algorithm.rff_dokl", "step_size"):
         (_parse_float, "experiment", "diffusion_step_size", ("rff_dokl",)),
     ("data", "path"): (str, "data", "path", _CSV),

@@ -4,7 +4,8 @@ Graphs are small (tens of nodes), immutable, and sampled from the
 Erdos-Renyi model with rejection until connected.  Nodes are numbered
 0..num_nodes-1 and edges are unordered pairs without self loops.  A
 graph holds every adjacency table the learners read: the neighbour
-tuples, and the padded closed-neighbourhood table built on first use.
+tuples, and, built on first use, the padded closed-neighbourhood table
+and the breadth-first spanning forest that hedge messages travel.
 """
 
 from __future__ import annotations
@@ -75,6 +76,39 @@ class Graph:
         sizes.setflags(write=False)
         return table, sizes
 
+    @cached_property
+    def _breadth_first(self):
+        """One breadth-first search from each component's lowest id,
+        visiting children in ascending id order: the components, as
+        sorted tuples, and each node's neighbours in the spanning forest
+        it grows, as ascending tuples."""
+        seen = [False] * self.num_nodes
+        tree = [[] for _ in range(self.num_nodes)]
+        components = []
+        for start in range(self.num_nodes):
+            if seen[start]:
+                continue
+            seen[start] = True
+            queue = deque([start])
+            members = [start]
+            while queue:
+                node = queue.popleft()
+                for other in self.neighbors[node]:
+                    if not seen[other]:
+                        seen[other] = True
+                        members.append(other)
+                        queue.append(other)
+                        tree[node].append(other)
+                        tree[other].append(node)
+            components.append(tuple(sorted(members)))
+        return tuple(components), tuple(tuple(sorted(t)) for t in tree)
+
+    @property
+    def tree_neighbors(self):
+        """Each node's neighbours in the breadth-first spanning forest;
+        on a forest these are exactly ``neighbors``."""
+        return self._breadth_first[1]
+
     def degree(self, node):
         return len(self.neighbors[node])
 
@@ -101,28 +135,7 @@ def generate_er(num_nodes, connection_prob, seed):
 
 def connected_components(graph):
     """Return the node sets of each connected component, as sorted tuples."""
-    seen = [False] * graph.num_nodes
-    components = []
-    for start in range(graph.num_nodes):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        members = [start]
-        while queue:
-            node = queue.popleft()
-            for other in graph.neighbors[node]:
-                if not seen[other]:
-                    seen[other] = True
-                    members.append(other)
-                    queue.append(other)
-        components.append(tuple(sorted(members)))
-    return tuple(components)
-
-
-def is_forest(graph):
-    """True when the graph is acyclic (edge count equals nodes minus components)."""
-    return len(graph.edges) == graph.num_nodes - len(connected_components(graph))
+    return graph._breadth_first[0]
 
 
 def sample_connected_er(num_nodes, connection_prob, seed, max_attempts=50):

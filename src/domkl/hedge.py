@@ -5,20 +5,17 @@ sum of per-kernel losses and only ever exponentiates shifted scores, so
 long runs cannot underflow the multiplicative-update form.  Two
 combination rules are provided: the neighbor-product rule (sum your
 neighbors' cumulative losses into your own) and a message-passing
-variant for acyclic topologies that relays losses from beyond the
-immediate neighborhood; its messages are one (K, K, P) array of log
-weights, row [sender, receiver], from ``initial_messages``, and a relay
-round writes them into a second such buffer.
+variant that relays log weights over the graph's breadth-first spanning
+forest.  That is exact on every graph: each learner hears every other
+learner of its component once, one round later for each tree hop past
+the first.  Its messages are one (K, K, P) array of log weights, row
+[sender, receiver], that starts at zero, and a relay round writes them
+into a second such buffer.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-
-from .errors import ConfigError
-from .graph import is_forest
 
 
 def _softmax_in_place(scores):
@@ -64,37 +61,16 @@ def combine_weights(own_cumulative, neighbor_cumulatives, eta_global):
     return _softmax_in_place(total)
 
 
-def initial_messages(graph, num_kernels, allow_cycles=False):
-    """All-zero (K, K, P) log messages (multiplicative identity), row
-    [sender, receiver]; only the rows of directed edges are ever used.
-
-    Relaying is exact on forests only, so a cyclic graph is refused
-    unless ``allow_cycles`` is set, and then warned about.
-    """
-    if not is_forest(graph):
-        if not allow_cycles:
-            raise ConfigError(
-                "message passing on a cyclic graph double counts "
-                "losses; set allow_cycles = true to run it anyway",
-                key="allow_cycles")
-        warnings.warn(
-            "message passing on a cyclic graph double counts losses",
-            RuntimeWarning,
-        )
-    return np.zeros((graph.num_nodes, graph.num_nodes, num_kernels))
-
-
 def mp_update_messages(messages, graph, latest_log_w, out):
-    """One relay round: each edge forwards the sender's fresh log weight
-    plus everything previously received from the sender's other edges,
-    added in ascending id order.  Writes the new messages into the edge
-    rows of ``out``, a second (K, K, P) buffer, and returns it.
+    """One relay round: each tree edge forwards the sender's fresh log
+    weight plus everything previously received over the sender's other
+    tree edges, added in ascending id order.  Writes the new messages
+    into the tree-edge rows of ``out``, a second (K, K, P) buffer, and
+    returns it.
 
-    Row k of the (K, P) ``latest_log_w`` is node k's log weight.
-    ``messages`` must descend from ``initial_messages`` on the same
-    graph, which decides once whether the graph may carry messages;
-    arrays of other shapes, or an ``out`` that overlaps ``messages``,
-    raise ``ValueError``.
+    Row k of the (K, P) ``latest_log_w`` is node k's log weight.  Arrays
+    of other shapes, or an ``out`` that overlaps ``messages``, raise
+    ``ValueError``.
     """
     shape = (graph.num_nodes, graph.num_nodes, messages.shape[-1])
     got = (messages.shape, out.shape, np.shape(latest_log_w))
@@ -103,7 +79,7 @@ def mp_update_messages(messages, graph, latest_log_w, out):
                          "%s, %s and %s" % ((shape, shape[1:]) + got))
     if np.may_share_memory(out, messages):
         raise ValueError("out must not overlap messages")
-    for k, neighbors in enumerate(graph.neighbors):
+    for k, neighbors in enumerate(graph.tree_neighbors):
         for l in neighbors:
             total = out[k, l]
             total[:] = latest_log_w[k]

@@ -39,13 +39,14 @@ class NetworkState:
     ``thetas`` (K, P, D) and ``losses`` (K, P) are the previous round's
     broadcasts, which steps read; ``next_thetas`` and ``next_losses``
     take the round's new broadcasts, and ``end_round`` swaps the pairs.
-    ``lams`` (K, P, D) holds the duals.  ``messages`` is None under the
-    product rule, or the relay's (K, K, P) log messages, row [sender,
-    receiver], from ``hedge.initial_messages``; a relay round writes
-    into the zeroed spare ``next_messages``, and the caller swaps them.
+    ``lams`` (K, P, D) holds the duals.  Under the product rule
+    ``messages`` is None; with ``relay`` set it holds the relay's
+    (K, K, P) log messages over the graph's spanning forest, row
+    [sender, receiver], zero at the start.  A relay round writes into
+    the spare ``next_messages``, and the caller swaps them.
     """
 
-    def __init__(self, graph, feature_maps, eta_global, messages=None):
+    def __init__(self, graph, feature_maps, eta_global, relay=False):
         if not feature_maps:
             raise ValueError("need at least one feature map")
         dims = {2 * fm.num_features for fm in feature_maps}
@@ -56,9 +57,11 @@ class NetworkState:
         self.graph = graph
         self.feature_maps = tuple(feature_maps)
         self.eta_global = eta_global
-        self.messages = messages
-        self.next_messages = None if messages is None else np.zeros_like(messages)
         shape = (graph.num_nodes, len(self.feature_maps), dims.pop())
+        self.messages = self.next_messages = None
+        if relay:
+            self.messages = np.zeros(shape[:1] + shape[:2])
+            self.next_messages = np.zeros_like(self.messages)
         self.thetas, self.next_thetas = np.zeros(shape), np.empty(shape)
         self.lams = np.zeros(shape)
         self.losses, self.next_losses = np.zeros(shape[:2]), np.empty(shape[:2])
@@ -74,7 +77,7 @@ def step(net, k, sample, cfg):
 
     Reads the learner's own rows and its neighbours' rows of the
     previous round's broadcasts, in ascending id order, and with relayed
-    messages the neighbours' messages to it; writes only row k of
+    messages its tree neighbours' messages to it; writes only row k of
     ``net.lams``, ``net.next_thetas`` and ``net.next_losses``.
 
     The call finalizes the dual and weight updates owed to the arriving
@@ -98,8 +101,9 @@ def step(net, k, sample, cfg):
                                   [net.losses[l] for l in neighbors],
                                   net.eta_global)
     else:
-        weights = mp_combine_weights(-net.losses[k] / net.eta_global,
-                                     [net.messages[l, k] for l in neighbors])
+        weights = mp_combine_weights(
+            -net.losses[k] / net.eta_global,
+            [net.messages[l, k] for l in net.graph.tree_neighbors[k]])
 
     z_stack = map_stack(net.feature_maps, x)
     dots, prediction = _combined_prediction(theta, weights, z_stack)

@@ -54,7 +54,7 @@ from .features import (
 # can time it apart from the mapping inside learners.step.
 from .features import map_stack as _map_stack
 from .graph import connected_components, from_edge_list, sample_connected_er
-from .hedge import initial_messages, mp_update_messages
+from .hedge import mp_update_messages
 from .learners import NetworkState, _combined_prediction, step
 from .metrics import (
     RunTrace,
@@ -156,7 +156,6 @@ class ExperimentConfig:
     bandwidths: tuple | None = None
     kernel_index: int = 8
     hedge_variant: str = "product"
-    allow_cycles: bool = False
     trials: int = 1
     master_seed: int = 0
     rounds: int | None = None
@@ -164,7 +163,6 @@ class ExperimentConfig:
     csv_data: CsvTaskConfig | None = None
     ar_synth: ArTaskConfig | None = None
     comkl_step_size: float = 0.5
-    comkl_loss_mode: str = "sum"
     diffusion_step_size: float = 0.5
     workers: int = 1
     compute_accuracy_regret: bool = False
@@ -206,9 +204,6 @@ class ExperimentConfig:
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be at least 1",
                               key="max_attempts")
-        if self.comkl_loss_mode not in ("sum", "mean"):
-            raise ConfigError("unknown comkl loss mode %r"
-                              % (self.comkl_loss_mode,), key="loss_mode")
         if not self.comkl_step_size > 0.0:
             raise ConfigError("comkl step_size must be positive",
                               key="step_size")
@@ -471,10 +466,8 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm):
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph = ctx.graph
     trace = _empty_trace(ctx, algorithm, len(maps))
-    messages = None
-    if algorithm == "domkl" and cfg.hedge_variant == "message_passing":
-        messages = initial_messages(graph, len(maps), cfg.allow_cycles)
-    net = NetworkState(graph, maps, cfg.eta_global, messages)
+    net = NetworkState(graph, maps, cfg.eta_global, relay=(
+        algorithm == "domkl" and cfg.hedge_variant == "message_passing"))
 
     try:
         for t in range(ctx.horizon):
@@ -507,7 +500,7 @@ def _run_comkl(ctx, cfg):
     comparators = _pooled_pass(ctx, cfg, dots)
     trace = _empty_trace(ctx, "comkl", len(ctx.maps))
     trace.predictions[:], weights, squared_errors = comkl_hedge(
-        dots, ctx.labels, cfg.eta_global, cfg.comkl_loss_mode)
+        dots, ctx.labels, cfg.eta_global)
     trace.per_kernel_losses[:] = squared_errors.transpose(0, 2, 1)
     trace.weights[:] = weights[:, None, :]
     # One central function: the same value in every column.

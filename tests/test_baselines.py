@@ -92,8 +92,6 @@ def test_state_validation():
     with pytest.raises(ValueError, match="step_size"):
         comkl_step(np.zeros(6), (z, labels), 0.0)
     dots = np.zeros((4, 2, 3))
-    with pytest.raises(ValueError, match="loss_mode"):
-        comkl_hedge(dots, labels, 10.0, loss_mode="median")
     with pytest.raises(ValueError, match="eta_global"):
         comkl_hedge(dots, labels, -1.0)
 
@@ -158,19 +156,21 @@ def test_step_matches_naive_ogd_oracle():
     assert np.allclose(np.stack(thetas), expected_thetas, rtol=0, atol=1e-12)
 
 
-def test_loss_mode_mean_scales_losses_only():
+def test_eta_global_times_learners_averages_the_batch_losses():
+    """A hedge on the K learners' mean squared errors at eta_global is
+    the summed-loss hedge at K times eta_global, up to rounding."""
     rng = np.random.default_rng(3)
     maps = _maps(2, 2)
     labels, features = _trace(rng, maps, 5, 6, 2)
     dots, _ = _run_kernels(features, labels, 0.5)
-    sum_mode = comkl_hedge(dots, labels, 10.0, loss_mode="sum")
-    mean_mode = comkl_hedge(dots, labels, 10.0, loss_mode="mean")
-    # The errors ignore the loss mode; only the hedge feed changes, as if
-    # the summed losses met a six times larger eta_global.
-    assert np.array_equal(sum_mode[2], mean_mode[2])
-    assert not np.array_equal(sum_mode[1], mean_mode[1])
-    assert np.allclose(mean_mode[1], comkl_hedge(dots, labels, 60.0)[1],
-                       rtol=0, atol=1e-12)
+    predictions, weights, squared_errors = comkl_hedge(dots, labels, 60.0)
+    cumulative = np.zeros(len(maps))
+    for t in range(len(labels)):
+        want = np.exp(-cumulative / 10.0)
+        want /= want.sum()
+        assert np.allclose(weights[t], want, rtol=0, atol=1e-12)
+        assert np.allclose(predictions[t], want @ dots[t], rtol=0, atol=1e-12)
+        cumulative = cumulative + squared_errors[t].mean(axis=1)
 
 
 def test_stored_weights_are_the_round_weights():
@@ -180,19 +180,14 @@ def test_stored_weights_are_the_round_weights():
     maps = _maps(9, 2)
     labels, features = _trace(rng, maps, 6, 11, 2)
     dots, _ = _run_kernels(features, labels, 0.5)
-    for loss_mode in ("sum", "mean"):
-        _, weights, squared_errors = comkl_hedge(dots, labels, 10.0,
-                                                 loss_mode=loss_mode)
-        cumulative = np.zeros(len(maps))
-        for t in range(len(labels)):
-            scores = -cumulative / 10.0
-            want = np.exp(scores - scores.max())
-            want /= want.sum()
-            assert weights[t].tobytes() == want.tobytes()
-            batch_losses = squared_errors[t].sum(axis=1)
-            if loss_mode == "mean":
-                batch_losses = batch_losses / labels.shape[1]
-            cumulative = cumulative + batch_losses
+    _, weights, squared_errors = comkl_hedge(dots, labels, 10.0)
+    cumulative = np.zeros(len(maps))
+    for t in range(len(labels)):
+        scores = -cumulative / 10.0
+        want = np.exp(scores - scores.max())
+        want /= want.sum()
+        assert weights[t].tobytes() == want.tobytes()
+        cumulative = cumulative + squared_errors[t].sum(axis=1)
 
 
 def test_comkl_determinism():

@@ -138,7 +138,6 @@ _TIMESERIES = [
 @pytest.mark.parametrize("edits", [
     [("rho = 50", "rho = 0")],
     [("connection_prob = 0.7", "connection_prob = 1.5")],
-    [("noise_std = 0.02", "noise_std = 0.02\n\n[algorithm.comkl]\nloss_mode = avg")],
     [("noise_std = 0.02", "noise_std = 0.02\ninput_dim = 0")],
     [("noise_std = 0.02", "noise_std = -1")],
     [("bandwidth = 0.1", "bandwidth = 0")],
@@ -148,9 +147,9 @@ _TIMESERIES = [
     _TIMESERIES + [("ar_samples = 60", "ar_samples = 60\nar_order = 0")],
     _TIMESERIES + [("ar_samples = 60", "ar_samples = 3")],
     _TIMESERIES + [("ar_samples = 60", "ar_samples = 60\nar_noise_std = -1")],
-], ids=["rho", "connection_prob", "loss_mode", "input_dim", "noise_std",
-        "bandwidth", "bandwidths", "bandwidths_empty", "ar_coefficients",
-        "ar_order", "ar_samples", "ar_noise_std"])
+], ids=["rho", "connection_prob", "input_dim", "noise_std", "bandwidth",
+        "bandwidths", "bandwidths_empty", "ar_coefficients", "ar_order",
+        "ar_samples", "ar_noise_std"])
 def test_bad_values_exit_2(tmp_path, capsys, edits):
     text = _BASE_INI
     for old, new in edits:
@@ -588,22 +587,25 @@ def test_malformed_topology_exits_2(tmp_path, capsys, case):
                           % (topo, error))
 
 
-def test_message_passing_on_a_cycle_exits_2(tmp_path, capsys):
+def test_message_passing_on_a_triangle_runs(tmp_path, capsys):
+    """The relay runs over the spanning tree, so a cycle needs no
+    switch, and the old one is an unknown key."""
     topo = tmp_path / "triangle.txt"
     topo.write_text("0 1\n1 2\n0 2\n")
     text = _edit([("num_nodes = 3", "num_nodes = 3\ntopology = %s" % topo),
                   _after("bandwidths = 0.05, 0.1",
                          "hedge_variant = message_passing")])
-    _run_and_sweep_exit_2(
-        tmp_path, capsys, text,
-        "config error: trial 0: message passing on a cyclic graph double"
-        " counts losses; set allow_cycles = true to run it anyway")
-    allowed = text.replace("hedge_variant = message_passing",
-                           "hedge_variant = message_passing\n"
-                           "allow_cycles = true")
-    with pytest.warns(RuntimeWarning, match="cyclic graph"):
-        assert cmd_run(_write_ini(tmp_path, allowed),
-                       out_dir=str(tmp_path)) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 0
+    assert (tmp_path / "results.csv").exists()
+    (tmp_path / "results.csv").unlink()
+    capsys.readouterr()
+    switched = text.replace("hedge_variant = message_passing",
+                            "hedge_variant = message_passing\n"
+                            "allow_cycles = true")
+    _run_and_sweep_exit_2(tmp_path, capsys, switched,
+                          "config error: unknown key 'allow_cycles'")
 
 
 # CSV contents too short for a 3-node run, the task edits, and the error
@@ -644,15 +646,6 @@ def test_unread_key_error_names_the_run(tmp_path, capsys):
         " this run is synthetic with domk")
 
 
-def test_loss_mode_checked_when_comkl_selected(tmp_path, capsys):
-    text = _edit([("algorithms = domkl", "algorithms = domkl, comkl"),
-                  _after("noise_std = 0.02",
-                         "\n[algorithm.comkl]\nloss_mode = avg")])
-    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: unknown comkl loss mode 'avg'")
-
-
 def _config_classes(config, readers):
     """The config classes a row of the key table sets a field of."""
     if config == "experiment":
@@ -686,8 +679,7 @@ _SAMPLE_VALUES = {
     "max_attempts": "7", "rho": "7.5", "eta_local": "2.5",
     "eta_global": "3.5", "num_features": "9", "bandwidths": "0.3 0.7",
     "kernel_index": "1", "hedge_variant": "message_passing",
-    "allow_cycles": "true", "loss_mode": "mean", "path": "series.csv",
-    "label_column": "0",
+    "path": "series.csv", "label_column": "0",
     "has_header": "true", "normalize": "false", "shuffle": "false",
     "ar_order": "3", "bandwidth": "0.2", "input_dim": "4",
     "noise_std": "0.1", "theta_scale": "2.0", "ar_coefficients": "0.4",
@@ -775,9 +767,8 @@ def _trial_outputs(tmp_path, sections):
     ("algorithm.domkl", "rho"), ("algorithm.domkl", "eta_local"),
     ("algorithm.domkl", "eta_global"), ("algorithm.domkl", "kernel_index"),
     ("algorithm.domkl", "hedge_variant"), ("algorithm.comkl", "step_size"),
-    ("algorithm.comkl", "loss_mode"), ("algorithm.rff_dokl", "step_size"),
+    ("algorithm.rff_dokl", "step_size"),
 ], ids="{0[0]}.{0[1]}".format)
-@pytest.mark.filterwarnings("ignore:message passing on a cyclic graph")
 def test_algorithm_key_changes_exactly_its_readers(tmp_path, row):
     """Changing a key that only some algorithms read changes the outputs
     of exactly the readers that ``cli._KEYS`` lists for it."""
@@ -787,8 +778,6 @@ def test_algorithm_key_changes_exactly_its_readers(tmp_path, row):
     changed = {name: dict(keys) for name, keys in _READERS_INI.items()}
     changed.setdefault(section, {})[key] = _SAMPLE_VALUES.get(
         "%s.%s" % row, _SAMPLE_VALUES.get(key))
-    if key == "hedge_variant":
-        changed[section]["allow_cycles"] = "true"
     after = _trial_outputs(tmp_path, changed)
     assert {alg for alg in before if after[alg] != before[alg]} == set(readers)
 

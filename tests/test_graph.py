@@ -9,7 +9,6 @@ from domkl.graph import (
     connected_components,
     from_edge_list,
     generate_er,
-    is_forest,
     sample_connected_er,
 )
 
@@ -60,6 +59,7 @@ def test_pickled_graph_round_trips_with_read_only_tables():
     g.closed_neighborhoods
     back = pickle.loads(pickle.dumps(g))
     assert back == g and back.neighbors == g.neighbors
+    assert back.tree_neighbors == g.tree_neighbors
     fresh = Graph(g.num_nodes, g.edges)
     for got, want in zip(back.closed_neighborhoods, fresh.closed_neighborhoods):
         assert not got.flags.writeable
@@ -124,12 +124,38 @@ def test_components_match_union_find_oracle():
 
 
 def test_forest_recognition():
+    """A forest is its own spanning forest.  On a cyclic graph the
+    search grows from the lowest id and visits children in ascending id
+    order, so it keeps the edges by which it first reaches each node."""
     path = Graph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3)))
-    assert is_forest(path)
+    assert path.tree_neighbors == path.neighbors
     two_trees = Graph(num_nodes=5, edges=((0, 1), (2, 3), (3, 4)))
-    assert is_forest(two_trees)
+    assert two_trees.tree_neighbors == two_trees.neighbors
     triangle = Graph(num_nodes=3, edges=((0, 1), (1, 2), (0, 2)))
-    assert not is_forest(triangle)
+    assert triangle.tree_neighbors == ((1, 2), (0,), (0,))
+    # A 5-cycle with the chord 1-3: node 0 takes 1 and 4, then node 1
+    # takes 2 and 3, so the edges 2-3 and 3-4 are left out.
+    g = Graph(num_nodes=5, edges=((0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                                  (1, 3)))
+    assert g.tree_neighbors == ((1, 4), (0, 2, 3), (1,), (1,), (0,))
+
+
+def test_spanning_forest_spans_every_component():
+    """K - C edges, all of them graph edges, that connect each of the C
+    components; on a forest, the tree neighbours are the neighbours."""
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(2, 15))
+        g = generate_er(n, float(rng.random()), seed=int(rng.integers(1 << 30)))
+        tree = {(k, l) for k in range(n) for l in g.tree_neighbors[k] if k < l}
+        assert all(k in g.tree_neighbors[l] for k, l in tree)
+        assert tree <= set(g.edges)
+        assert all(list(t) == sorted(t) for t in g.tree_neighbors)
+        assert len(tree) == n - len(connected_components(g))
+        assert (_components_by_union_find(n, sorted(tree))
+                == _components_by_union_find(n, g.edges))
+        forest = Graph(n, tuple(sorted(tree)))
+        assert forest.tree_neighbors == forest.neighbors == g.tree_neighbors
 
 
 def test_sampled_graphs_are_connected():

@@ -3,12 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from domkl.errors import ConfigError
-from domkl.graph import Graph
+from domkl.graph import Graph, sample_connected_er
 from domkl.hedge import (
     accumulate,
     combine_weights,
-    initial_messages,
     mp_combine_weights,
     mp_update_messages,
 )
@@ -155,19 +153,12 @@ def test_weights_concentrate_on_the_cheapest_kernel():
     assert weights[2] > 0.99
 
 
-def test_initial_messages_are_zero_both_directions():
-    graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
-    messages = initial_messages(graph, 4)
-    assert messages.shape == (3, 3, 4)
-    assert not messages.any()
-
-
 def _oracle_message(history, graph, k, l, s, num_kernels):
     """Independent recursive unroll of the relay recurrence."""
     if s == 0:
         return np.zeros(num_kernels)
     total = np.array(history[s - 1][k], dtype=float)
-    for i in graph.neighbors[k]:
+    for i in graph.tree_neighbors[k]:
         if i != l:
             total = total + _oracle_message(history, graph, i, k, s - 1,
                                             num_kernels)
@@ -175,10 +166,11 @@ def _oracle_message(history, graph, k, l, s, num_kernels):
 
 
 def test_relay_messages_are_delayed_log_weight_sums():
-    """On a path, each hop adds one round of delay to the relayed terms."""
+    """On a path, each hop adds one round of delay to the relayed terms;
+    on a cyclic graph the same holds along its spanning tree."""
     graph = Graph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3)))
     rng = np.random.default_rng(13)
-    messages = initial_messages(graph, 3)
+    messages = np.zeros((4, 4, 3))
     spare = np.zeros_like(messages)
     history = []
     for s in range(6):
@@ -196,11 +188,48 @@ def test_relay_messages_are_delayed_log_weight_sums():
     # the last three rounds of nodes 2, 1, 0 with delays 0, 1, 2
     closed = history[5][2] + history[4][1] + history[3][0]
     assert np.allclose(messages[2, 3], closed, atol=1e-12)
+    for seed in range(5):
+        _check_relayed_totals(sample_connected_er(9, 0.45, seed=seed), seed)
+
+
+def _tree_distances(graph):
+    """All-pairs hop counts in the spanning forest, by Floyd-Warshall."""
+    n = graph.num_nodes
+    dist = np.full((n, n), np.inf)
+    for k, neighbors in enumerate(graph.tree_neighbors):
+        dist[k, k] = 0.0
+        dist[k, list(neighbors)] = 1.0
+    for m in range(n):
+        np.minimum(dist, dist[:, m, None] + dist[None, m, :], out=dist)
+    return dist.astype(int)
+
+
+def _check_relayed_totals(graph, seed):
+    """On a cyclic graph, node k's relayed total after round s holds
+    node j's log weight from round s - (d(j, k) - 1), for every j != k,
+    where d is the distance in the graph's spanning tree."""
+    num_nodes, num_kernels = graph.num_nodes, 3
+    assert len(graph.edges) > num_nodes - 1
+    dist = _tree_distances(graph)
+    rng = np.random.default_rng(seed)
+    messages = np.zeros((num_nodes, num_nodes, num_kernels))
+    spare = np.zeros_like(messages)
+    history = []
+    for s in range(12):
+        history.append(rng.standard_normal((num_nodes, num_kernels)))
+        mp_update_messages(messages, graph, history[-1], spare)
+        messages, spare = spare, messages
+        for k in range(num_nodes):
+            got = sum(messages[l, k] for l in graph.tree_neighbors[k])
+            want = sum(history[s - dist[j, k] + 1][j]
+                       for j in range(num_nodes)
+                       if j != k and dist[j, k] - 1 <= s)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_star_center_relays_every_leaf():
     graph = Graph(num_nodes=4, edges=((0, 1), (0, 2), (0, 3)))
-    messages = initial_messages(graph, 2)
+    messages = np.zeros((4, 4, 2))
     spare = np.zeros_like(messages)
     logs = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
     mp_update_messages(messages, graph, logs, spare)
@@ -218,7 +247,7 @@ def test_relay_refuses_arrays_of_another_shape():
     messages or ``out`` not (K, K, P), and an ``out`` that overlaps the
     messages it reads are refused."""
     graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
-    messages = initial_messages(graph, 4)
+    messages = np.zeros((3, 3, 4))
     spare = np.zeros_like(messages)
     for bad_logs in (np.zeros((3, 1)), np.zeros((2, 4)), np.zeros(4)):
         with pytest.raises(ValueError, match=r"^need \(3, 3, 4\) messages"):
@@ -253,22 +282,23 @@ def test_relay_writes_only_the_edge_rows_of_out():
             assert ((out[k, l] == 7.0).all()) == ((k, l) not in edges)
 
 
-def test_cycle_gate_raises_then_warns_when_overridden():
-    """initial_messages decides acyclicity once; relay rounds do not
-    re-check."""
+def test_relay_on_a_triangle_writes_only_its_tree_edge_rows():
+    """The spanning tree of a triangle drops the edge 1-2: its rows of
+    ``out`` keep what they held, and each tree edge carries the sender's
+    log weight plus what its other tree neighbour sent it."""
     triangle = Graph(num_nodes=3, edges=((0, 1), (1, 2), (0, 2)))
-    with pytest.raises(ConfigError, match="allow_cycles = true") as info:
-        initial_messages(triangle, 2)
-    assert info.value.key == "allow_cycles"
-    with pytest.warns(RuntimeWarning):
-        messages = initial_messages(triangle, 2, allow_cycles=True)
-    spare = np.zeros_like(messages)
-    logs = np.zeros((3, 2))
+    rng = np.random.default_rng(4)
+    messages = rng.standard_normal((3, 3, 2))
+    logs = rng.standard_normal((3, 2))
+    out = np.full((3, 3, 2), 7.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(3):
-            mp_update_messages(messages, triangle, logs, spare)
-            messages, spare = spare, messages
+        mp_update_messages(messages, triangle, logs, out)
+    assert (out[1, 2] == 7.0).all() and (out[2, 1] == 7.0).all()
+    assert out[1, 0].tobytes() == logs[1].tobytes()
+    assert out[2, 0].tobytes() == logs[2].tobytes()
+    assert out[0, 1].tobytes() == (logs[0] + messages[2, 0]).tobytes()
+    assert out[0, 2].tobytes() == (logs[0] + messages[1, 0]).tobytes()
 
 
 def test_mp_combination_equals_product_rule_on_one_edge():
@@ -277,7 +307,7 @@ def test_mp_combination_equals_product_rule_on_one_edge():
     eta = 10.0
     rng = np.random.default_rng(21)
     cumulatives = [np.zeros(4) for _ in range(2)]
-    messages = initial_messages(graph, 4)
+    messages = np.zeros((2, 2, 4))
     spare = np.zeros_like(messages)
     for _ in range(5):
         mp_update_messages(messages, graph, -np.stack(cumulatives) / eta,

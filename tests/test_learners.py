@@ -6,7 +6,7 @@ import pytest
 from domkl.admm import AdmmConfig
 from domkl.features import build_feature_map, build_maps, map_stack
 from domkl.graph import Graph
-from domkl.hedge import combine_weights, initial_messages, mp_update_messages
+from domkl.hedge import combine_weights, mp_update_messages
 from domkl.learners import NetworkState, _combined_prediction, step
 
 
@@ -16,8 +16,7 @@ def _maps(num_kernels=3, input_dim=2, num_features=5, shared_seed=9):
 
 
 def _network(graph, maps, eta_global=10.0, relay=False):
-    messages = initial_messages(graph, len(maps)) if relay else None
-    return NetworkState(graph, maps, eta_global, messages)
+    return NetworkState(graph, maps, eta_global, relay)
 
 
 def _relay(net):
@@ -67,11 +66,12 @@ def test_node_rejects_nonpositive_eta_global():
 def test_step_reads_only_its_neighbours_rows(relay):
     """Every row but the node's own and its neighbours' may hold anything:
     with NaN in the other rows of thetas, losses and duals, and in every
-    message but the neighbours' to the node, outputs and the rows the
-    step writes are bitwise those of a clean call, and no floating-point
-    error is raised."""
+    message but its tree neighbours' to the node, outputs and the rows
+    the step writes are bitwise those of a clean call, and no
+    floating-point error is raised.  The edge 2-3 closes a cycle, so it
+    carries parameters but no messages."""
     maps = _maps()
-    graph = Graph(num_nodes=5, edges=((0, 1), (1, 2), (1, 3), (3, 4)))
+    graph = Graph(num_nodes=5, edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4)))
     net = _network(graph, maps, relay=relay)
     rng = np.random.default_rng(53)
     for t in range(4):
@@ -88,9 +88,10 @@ def test_step_reads_only_its_neighbours_rows(relay):
                               poisoned.lams):
                     array[outside] = np.nan
                 if relay:
-                    kept = poisoned.messages[neighbors, k].copy()
+                    senders = list(graph.tree_neighbors[k])
+                    kept = poisoned.messages[senders, k].copy()
                     poisoned.messages[:] = np.nan
-                    poisoned.messages[neighbors, k] = kept
+                    poisoned.messages[senders, k] = kept
                 runs = []
                 for state in (copy.deepcopy(net), poisoned):
                     with np.errstate(all="raise"):
@@ -104,6 +105,19 @@ def test_step_reads_only_its_neighbours_rows(relay):
                     assert a.tobytes() == b.tobytes()
             step(net, k, sample, AdmmConfig())
         net.end_round()
+
+
+def test_relay_buffers_start_at_zero_and_apart():
+    """With ``relay`` set the network owns two zeroed (K, K, P) message
+    buffers that share no memory; without it, none."""
+    maps = _maps()
+    graph = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
+    net = NetworkState(graph, maps, 10.0, relay=True)
+    for buffer in (net.messages, net.next_messages):
+        assert buffer.shape == (3, 3, 3) and not buffer.any()
+    assert not np.may_share_memory(net.messages, net.next_messages)
+    product = NetworkState(graph, maps, 10.0)
+    assert product.messages is None and product.next_messages is None
 
 
 def test_first_round_prediction_is_zero_and_losses_accumulate():

@@ -37,7 +37,7 @@ from domkl.simulator import (
 from domkl.features import (
     DEFAULT_BANDWIDTHS, FeatureMap, build_feature_map, map_stack,
 )
-from domkl.hedge import initial_messages, mp_update_messages
+from domkl.hedge import mp_update_messages
 from domkl.learners import NetworkState, _combined_prediction, step
 from domkl.metrics import regret_accuracy
 from domkl import oracle
@@ -92,7 +92,6 @@ def test_config_validation():
         (dict(eta_global=0.0), "eta_global"),
         (dict(eta_global=-1.0), "eta_global"),
         (dict(max_attempts=0), "max_attempts"),
-        (dict(comkl_loss_mode="avg"), "loss_mode"),
         (dict(comkl_step_size=0.0), "step_size"),
         (dict(diffusion_step_size=-0.5), "step_size"),
         (dict(bandwidths=(0.1, -0.1)), "bandwidths"),
@@ -326,8 +325,6 @@ def _reference_comkl(ctx, cfg):
         errors = dots - labels[None, :]
         squared_errors = errors ** 2
         batch_losses = squared_errors.sum(axis=1)
-        if cfg.comkl_loss_mode == "mean":
-            batch_losses = batch_losses / num_nodes
         gradients = 2.0 * (errors[:, :, None] * z).sum(axis=1)  # (P, D)
         thetas = thetas - (cfg.comkl_step_size / num_nodes) * gradients
         cumulative_loss = cumulative_loss + batch_losses
@@ -347,11 +344,8 @@ def test_baseline_traces_match_a_plain_step_loop(tmp_path):
     table = np.random.default_rng(2).random((120, 5))
     csv_path.write_text("".join(",".join(map(repr, row.tolist())) + "\n"
                                 for row in table))
-    configs = [
-        _small_cfg(algorithms=("comkl", "rff_dokl"), kernel_index=1,
-                   num_learners=4, comkl_loss_mode=mode)
-        for mode in ("sum", "mean")
-    ] + [ExperimentConfig(
+    configs = [_small_cfg(algorithms=("comkl", "rff_dokl"), kernel_index=1,
+                          num_learners=4), ExperimentConfig(
         task="regression", algorithms=("comkl", "rff_dokl"),
         num_learners=9, bandwidths=(0.05, 0.3, 1.0, 4.0), num_features=12,
         kernel_index=2, master_seed=3, csv_data=CsvTaskConfig(path=str(csv_path)),
@@ -389,7 +383,7 @@ def _check_baseline_traces(cfg):
         trace = result.traces[algorithm]
         for name, rows in by_field.items():
             assert getattr(trace, name).tobytes() == np.stack(rows).tobytes(), (
-                cfg.task, cfg.comkl_loss_mode, algorithm, name)
+                cfg.task, algorithm, name)
 
 
 def test_diverging_rff_dokl_step_names_its_round():
@@ -446,6 +440,20 @@ def test_relay_alternates_between_two_message_buffers(monkeypatch,
         assert messages is read and out is written
 
 
+def test_message_passing_on_a_cyclic_graph_keeps_finite_weights():
+    """The relay runs over the graph's spanning tree, so relayed losses
+    are counted once: on an ER graph with many cycles, where relaying
+    over every edge overflowed at round 448, all 500 rounds finish."""
+    cfg = ExperimentConfig(
+        task="synthetic", num_learners=20, connection_prob=0.3, rounds=500,
+        master_seed=1, synthetic=SyntheticTaskConfig(),
+        hedge_variant="message_passing")
+    trace = run_trial(cfg, 0).traces["domkl"]
+    assert len(trace.graph.edges) > 2 * trace.graph.num_nodes
+    assert np.isfinite(trace.weights).all()
+    assert np.isfinite(trace.predictions).all()
+
+
 def test_diverging_comkl_names_kernel_and_round():
     cfg = _small_cfg(algorithms=("comkl",), comkl_step_size=1e300)
     with warnings.catch_warnings():
@@ -464,8 +472,7 @@ def _shuffled_order_run(ctx, cfg, kernel_indices, relay, rng):
     learner k's round-t input."""
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph, num_nodes = ctx.graph, ctx.graph.num_nodes
-    net = NetworkState(graph, maps, cfg.eta_global,
-                       initial_messages(graph, len(maps)) if relay else None)
+    net = NetworkState(graph, maps, cfg.eta_global, relay)
     predictions = np.zeros(ctx.labels.shape)
     losses = np.zeros(ctx.labels.shape + (len(maps),))
     weights = np.zeros_like(losses)
@@ -552,7 +559,7 @@ def test_influence_travels_one_hop_per_round(algorithm, variant, kind):
         rounds=40, master_seed=3, kernel_index=1, hedge_variant=variant,
         synthetic=SyntheticTaskConfig(bandwidth=0.1))
     ctx = build_trial_context(cfg, 0)
-    if variant == "message_passing":  # relaying needs a forest
+    if variant == "message_passing":  # on a path each hop is a tree hop
         ctx = dataclasses.replace(ctx, graph=from_edge_list(
             "".join("%d %d\n" % (k, k + 1) for k in range(7))))
     else:
