@@ -23,7 +23,9 @@ silently fall back to a default:
 - a key that the run never reads, because its task's data source and
   the selected algorithms are not among its readers.  ``[experiment]``
   and ``[network]`` are read by every run and exempt from this rule;
-- a ``[data] path`` that cannot be read.
+- a ``[data] path`` or ``[network] topology`` file that cannot be read or
+  parsed: ``load_config`` opens only the INI file, and ``run`` and
+  ``sweep`` read those files once, before the first trial.
 
 Exit codes: 0 success, 1 runtime failure or failed invariant,
 2 config error.  Float cells are written with ``repr`` so identical
@@ -157,8 +159,11 @@ _SECTIONS = {section for section, _ in _KEYS}
 def _read_keys(path):
     """The parsed value of every key in the file, by (section, key)."""
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path) as handle:
-        parser.read_file(handle, source=path)
+    try:
+        with open(path) as handle:
+            parser.read_file(handle, source=path)
+    except (OSError, configparser.Error) as exc:
+        raise ConfigError(str(exc)) from exc
     values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -205,19 +210,8 @@ def load_config(path):
     data_field, data_class, required = _SOURCES[source]
     if required is None or required in fields["data"]:
         fields["experiment"][data_field] = data_class(**fields["data"])
-    cfg = ExperimentConfig(admm=AdmmConfig(**fields["admm"]),
-                           **fields["experiment"])
-    for section, key, file_path in (
-            ("data", "path", cfg.csv_data and cfg.csv_data.path),
-            ("network", "topology", cfg.topology_path)):
-        try:
-            if file_path is not None:
-                with open(file_path, "rb"):
-                    pass
-        except OSError as exc:
-            raise ConfigError("cannot read [%s] %s: %s" % (section, key, exc),
-                              key=key) from exc
-    return cfg
+    return ExperimentConfig(admm=AdmmConfig(**fields["admm"]),
+                            **fields["experiment"])
 
 
 def _fmt(value):
@@ -254,10 +248,6 @@ def cmd_run(config_path, out_dir=".", seed=None, trials=None):
             cfg = replace(cfg, master_seed=seed)
         if trials is not None:
             cfg = replace(cfg, trials=trials)
-    except (ConfigError, configparser.Error, OSError) as exc:
-        print("config error: %s" % (exc,), file=sys.stderr)
-        return 2
-    try:
         result = run_experiment(cfg)
         out_path = os.path.join(out_dir, "results.csv")
         rows = _write_results(out_path, result)
@@ -283,15 +273,7 @@ def cmd_run(config_path, out_dir=".", seed=None, trials=None):
 def cmd_sweep(config_path, rhos, eta_globals, out_dir="."):
     """Run the grid and write sweep.csv.  Returns the exit code."""
     try:
-        cfg = load_config(config_path)
-        if not rhos or not eta_globals:
-            raise ConfigError("sweep needs at least one rho and one eta_g",
-                              key="grid")
-    except (ConfigError, configparser.Error, OSError) as exc:
-        print("config error: %s" % (exc,), file=sys.stderr)
-        return 2
-    try:
-        rows = sweep(cfg, rhos, eta_globals)
+        rows = sweep(load_config(config_path), rhos, eta_globals)
         out_path = os.path.join(out_dir, "sweep.csv")
         with open(out_path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")

@@ -25,6 +25,7 @@ exactly; any other bandwidth gets a map drawn from the data stream.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,6 +177,9 @@ class ExperimentConfig:
                                   key="algorithms")
         if not self.algorithms:
             raise ConfigError("no algorithms selected", key="algorithms")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError("algorithms lists a value twice: %s"
+                              % ", ".join(self.algorithms), key="algorithms")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1", key="trials")
         if self.workers < 1:
@@ -196,6 +200,10 @@ class ExperimentConfig:
                 self.bandwidths and all(b > 0.0 for b in self.bandwidths)):
             raise ConfigError("bandwidths must be one or more positive values",
                               key="bandwidths")
+        size = len(self.bandwidths or DEFAULT_BANDWIDTHS)
+        if not 0 <= self.kernel_index < size and _index_in_use(self) is not None:
+            raise ConfigError("kernel_index %d outside dictionary of size %d"
+                              % (self.kernel_index, size), key="kernel_index")
         if not 0.0 < self.connection_prob <= 1.0:
             raise ConfigError("connection_prob must be in (0, 1]",
                               key="connection_prob")
@@ -303,11 +311,16 @@ class ExperimentInputs:
 
 
 def load_inputs(cfg):
-    """Parse the topology file and the CSV data of ``cfg`` and check them."""
+    """Read, parse and check the topology file and the CSV data of
+    ``cfg``; every problem with either raises ``ConfigError``."""
     graph = dataset = None
     if cfg.topology_path is not None:
-        with open(cfg.topology_path) as handle:
-            text = handle.read()
+        try:
+            with open(cfg.topology_path) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ConfigError("cannot read [network] topology: %s" % (exc,),
+                              key="topology") from exc
         try:
             graph = from_edge_list(text, num_nodes=cfg.num_learners)
         except ValueError as exc:
@@ -318,10 +331,14 @@ def load_inputs(cfg):
             named = ", ".join(str(list(c)) for c in components)
             raise ConfigError("topology %s is disconnected: components %s"
                               % (cfg.topology_path, named), key="topology")
-    if cfg.task == "regression":
-        dataset = _load_regression(cfg.csv_data, cfg.num_learners)
-    elif cfg.task == "timeseries" and cfg.csv_data is not None:
-        dataset = _load_timeseries(cfg.csv_data, cfg.num_learners)
+    try:
+        if cfg.task == "regression":
+            dataset = _load_regression(cfg.csv_data, cfg.num_learners)
+        elif cfg.task == "timeseries" and cfg.csv_data is not None:
+            dataset = _load_timeseries(cfg.csv_data, cfg.num_learners)
+    except OSError as exc:
+        raise ConfigError("cannot read [data] path: %s" % (exc,),
+                          key="path") from exc
     return ExperimentInputs(graph=graph, dataset=dataset)
 
 
@@ -373,10 +390,6 @@ def build_trial_context(cfg, trial_index, inputs=None):
         )
 
     bandwidths = cfg.bandwidths or DEFAULT_BANDWIDTHS
-    index = _index_in_use(cfg)
-    if index is not None and not 0 <= index < len(bandwidths):
-        raise ConfigError("kernel_index %d outside dictionary of size %d"
-                          % (index, len(bandwidths)), key="kernel_index")
     map_seed = derive_seed(cfg.master_seed, trial_index, _MAPS)
 
     maps = None
@@ -633,61 +646,48 @@ def _index_in_use(cfg):
     return None
 
 
-def _trial_worker(payload):
-    cfg, index, inputs = payload
-    return run_trial(cfg, index, inputs=inputs)
-
-
-def _trial_failure(index, exc):
-    """The error reporting a failed trial: config errors stay config errors."""
-    if isinstance(exc, ConfigError):
-        return ConfigError("trial %d: %s" % (index, exc), key=exc.key)
-    return RuntimeError("trial %d failed: %s" % (index, exc))
-
-
-def _experiment_inputs(cfg):
-    """``load_inputs(cfg)``, its errors reported as trial 0's."""
-    try:
-        return load_inputs(cfg)
-    except Exception as exc:
-        # Every trial reads the same files; trial 0 is the first to fail.
-        raise _trial_failure(0, exc) from exc
-
-
 def _trial_results(cfg, inputs):
-    """Every trial's result in trial order (run in ``min(cfg.workers,
-    cfg.trials)`` processes), each trial run or collected only when asked
-    for.  A pool forks all its workers up front, so none is left idle."""
-    payloads = [(cfg, i, inputs) for i in range(cfg.trials)]
+    """Every trial's result in trial order, each run or collected only
+    when asked for.  ``busy = min(cfg.workers, cfg.trials)`` trials are
+    out at a time, in a pool of that many processes when above 1, and the
+    next starts when a result is collected: after a failure the pool
+    waits only for the trials already running."""
     busy = min(cfg.workers, cfg.trials)
-    with contextlib.ExitStack() as stack:
-        if busy > 1:
-            # Imported here: the pool modules take tens of ms to import
-            # and the default run uses one process.
-            from concurrent.futures import ProcessPoolExecutor
+    if busy > 1:
+        # Imported here: the pool modules take tens of ms to import and
+        # the default run uses one process.
+        from concurrent.futures import ProcessPoolExecutor
 
-            # Each worker splits its feature maps over its own share of
-            # the CPUs, so the pool does not run more threads than CPUs.
-            pool = ProcessPoolExecutor(max_workers=busy,
-                                       initializer=_share_cpus,
-                                       initargs=(busy,))
-            # On exit, after a failure or when the caller stops drawing
-            # results, trials not yet started are dropped, not run.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_trial_worker, payloads)
-        else:
-            results = map(_trial_worker, payloads)
+        # Each worker splits its feature maps over its own share of the
+        # CPUs, so the pool does not run more threads than CPUs.
+        pool = ProcessPoolExecutor(max_workers=busy, initializer=_share_cpus,
+                                   initargs=(busy,))
+
+        def start(i):
+            return pool.submit(run_trial, cfg, i, inputs).result
+    else:
+        pool = contextlib.nullcontext()
+
+        def start(i):
+            return functools.partial(run_trial, cfg, i, inputs)
+    with pool:
+        pending = [start(i) for i in range(busy)]
         for i in range(cfg.trials):
             try:
-                # Yielded unnamed, so this frame keeps no finished trial.
-                yield next(results)
+                result = pending.pop(0)()
             except Exception as exc:
-                raise _trial_failure(i, exc) from exc
+                raise RuntimeError("trial %d failed: %s" % (i, exc)) from exc
+            if i + busy < cfg.trials:
+                pending.append(start(i + busy))
+            yield result
+            # Unbound before the next trial runs: this frame holds none.
+            del result
 
 
 def run_experiment(cfg):
-    """Run all trials (in up to ``cfg.workers`` processes) and aggregate."""
-    return aggregate(cfg, _trial_results(cfg, _experiment_inputs(cfg)))
+    """Read the files, then run all trials (in up to ``cfg.workers``
+    processes) and aggregate."""
+    return aggregate(cfg, _trial_results(cfg, load_inputs(cfg)))
 
 
 def aggregate(cfg, results):
@@ -736,11 +736,14 @@ def sweep(cfg, rhos, eta_globals):
 
     The cells differ only in parameters that ``load_inputs`` does not
     read, so the files are read once for the whole grid.  Raises
-    ``ConfigError`` for an axis that repeats a value, or that has more
-    than one value and no selected algorithm reads it: either way, two
-    of its cells would be the same run.
+    ``ConfigError`` for an empty axis, or for one that repeats a value or
+    has more than one value and no selected algorithm reads it, since two
+    of its cells would then be the same run.
     """
     for name, values in (("rho", rhos), ("eta_global", eta_globals)):
+        if not values:
+            raise ConfigError("sweep needs at least one rho and one eta_g",
+                              key="grid")
         if len(set(values)) < len(values):
             raise ConfigError("%s lists a value twice: %s" % (
                 name, ", ".join(map(str, values))), key="grid")
@@ -749,7 +752,7 @@ def sweep(cfg, rhos, eta_globals):
             raise ConfigError(
                 "%s takes %d values, but only %s read it and none is selected"
                 % (name, len(set(values)), " and ".join(readers)), key="grid")
-    inputs = _experiment_inputs(cfg)
+    inputs = load_inputs(cfg)
     rows = []
     for eta in sorted(eta_globals):
         for rho in sorted(rhos):

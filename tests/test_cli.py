@@ -19,6 +19,7 @@ from domkl.simulator import (
     CsvTaskConfig,
     ExperimentConfig,
     SyntheticTaskConfig,
+    load_inputs,
     run_trial,
 )
 
@@ -122,6 +123,33 @@ def test_run_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_ini_and_out_dir_exit_codes(tmp_path, capsys, command):
+    """An INI that cannot be opened or parsed exits 2; an output directory
+    that does not exist fails the run after it ran, with exit 1."""
+    grid = ["--rho", "10", "--eta-g", "10"] if command == "sweep" else []
+
+    def run(path, out):
+        return main([command, "--config", path, "--out", out] + grid)
+
+    assert run(str(tmp_path / "missing.ini"), str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: [Errno 2] No such file or directory: ")
+    headless = _write_ini(tmp_path, "rounds = 5\n" + _BASE_INI)
+    assert run(headless, str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: File contains no section headers.")
+    assert run(_write_ini(tmp_path), str(tmp_path / "absent")) == 1
+    assert capsys.readouterr().err.startswith(
+        "%s failed: [Errno 2] No such file or directory: " % command)
+
+
+def test_repeated_algorithm_exits_2(tmp_path, capsys):
+    text = _BASE_INI.replace("algorithms = domkl", "algorithms = domkl, domkl")
+    _run_and_sweep_exit_2(tmp_path, capsys, text, "config error: algorithms "
+                          "lists a value twice: domkl, domkl\n")
+
+
 def test_workers_below_one_exit_2(tmp_path, capsys):
     text = _BASE_INI.replace("seed = 3", "seed = 3\nworkers = 0")
     assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
@@ -173,7 +201,8 @@ def _run_and_sweep_exit_2(tmp_path, capsys, text, expected):
 
 
 def _trial_setup_errors(tmp_path):
-    """INI texts that load cleanly but fail while trial 0 is set up."""
+    """INI texts that parse but name a bad file or kernel: errors found
+    before the first trial is set up."""
     topo = tmp_path / "split.txt"
     topo.write_text("0 1\n2 3\n")
     disconnected = _BASE_INI.replace(
@@ -186,7 +215,7 @@ def _trial_setup_errors(tmp_path):
 def test_trial_setup_config_errors_exit_2(tmp_path, capsys):
     for text, named in _trial_setup_errors(tmp_path):
         _run_and_sweep_exit_2(tmp_path, capsys, text,
-                              "config error: trial 0: %s" % named)
+                              "config error: %s" % named)
 
 
 def test_run_writes_results(tmp_path, capsys):
@@ -453,7 +482,7 @@ def test_non_finite_grid_flag_exit_2(tmp_path, capsys):
 
 
 # CSV texts that do not parse, and the start of the error each one gives
-# after "config error: trial 0: <path>: ".
+# after "config error: <path>: ".
 _BAD_CSV = {
     "non_numeric": ("0.1,0.2,0.3\n0.4,x,0.6\n",
                     "row 2, column 2: non-numeric cell 'x'"),
@@ -481,13 +510,13 @@ def test_csv_errors_exit_2(tmp_path, capsys, case):
             text = _edit(
                 task_edits + [_after("path = {csv}", "label_column = 9")],
                 csv=csv_path)
-            expected = "config error: trial 0: label_column 9 out of range"
+            expected = "config error: label_column 9 out of range"
         else:
             contents, error = _BAD_CSV[case]
             bad_path = tmp_path / "bad.csv"
             bad_path.write_text(contents)
             text = _edit(task_edits, csv=bad_path)
-            expected = "config error: trial 0: %s: %s" % (bad_path, error)
+            expected = "config error: %s: %s" % (bad_path, error)
         _run_and_sweep_exit_2(tmp_path, capsys, text, expected)
 
 
@@ -501,7 +530,7 @@ def test_regression_csv_without_feature_column_exits_2(tmp_path, capsys,
                                        "normalize = %s" % normalize)],
                  csv=csv_path)
     _run_and_sweep_exit_2(tmp_path, capsys, text,
-                          "config error: trial 0: %s has no feature column"
+                          "config error: %s has no feature column"
                           % csv_path)
     assert cmd_run(_write_ini(tmp_path, _edit(_CSV_TIMESERIES, csv=csv_path)),
                    out_dir=str(tmp_path)) == 0
@@ -560,8 +589,11 @@ def test_missing_topology_exits_2(tmp_path, capsys):
         "num_nodes = 3", "num_nodes = 3\ntopology = %s" % (tmp_path / "no.txt"))
     _run_and_sweep_exit_2(tmp_path, capsys, text,
                           "config error: cannot read [network] topology: ")
-    with pytest.raises(ConfigError, match="topology") as info:
-        load_config(_write_ini(tmp_path, text))
+    # load_config opens no file but the INI; the run's files are read
+    # once, by load_inputs.
+    cfg = load_config(_write_ini(tmp_path, text))
+    with pytest.raises(ConfigError, match="^cannot read") as info:
+        load_inputs(cfg)
     assert info.value.key == "topology"
 
 
@@ -583,7 +615,7 @@ def test_malformed_topology_exits_2(tmp_path, capsys, case):
     text = _BASE_INI.replace("num_nodes = 3",
                              "num_nodes = 3\ntopology = %s" % topo)
     _run_and_sweep_exit_2(tmp_path, capsys, text,
-                          "config error: trial 0: topology %s: %s"
+                          "config error: topology %s: %s"
                           % (topo, error))
 
 
@@ -609,7 +641,7 @@ def test_message_passing_on_a_triangle_runs(tmp_path, capsys):
 
 
 # CSV contents too short for a 3-node run, the task edits, and the error
-# each gives after "config error: trial 0: ".
+# each gives after "config error: ".
 _SHORT_CSV = {
     "regression_rows_below_nodes": (2, _REGRESSION,
                                     "{csv} has 2 rows, fewer than"
@@ -633,8 +665,7 @@ def test_csv_too_short_for_the_run_exits_2(tmp_path, capsys, case):
     csv_path.write_text("".join("0.%d,0.5,0.%d\n" % (i, 9 - i)
                                 for i in range(rows)))
     _run_and_sweep_exit_2(tmp_path, capsys, _edit(task_edits, csv=csv_path),
-                          "config error: trial 0: "
-                          + error.format(csv=csv_path))
+                          "config error: " + error.format(csv=csv_path))
 
 
 def test_unread_key_error_names_the_run(tmp_path, capsys):
@@ -698,11 +729,8 @@ _SOURCE_CONTEXT = {
 
 @pytest.mark.parametrize("row", sorted(cli._KEYS),
                          ids=["%s.%s" % row for row in sorted(cli._KEYS)])
-def test_key_sets_its_field(tmp_path, monkeypatch, row):
-    # load_config checks that [data] path and [network] topology read.
-    monkeypatch.chdir(tmp_path)
-    for name in ("data.csv", "series.csv", "net.txt"):
-        (tmp_path / name).write_text("1,2\n")
+def test_key_sets_its_field(tmp_path, row):
+    # The files named here do not exist: load_config opens none of them.
     section, key = row
     parse, config, field, readers = cli._KEYS[row]
     raw = _SAMPLE_VALUES.get("%s.%s" % row, _SAMPLE_VALUES.get(key))

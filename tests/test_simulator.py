@@ -628,11 +628,16 @@ def test_pool_workers_split_maps_over_a_share_of_the_cpus(
             pools.append((max_workers, initargs))
             initializer(*initargs)
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
+        def __enter__(self):
+            return self
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(features, "_workers", 1)
@@ -671,24 +676,77 @@ def test_trial_pool_forks_no_more_workers_than_trials(monkeypatch, trials,
 
 
 def test_trial_failures_carry_the_trial_index():
-    cfg = ExperimentConfig(
-        task="regression", algorithms=("comkl",), num_learners=2,
-        bandwidths=(0.1,), num_features=4, master_seed=1,
-        csv_data=CsvTaskConfig(path="/nonexistent/file.csv"),
-    )
-    with pytest.raises(RuntimeError, match="trial 0 failed"):
+    """At seed 5 trial 0 samples its graph in one attempt and trial 1
+    does not: the error names trial 1."""
+    cfg = _small_cfg(num_learners=5, connection_prob=0.4, max_attempts=1,
+                     master_seed=5, trials=2)
+    with pytest.raises(RuntimeError, match="^trial 1 failed: no connected"):
         run_experiment(cfg)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_trial_config_errors_stay_config_errors(tmp_path, workers):
+    """A file error is a config error of its own, named by no trial."""
     path = tmp_path / "split.txt"
     path.write_text("0 1\n2 3\n")
     cfg = _small_cfg(num_learners=4, topology_path=str(path), trials=2,
                      workers=workers)
-    with pytest.raises(ConfigError, match="trial 0: topology") as info:
+    with pytest.raises(ConfigError, match="^topology .* is disconnected") as info:
         run_experiment(cfg)
     assert info.value.key == "topology"
+
+
+def _bad_before_any_trial(tmp_path, case):
+    """A config for ``case`` that is wrong before any trial is set up;
+    the kernel_index case raises while it is built."""
+    if case == "kernel_index":
+        return _small_cfg(algorithms=("dokl",), kernel_index=3)
+    if case == "disconnected":
+        topology = tmp_path / "split.txt"
+        topology.write_text("0 1\n2 3\n")
+        return _small_cfg(num_learners=4, topology_path=str(topology))
+    csv_path = tmp_path / "data.csv"
+    if case == "non_numeric":
+        csv_path.write_text("0.1,0.2,0.3\n0.4,x,0.6\n")
+    return ExperimentConfig(task="regression", num_learners=2,
+                            bandwidths=(0.1,), num_features=4,
+                            csv_data=CsvTaskConfig(path=str(csv_path)))
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "sweep"])
+@pytest.mark.parametrize("case, key", [
+    ("kernel_index", "kernel_index"), ("disconnected", "topology"),
+    ("missing_csv", "path"), ("non_numeric", "path"),
+])
+def test_bad_config_or_file_sets_up_no_trial(tmp_path, monkeypatch, entry,
+                                             case, key):
+    calls = []
+    original = simulator.build_trial_context
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "build_trial_context", counting)
+    with pytest.raises(ConfigError) as info:
+        cfg = _bad_before_any_trial(tmp_path, case)
+        if entry == "sweep":
+            sweep(cfg, rhos=(10.0,), eta_globals=(10.0,))
+        else:
+            run_experiment(cfg)
+    assert info.value.key == key
+    assert not str(info.value).startswith("trial")
+    assert calls == []
+    # The count sees the trials of a good config.
+    run_experiment(_small_cfg(rounds=3))
+    assert len(calls) == 1
+
+
+def test_repeated_algorithm_is_a_config_error():
+    with pytest.raises(ConfigError, match="algorithms lists a value twice: "
+                       "domkl, dokl, domkl") as info:
+        _small_cfg(algorithms=("domkl", "dokl", "domkl"), kernel_index=0)
+    assert info.value.key == "algorithms"
 
 
 def test_graph_sampling_errors_read_the_same_in_a_pool():
@@ -706,8 +764,9 @@ def test_graph_sampling_errors_read_the_same_in_a_pool():
 
 
 def test_trials_not_started_are_cancelled(monkeypatch):
-    """Trials still queued in the pool never run once trial 0 fails, or
-    once the caller stops drawing results."""
+    """A pool of 2 workers holds at most 2 trials: once trial 0 fails, no
+    other trial starts, and once the caller stops drawing results after
+    one trial, only the two trials already out are waited for."""
     import concurrent.futures
 
     futures = []
@@ -725,13 +784,13 @@ def test_trials_not_started_are_cancelled(monkeypatch):
                      master_seed=9, trials=10, workers=2, rounds=300)
     with pytest.raises(RuntimeError, match="^trial 0 failed: no connected"):
         run_experiment(cfg)
-    assert len(futures) == 10 and futures[-1].cancelled()
+    assert len(futures) <= 2
     futures.clear()
     results = simulator._trial_results(
         dataclasses.replace(cfg, max_attempts=50), simulator.load_inputs(cfg))
     next(results)
     results.close()
-    assert len(futures) == 10 and futures[-1].cancelled()
+    assert len(futures) == 3 and all(f.done() for f in futures)
 
 
 def _refit_per_stream_regret(ctx, trace, kernel_indices):
