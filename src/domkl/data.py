@@ -11,6 +11,7 @@ function and autoregressive label sequences.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,14 +53,18 @@ def load_csv(path, label_column=-1, has_header=False):
     ``label_column`` indexes the label column (negative indices count
     from the right); the remaining columns become features in file
     order.  Every problem with the file's contents raises
-    ``ConfigError``: a parse problem or a non-finite cell (``nan``,
-    ``inf``) names its row and column under the key ``path``, or
-    ``has_header`` when row 1 holds text and no header was declared; a
-    ``label_column`` outside the table names that key.
+    ``ConfigError``: text that is not UTF-8 names the file, a parse problem
+    or a non-finite cell (``nan``, ``inf``) its row and column, under the
+    key ``path``, or ``has_header`` when row 1 holds text and no header
+    was declared; a ``label_column`` outside the table names that key.
     """
     rows = []
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        try:  # all at once, so that an error gives the file offset
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s: %s" % (path, exc), key="path") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         for rownum, row in enumerate(reader, start=1):
             if has_header and rownum == 1:
                 continue

@@ -42,15 +42,14 @@ def gaussian_kernel(bandwidth, x, y):
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
-    """Frozen random feature map for one kernel.
+    """Frozen random feature map for one kernel; the kernel's index is
+    the map's position in the trial's tuple of maps.
 
     Attributes
     ----------
     weights : ndarray, shape (num_features, input_dim)
         Frequency rows, drawn once and never resampled; the map's sizes
         are read from their shape.
-    kernel_index : int
-        Position of the kernel among the trial's maps.
     seed : int
         Seed the rows were drawn from, kept for reproducibility checks.
     bandwidth : float
@@ -59,7 +58,6 @@ class FeatureMap:
     """
 
     weights: np.ndarray
-    kernel_index: int
     seed: int
     bandwidth: float
     num_features: int = field(init=False)
@@ -78,8 +76,7 @@ class FeatureMap:
     def __reduce__(self):
         # Rebuild through __init__, so that a map sent to or from a worker
         # process again has read-only weights and a transposed view of them.
-        return (FeatureMap, (self.weights, self.kernel_index, self.seed,
-                             self.bandwidth))
+        return (FeatureMap, (self.weights, self.seed, self.bandwidth))
 
     def map(self, x):
         """Map inputs to the 2*num_features feature space.
@@ -230,8 +227,7 @@ def map_stack(maps, x):
     return out
 
 
-def build_feature_map(bandwidth, input_dim, num_features, seed,
-                      kernel_index=0):
+def build_feature_map(bandwidth, input_dim, num_features, seed):
     """Draw a Gaussian kernel's frequency rows and freeze them in a FeatureMap.
 
     Rows are i.i.d. N(0, I/bandwidth), the spectral measure of the
@@ -247,8 +243,7 @@ def build_feature_map(bandwidth, input_dim, num_features, seed,
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(bandwidth)
     weights = rng.standard_normal((num_features, input_dim)) * std
-    return FeatureMap(weights=weights, kernel_index=kernel_index, seed=seed,
-                      bandwidth=bandwidth)
+    return FeatureMap(weights=weights, seed=seed, bandwidth=bandwidth)
 
 
 def build_maps(bandwidths, input_dim, num_features, shared_seed):
@@ -260,7 +255,6 @@ def build_maps(bandwidths, input_dim, num_features, shared_seed):
     if len(bandwidths) < 1:
         raise ValueError("dictionary needs at least one kernel")
     return tuple(
-        build_feature_map(b, input_dim, num_features,
-                          seed=shared_seed + p + 1, kernel_index=p)
+        build_feature_map(b, input_dim, num_features, seed=shared_seed + p + 1)
         for p, b in enumerate(bandwidths)
     )

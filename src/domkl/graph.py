@@ -16,8 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphSamplingError
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -143,8 +141,8 @@ def sample_connected_er(num_nodes, connection_prob, seed, max_attempts=50):
 
     Attempt ``i`` draws with seed ``seed + i`` so the sequence of
     candidates, and hence the accepted graph, is reproducible.  Raises
-    :class:`GraphSamplingError` carrying the attempt count when no
-    connected candidate appears within ``max_attempts``.
+    ``RuntimeError`` naming the attempt count when no connected
+    candidate appears within ``max_attempts``.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -152,19 +150,14 @@ def sample_connected_er(num_nodes, connection_prob, seed, max_attempts=50):
         candidate = generate_er(num_nodes, connection_prob, seed + attempt)
         if len(connected_components(candidate)) == 1:
             return candidate
-    raise GraphSamplingError(
+    raise RuntimeError(
         "no connected graph in %d attempts (num_nodes=%d, connection_prob=%g)"
-        % (max_attempts, num_nodes, connection_prob),
-        attempts=max_attempts,
-    )
+        % (max_attempts, num_nodes, connection_prob))
 
 
-def from_edge_list(text, num_nodes=None):
-    """Parse a topology given as text, one ``"k l"`` pair per line, 0-based.
-
-    ``num_nodes`` defaults to one past the largest index mentioned, so
-    isolated trailing nodes must be declared explicitly.
-    """
+def from_edge_list(text, num_nodes):
+    """Parse a topology of ``num_nodes`` nodes given as text, one ``"k l"``
+    pair per line, 0-based; a node no line names is isolated."""
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -178,8 +171,4 @@ def from_edge_list(text, num_nodes=None):
         except ValueError:
             raise ValueError("line %d: non-integer index" % lineno) from None
         edges.append((k, l))
-    if num_nodes is None:
-        if not edges:
-            raise ValueError("empty edge list needs an explicit num_nodes")
-        num_nodes = max(max(e) for e in edges) + 1
     return Graph(num_nodes, tuple(edges))

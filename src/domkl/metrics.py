@@ -20,13 +20,12 @@ _GAP_VALUES = 1 << 15
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Everything one algorithm produced over one trial.
+    """Everything one algorithm produced over one trial, keyed by algorithm.
 
     ``cross_predictions[t, k, l]`` is learner l's function evaluated on
     learner k's round-t sample; the diagonal repeats ``predictions``.
     """
 
-    algorithm: str
     graph: object
     predictions: np.ndarray        # (T, K)
     labels: np.ndarray             # (T, K)

@@ -185,7 +185,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError("workers must be at least 1", key="workers")
         if self.num_learners < 2:
-            raise ConfigError("need at least 2 learners", key="num_nodes")
+            raise ConfigError("num_nodes must be at least 2", key="num_nodes")
         if self.hedge_variant not in ("product", "message_passing"):
             raise ConfigError("unknown hedge variant %r" % (self.hedge_variant,),
                               key="hedge_variant")
@@ -278,7 +278,6 @@ class AggregateResult:
 
     algorithms: tuple
     rounds: int
-    trials: int
     mse_mean: dict
     mse_std: dict
     cv_mean: dict
@@ -317,13 +316,11 @@ def load_inputs(cfg):
     if cfg.topology_path is not None:
         try:
             with open(cfg.topology_path) as handle:
-                text = handle.read()
+                graph = from_edge_list(handle.read(), cfg.num_learners)
         except OSError as exc:
             raise ConfigError("cannot read [network] topology: %s" % (exc,),
                               key="topology") from exc
-        try:
-            graph = from_edge_list(text, num_nodes=cfg.num_learners)
-        except ValueError as exc:
+        except ValueError as exc:  # also text that is not UTF-8
             raise ConfigError("topology %s: %s" % (cfg.topology_path, exc),
                               key="topology") from None
         components = connected_components(graph)
@@ -458,11 +455,11 @@ def build_trial_context(cfg, trial_index, inputs=None):
     )
 
 
-def _empty_trace(ctx, algorithm, num_kernels):
+def _empty_trace(ctx, num_kernels):
     """A zeroed trace over the trial's horizon that a round loop fills in."""
     horizon, num_nodes = ctx.labels.shape
     return RunTrace(
-        algorithm=algorithm, graph=ctx.graph,
+        graph=ctx.graph,
         predictions=np.zeros((horizon, num_nodes)), labels=ctx.labels,
         per_kernel_losses=np.zeros((horizon, num_nodes, num_kernels)),
         cross_predictions=np.zeros((horizon, num_nodes, num_nodes)),
@@ -478,7 +475,7 @@ def _run_admm_family(ctx, cfg, kernel_indices, algorithm):
     """
     maps = tuple(ctx.maps[i] for i in kernel_indices)
     graph = ctx.graph
-    trace = _empty_trace(ctx, algorithm, len(maps))
+    trace = _empty_trace(ctx, len(maps))
     net = NetworkState(graph, maps, cfg.eta_global, relay=(
         algorithm == "domkl" and cfg.hedge_variant == "message_passing"))
 
@@ -511,7 +508,7 @@ def _run_comkl(ctx, cfg):
     both from one pooled feature block per kernel."""
     dots = np.empty((ctx.horizon, len(ctx.maps), ctx.labels.shape[1]))
     comparators = _pooled_pass(ctx, cfg, dots)
-    trace = _empty_trace(ctx, "comkl", len(ctx.maps))
+    trace = _empty_trace(ctx, len(ctx.maps))
     trace.predictions[:], weights, squared_errors = comkl_hedge(
         dots, ctx.labels, cfg.eta_global)
     trace.per_kernel_losses[:] = squared_errors.transpose(0, 2, 1)
@@ -555,8 +552,7 @@ def _pooled_pass(ctx, cfg, dots=None):
             dots[:, p], _ = comkl_step(np.zeros(block.shape[1]),
                                        (z, ctx.labels), cfg.comkl_step_size)
         except FloatingPointError as exc:
-            raise FloatingPointError("comkl kernel %d: %s"
-                                     % (fmap.kernel_index, exc)) from None
+            raise FloatingPointError("comkl kernel %d: %s" % (p, exc)) from None
 
     def fit_kernel():
         nonlocal best, best_loss, at_index
@@ -587,7 +583,7 @@ def _run_rff_dokl(ctx, cfg):
     """rff_dokl's trace; raises ``FloatingPointError`` naming the first
     round with a non-finite loss, or else the round whose step failed."""
     fmap = ctx.maps[cfg.kernel_index]
-    trace = _empty_trace(ctx, "rff_dokl", 1)
+    trace = _empty_trace(ctx, 1)
     trace.weights.fill(1.0)
     thetas = np.zeros((ctx.graph.num_nodes, 2 * cfg.num_features))
     try:
@@ -725,9 +721,8 @@ def aggregate(cfg, results):
             final_regret_a[algorithm] = float(np.mean(regret_a))
     return AggregateResult(
         algorithms=tuple(cfg.algorithms), rounds=mse.shape[1],
-        trials=cfg.trials, mse_mean=mse_mean, mse_std=mse_std,
-        cv_mean=cv_mean, cv_std=cv_std, final_regret_d=final_regret_d,
-        final_regret_a=final_regret_a,
+        mse_mean=mse_mean, mse_std=mse_std, cv_mean=cv_mean, cv_std=cv_std,
+        final_regret_d=final_regret_d, final_regret_a=final_regret_a,
     )
 
 

@@ -175,16 +175,19 @@ _TIMESERIES = [
     _TIMESERIES + [("ar_samples = 60", "ar_samples = 60\nar_order = 0")],
     _TIMESERIES + [("ar_samples = 60", "ar_samples = 3")],
     _TIMESERIES + [("ar_samples = 60", "ar_samples = 60\nar_noise_std = -1")],
+    [("num_nodes = 3", "num_nodes = 1")],
 ], ids=["rho", "connection_prob", "input_dim", "noise_std", "bandwidth",
         "bandwidths", "bandwidths_empty", "ar_coefficients", "ar_order",
-        "ar_samples", "ar_noise_std"])
+        "ar_samples", "ar_noise_std", "num_nodes"])
 def test_bad_values_exit_2(tmp_path, capsys, edits):
     text = _BASE_INI
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
     assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith("config error")
+    # The error names the key that the last edit set.
+    key = edits[-1][1].splitlines()[-1].split(" =")[0]
+    assert capsys.readouterr().err.startswith("config error: %s " % key)
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -518,6 +521,26 @@ def test_csv_errors_exit_2(tmp_path, capsys, case):
             text = _edit(task_edits, csv=bad_path)
             expected = "config error: %s: %s" % (bad_path, error)
         _run_and_sweep_exit_2(tmp_path, capsys, text, expected)
+
+
+@pytest.mark.parametrize("case", ["ini", "path", "topology"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, case):
+    """Bytes ff fe after a line longer than a read buffer stop run and
+    sweep before any trial, naming the file and their offset in it."""
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"#" * 9000 + b"\n\xff\xfe\n")
+    path = str(bad) if case == "ini" else _write_ini(tmp_path, _edit(
+        _REGRESSION if case == "path"
+        else [_after("num_nodes = 3", "topology = {csv}")], csv=bad))
+    for grid in ([], ["--rho", "10", "--eta-g", "10"]):
+        command = "sweep" if grid else "run"
+        assert main([command, "--config", path, "--out", str(tmp_path)]
+                    + grid) == 2
+        assert capsys.readouterr().err == (
+            "config error: %s%s: 'utf-8' codec can't decode byte 0xff in"
+            " position 9001: invalid start byte\n"
+            % ("topology " if case == "topology" else "", bad))
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize("normalize", ["true", "false"])

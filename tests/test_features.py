@@ -113,13 +113,13 @@ def test_weights_are_read_only():
         copy.weights[0, 0] = 5.0
     x = np.array([0.3, -1.2])
     assert copy.map(x).tobytes() == fmap.map(x).tobytes()
-    assert ((copy.bandwidth, copy.kernel_index, copy.seed, copy.num_features,
-             copy.input_dim) == (1.0, 0, 2, 3, 2))
+    assert ((copy.bandwidth, copy.seed, copy.num_features,
+             copy.input_dim) == (1.0, 2, 3, 2))
 
 
 def test_map_takes_its_sizes_from_its_weights():
     weights = np.random.default_rng(0).standard_normal((7, 3))
-    fmap = FeatureMap(weights=weights, kernel_index=2, seed=5, bandwidth=0.5)
+    fmap = FeatureMap(weights=weights, seed=5, bandwidth=0.5)
     assert (fmap.num_features, fmap.input_dim) == (7, 3)
     x = np.array([0.1, -0.4, 2.0])
     want = np.concatenate([np.sin(x @ weights.T), np.cos(x @ weights.T)])
@@ -139,8 +139,8 @@ def test_fingerprint_matches_digest_recipe_and_frozen_value():
                              seed=1)
     digest = hashlib.sha256()
     digest.update(fmap.weights.tobytes())
-    digest.update(("%d,%d,%d,%d" % (fmap.kernel_index, fmap.seed,
-                                    fmap.num_features,
+    # 0: the index such a map had when maps carried their kernel's index
+    digest.update(("%d,%d,%d,%d" % (0, fmap.seed, fmap.num_features,
                                     fmap.input_dim)).encode())
     # frozen: pins the generator stream that draws the weights
     assert digest.hexdigest() == (
@@ -161,7 +161,6 @@ def test_dictionary_map_seeds_are_offset_from_shared_seed():
     maps = build_maps((0.1, 1.0), input_dim=3, num_features=4,
                       shared_seed=100)
     assert [fm.seed for fm in maps] == [101, 102]
-    assert [fm.kernel_index for fm in maps] == [0, 1]
     assert [fm.bandwidth for fm in maps] == [0.1, 1.0]
     for fm in maps:
         alone = build_feature_map(fm.bandwidth, 3, 4, fm.seed)
@@ -169,8 +168,8 @@ def test_dictionary_map_seeds_are_offset_from_shared_seed():
     again = build_maps((0.1, 1.0), 3, 4, shared_seed=100)
     for a, b in zip(maps, again):
         assert a.weights.tobytes() == b.weights.tobytes()
-        assert ((a.kernel_index, a.seed, a.num_features, a.input_dim)
-                == (b.kernel_index, b.seed, b.num_features, b.input_dim))
+        assert ((a.seed, a.num_features, a.input_dim)
+                == (b.seed, b.num_features, b.input_dim))
 
 
 def test_dictionary_rejects_empty_specs():
@@ -276,7 +275,7 @@ def test_map_is_bitwise_the_same_at_any_width(monkeypatch, d, lead, most):
                 blocks = _at_width(monkeypatch, width)
                 got = fmap.map(scale * x).tobytes()
                 want = want or got
-                assert got == want, (fmap.kernel_index, scale, width)
+                assert got == want, (fmap.bandwidth, scale, width)
                 assert len(blocks) == _block_count(width, most)
                 assert sum(blocks) == lead[0]
 

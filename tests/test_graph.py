@@ -3,7 +3,6 @@ import pickle
 import numpy as np
 import pytest
 
-from domkl.errors import GraphSamplingError
 from domkl.graph import (
     Graph,
     connected_components,
@@ -180,13 +179,11 @@ def test_sampler_retry_schedule_is_reproducible():
 
 def test_sampler_reports_attempts_on_failure():
     # at this probability a 10-node draw is essentially never connected
-    with pytest.raises(GraphSamplingError) as info:
+    with pytest.raises(RuntimeError) as info:
         sample_connected_er(10, 0.001, seed=0, max_attempts=7)
-    assert info.value.attempts == 7
-    # A trial pool sends the error back from its worker pickled.
-    back = pickle.loads(pickle.dumps(info.value))
-    assert (type(back), str(back), back.attempts) == (
-        GraphSamplingError, str(info.value), 7)
+    assert (type(info.value), str(info.value)) == (
+        RuntimeError, "no connected graph in 7 attempts "
+        "(num_nodes=10, connection_prob=0.001)")
 
 
 def test_edge_list_round_trip():
@@ -196,14 +193,8 @@ def test_edge_list_round_trip():
     assert back == g
 
 
-def test_edge_list_infers_node_count():
-    g = from_edge_list("0 1\n1 4\n")
-    assert g.num_nodes == 5
-    assert g.edges == ((0, 1), (1, 4))
-
-
 def test_edge_list_errors_name_the_line():
     with pytest.raises(ValueError, match="line 2"):
-        from_edge_list("0 1\n1 one\n")
+        from_edge_list("0 1\n1 one\n", num_nodes=3)
     with pytest.raises(ValueError, match="line 1"):
-        from_edge_list("0 1 2\n")
+        from_edge_list("0 1 2\n", num_nodes=3)

@@ -26,7 +26,6 @@ def _trace(rng, rounds=7, learners=3, kernels=2, graph=None):
     idx = np.arange(learners)
     cross[:, idx, idx] = predictions
     return RunTrace(
-        algorithm="test",
         graph=graph,
         predictions=predictions,
         labels=rng.normal(size=(rounds, learners)),
@@ -41,7 +40,7 @@ def test_trace_shape_validation():
     good = _trace(rng)
     with pytest.raises(ValueError):
         RunTrace(
-            algorithm="t", graph=good.graph,
+            graph=good.graph,
             predictions=good.predictions,
             labels=good.labels[:, :2],
             per_kernel_losses=good.per_kernel_losses,
@@ -50,7 +49,7 @@ def test_trace_shape_validation():
         )
     with pytest.raises(ValueError):
         RunTrace(
-            algorithm="t", graph=good.graph,
+            graph=good.graph,
             predictions=good.predictions,
             labels=good.labels,
             per_kernel_losses=good.per_kernel_losses,
@@ -59,7 +58,7 @@ def test_trace_shape_validation():
         )
     with pytest.raises(ValueError):
         RunTrace(
-            algorithm="t", graph=good.graph,
+            graph=good.graph,
             predictions=good.predictions,
             labels=good.labels,
             per_kernel_losses=good.per_kernel_losses,
@@ -153,7 +152,7 @@ def test_cv_requires_two_learners():
     rng = np.random.default_rng(5)
     graph = Graph(1, ())
     trace = RunTrace(
-        algorithm="t", graph=graph,
+        graph=graph,
         predictions=rng.normal(size=(4, 1)),
         labels=rng.normal(size=(4, 1)),
         per_kernel_losses=rng.random((4, 1, 2)),
@@ -169,7 +168,7 @@ def test_cv_zero_when_functions_agree():
     trace = _trace(rng, rounds=4, learners=3)
     cross = np.repeat(trace.predictions[:, :, None], 3, axis=2)
     agreed = RunTrace(
-        algorithm="t", graph=trace.graph,
+        graph=trace.graph,
         predictions=trace.predictions, labels=trace.labels,
         per_kernel_losses=trace.per_kernel_losses,
         cross_predictions=cross, weights=trace.weights,
@@ -248,7 +247,7 @@ def test_regret_discrepancy_gaps_cancel_within_round():
     cross[:, 1, 0] = 0.4   # f_0 on node 1's sample
     cross[:, 2, 0] = -0.3  # f_0 on node 2's sample
     trace = RunTrace(
-        algorithm="t", graph=graph,
+        graph=graph,
         predictions=predictions, labels=np.zeros((3, 3)),
         per_kernel_losses=np.zeros((3, 3, 1)),
         cross_predictions=cross, weights=np.ones((3, 3, 1)),

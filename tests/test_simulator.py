@@ -166,7 +166,6 @@ def test_trial_maps_carry_config_bandwidths_and_seeds():
         assert tuple(m.bandwidth for m in maps) == bandwidths
         assert [m.seed for m in maps] == [map_seed + p + 1
                                           for p in range(len(bandwidths))]
-        assert [m.kernel_index for m in maps] == list(range(len(bandwidths)))
     assert len(maps) == 17
 
 
@@ -561,7 +560,7 @@ def test_influence_travels_one_hop_per_round(algorithm, variant, kind):
     ctx = build_trial_context(cfg, 0)
     if variant == "message_passing":  # on a path each hop is a tree hop
         ctx = dataclasses.replace(ctx, graph=from_edge_list(
-            "".join("%d %d\n" % (k, k + 1) for k in range(7))))
+            "".join("%d %d\n" % (k, k + 1) for k in range(7)), num_nodes=8))
     else:
         assert ctx.graph.edges == ((0, 4), (0, 5), (1, 2), (1, 3), (1, 6),
                                    (3, 5), (3, 7), (4, 6), (5, 7))
@@ -751,16 +750,17 @@ def test_repeated_algorithm_is_a_config_error():
 
 def test_graph_sampling_errors_read_the_same_in_a_pool():
     """Trial 0's failed ER sampling is reported in the same words by one
-    process and by a pool."""
+    process and by a pool, whose worker's error arrives intact."""
     reports = []
     for workers in (1, 2):
         cfg = _small_cfg(num_learners=5, connection_prob=0.4, max_attempts=1,
                          master_seed=0, trials=2, workers=workers)
         with pytest.raises(RuntimeError) as info:
             run_experiment(cfg)
-        reports.append(str(info.value))
-    assert reports == ["trial 0 failed: no connected graph in 1 attempts "
-                       "(num_nodes=5, connection_prob=0.4)"] * 2
+        reports.append((str(info.value), repr(info.value.__cause__)))
+    sampling = "no connected graph in 1 attempts (num_nodes=5, connection_prob=0.4)"
+    assert reports == [("trial 0 failed: " + sampling,
+                        "RuntimeError(%r)" % sampling)] * 2
 
 
 def test_trials_not_started_are_cancelled(monkeypatch):
