@@ -161,11 +161,11 @@ def _read_keys(path):
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as handle:
-            parser.read_string(handle.read(), source=path)
+            parser.read_file(handle, source=path)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from None
+        raise ConfigError("%s: not UTF-8 text" % path) from exc
     values = {}
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -11,7 +11,6 @@ function and autoregressive label sequences.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,38 +59,38 @@ def load_csv(path, label_column=-1, has_header=False):
     """
     rows = []
     with open(path, newline="") as handle:
-        try:  # all at once, so that an error gives the file offset
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError("%s: %s" % (path, exc), key="path") from None
-        reader = csv.reader(io.StringIO(text, newline=""))
-        for rownum, row in enumerate(reader, start=1):
-            if has_header and rownum == 1:
-                continue
-            if not row:
-                continue
-            values = []
-            for colnum, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    message = ("%s: row %d, column %d: non-numeric cell %r"
-                               % (path, rownum, colnum, cell))
-                    if rownum == 1:
+        reader = csv.reader(handle)
+        try:
+            for rownum, row in enumerate(reader, start=1):
+                if has_header and rownum == 1:
+                    continue
+                if not row:
+                    continue
+                values = []
+                for colnum, cell in enumerate(row, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        message = ("%s: row %d, column %d: non-numeric cell %r"
+                                   % (path, rownum, colnum, cell))
+                        if rownum == 1:
+                            raise ConfigError(
+                                message + "; if row 1 is a header, set "
+                                "has_header = true", key="has_header") from None
+                        raise ConfigError(message, key="path") from None
+                    if not math.isfinite(value):
                         raise ConfigError(
-                            message + "; if row 1 is a header, set "
-                            "has_header = true", key="has_header") from None
-                    raise ConfigError(message, key="path") from None
-                if not math.isfinite(value):
-                    raise ConfigError("%s: row %d, column %d: non-finite cell %r"
-                                      % (path, rownum, colnum, cell), key="path")
-                values.append(value)
-            if rows and len(values) != len(rows[0]):
-                raise ConfigError(
-                    "%s: row %d: expected %d columns, got %d"
-                    % (path, rownum, len(rows[0]), len(values)), key="path"
-                )
-            rows.append(values)
+                            "%s: row %d, column %d: non-finite cell %r"
+                            % (path, rownum, colnum, cell), key="path")
+                    values.append(value)
+                if rows and len(values) != len(rows[0]):
+                    raise ConfigError(
+                        "%s: row %d: expected %d columns, got %d"
+                        % (path, rownum, len(rows[0]), len(values)), key="path"
+                    )
+                rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s: not UTF-8 text" % path, key="path") from exc
     if not rows:
         raise ConfigError("%s: no data rows" % path, key="path")
     table = np.asarray(rows, dtype=np.float64)

@@ -7,18 +7,15 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# Kept unread for now: a column of the planned diagnostics.csv (ROADMAP
-# item 8A).
+# Unread until the planned diagnostics.csv (ROADMAP item 8A) uses it.
 ALLOWED = {"metrics.kernel_mse_curves"}
 
 
-def unread_names(root=ROOT):
-    """``module.name`` of each top-level function or class of src/domkl
-    whose name occurs in no program file outside its own definition."""
+def test_every_top_level_name_has_a_reader():
     texts = {path: path.read_text() for folder in ("src", "demos", "benchmarks")
-             for path in (root / folder).rglob("*.py")}
+             for path in (ROOT / folder).rglob("*.py")}
     unread = []
-    for path in sorted((root / "src" / "domkl").glob("*.py")):
+    for path in sorted((ROOT / "src" / "domkl").glob("*.py")):
         lines = texts[path].splitlines()
         for node in ast.parse(texts[path]).body:
             name = "%s.%s" % (path.stem, getattr(node, "name", ""))
@@ -30,8 +27,4 @@ def unread_names(root=ROOT):
             if not any(re.search(r"\b%s\b" % node.name, text)
                        for text in others + ["\n".join(rest)]):
                 unread.append(name)
-    return unread
-
-
-def test_every_top_level_name_has_a_reader():
-    assert unread_names() == []
+    assert unread == []

@@ -36,35 +36,12 @@ def _trace(rng, rounds=7, learners=3, kernels=2, graph=None):
 
 
 def test_trace_shape_validation():
-    rng = np.random.default_rng(0)
-    good = _trace(rng)
-    with pytest.raises(ValueError):
-        RunTrace(
-            graph=good.graph,
-            predictions=good.predictions,
-            labels=good.labels[:, :2],
-            per_kernel_losses=good.per_kernel_losses,
-            cross_predictions=good.cross_predictions,
-            weights=good.weights,
-        )
-    with pytest.raises(ValueError):
-        RunTrace(
-            graph=good.graph,
-            predictions=good.predictions,
-            labels=good.labels,
-            per_kernel_losses=good.per_kernel_losses,
-            cross_predictions=good.cross_predictions[:, :, :2],
-            weights=good.weights,
-        )
-    with pytest.raises(ValueError):
-        RunTrace(
-            graph=good.graph,
-            predictions=good.predictions,
-            labels=good.labels,
-            per_kernel_losses=good.per_kernel_losses,
-            cross_predictions=good.cross_predictions,
-            weights=good.weights[:, :, :1],
-        )
+    good = _trace(np.random.default_rng(0))
+    for name, cut, message in (("labels", np.s_[:, :2], "labels shape"),
+                               ("cross_predictions", np.s_[:, :, :2], "cross"),
+                               ("weights", np.s_[:, :, :1], "weights shape")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(good, **{name: getattr(good, name)[cut]})
 
 
 def test_truncate_trace():
@@ -167,12 +144,7 @@ def test_cv_zero_when_functions_agree():
     rng = np.random.default_rng(6)
     trace = _trace(rng, rounds=4, learners=3)
     cross = np.repeat(trace.predictions[:, :, None], 3, axis=2)
-    agreed = RunTrace(
-        graph=trace.graph,
-        predictions=trace.predictions, labels=trace.labels,
-        per_kernel_losses=trace.per_kernel_losses,
-        cross_predictions=cross, weights=trace.weights,
-    )
+    agreed = dataclasses.replace(trace, cross_predictions=cross)
     values = cv_curve(agreed)
     assert values[0] == 1.0
     assert not values[1:].any()
