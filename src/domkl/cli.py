@@ -15,11 +15,12 @@ Subcommands:
 
 Config files are INI text.  ``_KEYS`` lists every section and key, the
 config field each key sets and who reads it; a key left out keeps the
-field's dataclass default.  These are config errors, so a typo cannot
+field's dataclass default.  ``load_config`` only parses values, and the
+config classes check them.  These are config errors, so a typo cannot
 silently fall back to a default:
 
-- an unknown section or key, or a value that does not parse;
-- a non-finite float, in a float key or in a list of floats;
+- an unknown section or key, or a value that does not parse or that its
+  config class refuses, such as a non-finite float;
 - a key that the run never reads, because its task's data source and
   the selected algorithms are not among its readers.  ``[experiment]``
   and ``[network]`` are read by every run and exempt from this rule;
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import math
 import os
 import sys
 from dataclasses import replace
@@ -47,11 +47,9 @@ from .errors import ConfigError
 from .simulator import (
     ALGORITHMS,
     READERS,
-    TASKS,
-    ArTaskConfig,
-    CsvTaskConfig,
+    SOURCES,
     ExperimentConfig,
-    SyntheticTaskConfig,
+    data_source,
     run_experiment,
     sweep,
 )
@@ -72,26 +70,8 @@ def _parse_names(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _parse_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number: %r" % (text.strip(),))
-    return value
-
-
 def _parse_floats(text):
-    return tuple(_parse_float(tok) for tok in text.replace(",", " ").split())
-
-
-# Each task's data source: the ExperimentConfig field that holds its data
-# config, the config's class, and the field whose key must be present for
-# the config to be built (None: always built).
-_SOURCES = {
-    "synthetic": ("synthetic", SyntheticTaskConfig, None),
-    "regression": ("csv_data", CsvTaskConfig, "path"),
-    "csv_timeseries": ("csv_data", CsvTaskConfig, "path"),
-    "ar_timeseries": ("ar_synth", ArTaskConfig, "coefficients"),
-}
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 # Readers: the algorithms or data sources that read a key.  Keys of
 # [experiment] and [network] have none because every run reads them.  A
@@ -117,15 +97,14 @@ _KEYS = {
         (_parse_bool, "experiment", "compute_accuracy_regret", _EVERY),
     ("network", "num_nodes"): (int, "experiment", "num_learners", _EVERY),
     ("network", "connection_prob"):
-        (_parse_float, "experiment", "connection_prob", _EVERY),
+        (float, "experiment", "connection_prob", _EVERY),
     ("network", "topology"): (str, "experiment", "topology_path", _EVERY),
     ("network", "max_attempts"): (int, "experiment", "max_attempts", _EVERY),
-    ("algorithm.domkl", "rho"):
-        (_parse_float, "admm", "rho", READERS["rho"]),
+    ("algorithm.domkl", "rho"): (float, "admm", "rho", READERS["rho"]),
     ("algorithm.domkl", "eta_local"):
-        (_parse_float, "admm", "eta_local", READERS["rho"]),
+        (float, "admm", "eta_local", READERS["rho"]),
     ("algorithm.domkl", "eta_global"):
-        (_parse_float, "experiment", "eta_global", READERS["eta_global"]),
+        (float, "experiment", "eta_global", READERS["eta_global"]),
     ("algorithm.domkl", "num_features"):
         (int, "experiment", "num_features", ALGORITHMS),
     ("algorithm.domkl", "bandwidths"):
@@ -135,22 +114,22 @@ _KEYS = {
     ("algorithm.domkl", "hedge_variant"):
         (str, "experiment", "hedge_variant", ("domkl",)),
     ("algorithm.comkl", "step_size"):
-        (_parse_float, "experiment", "comkl_step_size", ("comkl",)),
+        (float, "experiment", "comkl_step_size", ("comkl",)),
     ("algorithm.rff_dokl", "step_size"):
-        (_parse_float, "experiment", "diffusion_step_size", ("rff_dokl",)),
+        (float, "experiment", "diffusion_step_size", ("rff_dokl",)),
     ("data", "path"): (str, "data", "path", _CSV),
     ("data", "label_column"): (int, "data", "label_column", _CSV),
     ("data", "has_header"): (_parse_bool, "data", "has_header", _CSV),
     ("data", "normalize"): (_parse_bool, "data", "normalize", _CSV),
     ("data", "shuffle"): (_parse_bool, "data", "shuffle", ("regression",)),
     ("data", "ar_order"): (int, "data", "ar_order", ("csv_timeseries",) + _AR),
-    ("data", "bandwidth"): (_parse_float, "data", "bandwidth", _SYN),
+    ("data", "bandwidth"): (float, "data", "bandwidth", _SYN),
     ("data", "input_dim"): (int, "data", "input_dim", _SYN),
-    ("data", "noise_std"): (_parse_float, "data", "noise_std", _SYN),
-    ("data", "theta_scale"): (_parse_float, "data", "theta_scale", _SYN),
+    ("data", "noise_std"): (float, "data", "noise_std", _SYN),
+    ("data", "theta_scale"): (float, "data", "theta_scale", _SYN),
     ("data", "ar_coefficients"): (_parse_floats, "data", "coefficients", _AR),
-    ("data", "ar_intercept"): (_parse_float, "data", "intercept", _AR),
-    ("data", "ar_noise_std"): (_parse_float, "data", "noise_std", _AR),
+    ("data", "ar_intercept"): (float, "data", "intercept", _AR),
+    ("data", "ar_noise_std"): (float, "data", "noise_std", _AR),
     ("data", "ar_samples"): (int, "data", "num_samples", _AR),
 }
 _SECTIONS = {section for section, _ in _KEYS}
@@ -160,7 +139,7 @@ def _read_keys(path):
     """The parsed value of every key in the file, by (section, key)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
@@ -186,17 +165,12 @@ def _read_keys(path):
 
 
 def load_config(path):
-    """Parse and validate an INI config into an ExperimentConfig."""
+    """Parse an INI config into an ExperimentConfig, which checks it."""
     values = _read_keys(path)
     task = values.get(("experiment", "task"), ExperimentConfig.task)
     algorithms = values.get(("experiment", "algorithms"),
                             ExperimentConfig.algorithms)
-    if task not in TASKS:
-        raise ConfigError("unknown task %r" % (task,), key="task")
-    source = task
-    if task == "timeseries":
-        from_csv = ("data", "path") in values
-        source = "csv_timeseries" if from_csv else "ar_timeseries"
+    source = data_source(task, ("data", "path") in values)
     selected = {source}.union(algorithms)
 
     fields = {"experiment": {}, "admm": {}, "data": {}}
@@ -209,7 +183,7 @@ def load_config(path):
                    ", ".join(algorithms)), key=key)
         fields[config][field] = value
 
-    data_field, data_class, required = _SOURCES[source]
+    data_field, data_class, required = SOURCES[source]
     if required is None or required in fields["data"]:
         fields["experiment"][data_field] = data_class(**fields["data"])
     return ExperimentConfig(admm=AdmmConfig(**fields["admm"]),
@@ -222,7 +196,7 @@ def _fmt(value):
 
 def _write_results(path, result):
     rows = 0
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["algorithm", "t", "mse_mean", "mse_std", "cv_mean", "cv_std"]
@@ -277,7 +251,7 @@ def cmd_sweep(config_path, rhos, eta_globals, out_dir="."):
     try:
         rows = sweep(load_config(config_path), rhos, eta_globals)
         out_path = os.path.join(out_dir, "sweep.csv")
-        with open(out_path, "w", newline="") as handle:
+        with open(out_path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["algorithm", "eta_g", "rho", "final_mse", "final_cv"])
             for row in rows:

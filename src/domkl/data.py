@@ -58,7 +58,7 @@ def load_csv(path, label_column=-1, has_header=False):
     was declared; a ``label_column`` outside the table names that key.
     """
     rows = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             for rownum, row in enumerate(reader, start=1):

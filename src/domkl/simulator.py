@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,12 +94,16 @@ class SyntheticTaskConfig:
     theta_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.bandwidth > 0.0:
-            raise ConfigError("bandwidth must be positive", key="bandwidth")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ConfigError("bandwidth must be positive and finite",
+                              key="bandwidth")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be at least 1", key="input_dim")
-        if not self.noise_std >= 0.0:
-            raise ConfigError("noise_std must be nonnegative", key="noise_std")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError("noise_std must be nonnegative and finite",
+                              key="noise_std")
+        if not math.isfinite(self.theta_scale):
+            raise ConfigError("theta_scale must be finite", key="theta_scale")
 
 
 @dataclass(frozen=True)
@@ -128,17 +133,40 @@ class ArTaskConfig:
     ar_order: int = 5
 
     def __post_init__(self):
-        if len(self.coefficients) < 1:
-            raise ConfigError("ar_coefficients needs at least one value",
-                              key="ar_coefficients")
-        if not self.noise_std >= 0.0:
-            raise ConfigError("ar_noise_std must be nonnegative",
+        if not (len(self.coefficients)
+                and all(map(math.isfinite, self.coefficients))):
+            raise ConfigError("ar_coefficients must be one or more finite"
+                              " values", key="ar_coefficients")
+        if not math.isfinite(self.intercept):
+            raise ConfigError("ar_intercept must be finite",
+                              key="ar_intercept")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError("ar_noise_std must be nonnegative and finite",
                               key="ar_noise_std")
         if self.ar_order < 1:
             raise ConfigError("ar_order must be at least 1", key="ar_order")
         if self.num_samples <= self.ar_order:
             raise ConfigError("ar_samples must exceed ar_order %d"
                               % self.ar_order, key="ar_samples")
+
+
+# Each data source's ExperimentConfig field and config class, and the field
+# that an INI file's [data] must set to build that config (None: always).
+SOURCES = {
+    "synthetic": ("synthetic", SyntheticTaskConfig, None),
+    "regression": ("csv_data", CsvTaskConfig, "path"),
+    "csv_timeseries": ("csv_data", CsvTaskConfig, "path"),
+    "ar_timeseries": ("ar_synth", ArTaskConfig, "coefficients"),
+}
+
+
+def data_source(task, from_csv):
+    """Which ``SOURCES`` entry ``task`` reads, given whether it names a CSV."""
+    if task not in TASKS:
+        raise ConfigError("unknown task %r" % (task,), key="task")
+    if task == "timeseries":
+        return "csv_timeseries" if from_csv else "ar_timeseries"
+    return task
 
 
 @dataclass(frozen=True)
@@ -169,8 +197,7 @@ class ExperimentConfig:
     compute_accuracy_regret: bool = False
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError("unknown task %r" % (self.task,), key="task")
+        source = data_source(self.task, self.csv_data is not None)
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError("unknown algorithm %r" % (alg,),
@@ -196,10 +223,10 @@ class ExperimentConfig:
         if self.num_features < 1:
             raise ConfigError("num_features must be at least 1",
                               key="num_features")
-        if self.bandwidths is not None and not (
-                self.bandwidths and all(b > 0.0 for b in self.bandwidths)):
-            raise ConfigError("bandwidths must be one or more positive values",
-                              key="bandwidths")
+        if self.bandwidths is not None and not (self.bandwidths and all(
+                0.0 < b < math.inf for b in self.bandwidths)):
+            raise ConfigError("bandwidths must be one or more positive finite"
+                              " values", key="bandwidths")
         size = len(self.bandwidths or DEFAULT_BANDWIDTHS)
         if not 0 <= self.kernel_index < size and _index_in_use(self) is not None:
             raise ConfigError("kernel_index %d outside dictionary of size %d"
@@ -207,35 +234,31 @@ class ExperimentConfig:
         if not 0.0 < self.connection_prob <= 1.0:
             raise ConfigError("connection_prob must be in (0, 1]",
                               key="connection_prob")
-        if not self.eta_global > 0.0:
-            raise ConfigError("eta_global must be positive", key="eta_global")
+        if not 0.0 < self.eta_global < math.inf:
+            raise ConfigError("eta_global must be positive and finite",
+                              key="eta_global")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be at least 1",
                               key="max_attempts")
-        if not self.comkl_step_size > 0.0:
-            raise ConfigError("comkl step_size must be positive",
+        if not 0.0 < self.comkl_step_size < math.inf:
+            raise ConfigError("comkl step_size must be positive and finite",
                               key="step_size")
-        if not self.diffusion_step_size > 0.0:
-            raise ConfigError("rff_dokl step_size must be positive",
+        if not 0.0 < self.diffusion_step_size < math.inf:
+            raise ConfigError("rff_dokl step_size must be positive and finite",
                               key="step_size")
-        reads = {"synthetic": "synthetic", "regression": "csv_data",
-                 "timeseries": "ar_synth" if self.csv_data is None
-                 else "csv_data"}[self.task]
         for name in ("synthetic", "csv_data", "ar_synth"):
-            if name != reads and getattr(self, name) is not None:
+            if name != SOURCES[source][0] and getattr(self, name) is not None:
                 raise ConfigError("a %s task never reads %s"
                                   % (self.task, name), key=name)
-        if self.task == "synthetic":
-            if self.rounds is None:
-                raise ConfigError("synthetic task needs rounds", key="rounds")
-        elif self.task == "regression":
-            if self.csv_data is None:
-                raise ConfigError("regression task needs a data path", key="path")
-        elif self.csv_data is None and self.ar_synth is None:
+        if self.task == "synthetic" and self.rounds is None:
+            raise ConfigError("synthetic task needs rounds", key="rounds")
+        if self.task == "regression" and self.csv_data is None:
+            raise ConfigError("regression task needs a data path", key="path")
+        if source == "ar_timeseries" and self.ar_synth is None:
             raise ConfigError("timeseries task needs a data path or AR spec",
                               key="path")
-        elif (self.csv_data is None and self.ar_synth.num_samples
-              - self.ar_synth.ar_order < self.num_learners):
+        if (source == "ar_timeseries" and self.ar_synth.num_samples
+                - self.ar_synth.ar_order < self.num_learners):
             raise ConfigError("ar_samples leaves fewer windows than learners",
                               key="ar_samples")
 
@@ -315,7 +338,7 @@ def load_inputs(cfg):
     graph = dataset = None
     if cfg.topology_path is not None:
         try:
-            with open(cfg.topology_path) as handle:
+            with open(cfg.topology_path, encoding="utf-8") as handle:
                 graph = from_edge_list(handle.read(), cfg.num_learners)
         except OSError as exc:
             raise ConfigError("cannot read [network] topology: %s" % (exc,),
@@ -733,7 +756,8 @@ def sweep(cfg, rhos, eta_globals):
     read, so the files are read once for the whole grid.  Raises
     ``ConfigError`` for an empty axis, or for one that repeats a value or
     has more than one value and no selected algorithm reads it, since two
-    of its cells would then be the same run.
+    of its cells would then be the same run.  Every cell is built, and so
+    checked, before the files are read or a trial runs.
     """
     for name, values in (("rho", rhos), ("eta_global", eta_globals)):
         if not values:
@@ -747,17 +771,17 @@ def sweep(cfg, rhos, eta_globals):
             raise ConfigError(
                 "%s takes %d values, but only %s read it and none is selected"
                 % (name, len(set(values)), " and ".join(readers)), key="grid")
+    cells = [replace(cfg, eta_global=eta, admm=replace(cfg.admm, rho=rho))
+             for eta in sorted(eta_globals) for rho in sorted(rhos)]
     inputs = load_inputs(cfg)
     rows = []
-    for eta in sorted(eta_globals):
-        for rho in sorted(rhos):
-            cell = replace(cfg, eta_global=eta,
-                           admm=replace(cfg.admm, rho=rho))
-            result = aggregate(cell, _trial_results(cell, inputs))
-            for algorithm in cfg.algorithms:
-                rows.append(SweepRow(
-                    algorithm=algorithm, eta_global=eta, rho=rho,
-                    final_mse=float(result.mse_mean[algorithm][-1]),
-                    final_cv=float(result.cv_mean[algorithm][-1]),
-                ))
+    for cell in cells:
+        result = aggregate(cell, _trial_results(cell, inputs))
+        for algorithm in cfg.algorithms:
+            rows.append(SweepRow(
+                algorithm=algorithm, eta_global=cell.eta_global,
+                rho=cell.admm.rho,
+                final_mse=float(result.mse_mean[algorithm][-1]),
+                final_cv=float(result.cv_mean[algorithm][-1]),
+            ))
     return rows

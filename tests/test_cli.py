@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,12 +18,14 @@ from domkl.admm import AdmmConfig
 from domkl.cli import cmd_run, cmd_sweep, cmd_validate, load_config, main
 from domkl.errors import ConfigError
 from domkl.simulator import (
+    SOURCES,
     ArTaskConfig,
     CsvTaskConfig,
     ExperimentConfig,
     SyntheticTaskConfig,
     load_inputs,
     run_trial,
+    sweep,
 )
 
 _BASE_INI = """\
@@ -451,28 +456,36 @@ def test_unread_keys_exit_2(tmp_path, capsys, edits, key):
     assert not (tmp_path / "results.csv").exists()
 
 
-@pytest.mark.parametrize("edits, key", [
-    ([_after("noise_std = 0.02", "theta_scale = nan")], "theta_scale"),
-    ([_after("noise_std = 0.02", "theta_scale = inf")], "theta_scale"),
-    ([("noise_std = 0.02", "noise_std = inf")], "noise_std"),
-    ([("bandwidth = 0.1", "bandwidth = inf")], "bandwidth"),
-    ([("bandwidths = 0.05, 0.1", "bandwidths = inf")], "bandwidths"),
+_POSITIVE = "must be positive and finite"
+_NONNEGATIVE = "must be nonnegative and finite"
+
+
+@pytest.mark.parametrize("edits, key, message", [
+    ([_after("noise_std = 0.02", "theta_scale = nan")], "theta_scale",
+     "must be finite"),
+    ([_after("noise_std = 0.02", "theta_scale = inf")], "theta_scale",
+     "must be finite"),
+    ([("noise_std = 0.02", "noise_std = inf")], "noise_std", _NONNEGATIVE),
+    ([("bandwidth = 0.1", "bandwidth = inf")], "bandwidth", _POSITIVE),
+    ([("bandwidths = 0.05, 0.1", "bandwidths = inf")], "bandwidths",
+     "must be one or more positive finite values"),
     (_TIMESERIES + [_after("ar_samples = 60", "ar_intercept = nan")],
-     "ar_intercept"),
+     "ar_intercept", "must be finite"),
     (_TIMESERIES + [("ar_coefficients = 0.5 -0.2",
                      "ar_coefficients = 0.5 nan")],
-     "ar_coefficients"),
+     "ar_coefficients", "must be one or more finite values"),
     (_TIMESERIES + [_after("ar_samples = 60", "ar_noise_std = inf")],
-     "ar_noise_std"),
+     "ar_noise_std", _NONNEGATIVE),
 ], ids=["theta_scale_nan", "theta_scale_inf", "noise_std_inf",
         "bandwidth_inf", "bandwidths_inf", "ar_intercept_nan",
         "ar_coefficients_nan", "ar_noise_std_inf"])
-def test_non_finite_values_exit_2(tmp_path, capsys, edits, key):
-    text = _edit(edits)
-    assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: bad value for %r" % key)
-    assert "not a finite number" in err
+def test_non_finite_values_exit_2(tmp_path, capsys, edits, key, message):
+    path = _write_ini(tmp_path, _edit(edits))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.key == key
+    assert cmd_run(path, out_dir=str(tmp_path)) == 2
+    assert capsys.readouterr().err == "config error: %s %s\n" % (key, message)
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -480,7 +493,10 @@ def test_non_finite_grid_flag_exit_2(tmp_path, capsys):
     path = _write_ini(tmp_path)
     assert main(["sweep", "--config", path, "--rho", "10,inf",
                  "--eta-g", "10", "--out", str(tmp_path)]) == 2
-    assert "bad grid flag: not a finite number" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: rho %s\n" % _POSITIVE
+    with pytest.raises(ConfigError) as info:
+        sweep(load_config(path), (10.0, float("inf")), (10.0,))
+    assert info.value.key == "rho"
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -544,6 +560,28 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, case):
         with pytest.raises(ConfigError) as info:
             load_inputs(load_config(path))
         assert info.value.key == case
+
+
+def test_text_is_read_as_utf8_in_the_c_locale(tmp_path):
+    """An INI comment and a CSV header cell outside ASCII load even where
+    the locale would decode text as ASCII."""
+    csv_path = _write_data_csv(tmp_path)
+    csv_path.write_text("x,y,café\n" + csv_path.read_text(), encoding="utf-8")
+    ini = tmp_path / "exp.ini"
+    ini.write_text("# é\n" + _edit(
+        _REGRESSION + [_after("path = {csv}", "has_header = true")],
+        csv=csv_path), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from domkl.cli import main; sys.exit(main())",
+         "run", "--config", str(ini), "--out", str(tmp_path)],
+        stderr=subprocess.PIPE, stdout=subprocess.DEVNULL, env=env,
+        timeout=120)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    assert (tmp_path / "results.csv").exists()
 
 
 @pytest.mark.parametrize("normalize", ["true", "false"])
@@ -709,7 +747,7 @@ def _config_classes(config, readers):
         return {ExperimentConfig}
     if config == "admm":
         return {AdmmConfig}
-    return {cli._SOURCES[source][1] for source in readers}
+    return {SOURCES[source][1] for source in readers}
 
 
 def test_every_config_field_has_one_key():
@@ -753,6 +791,24 @@ _SOURCE_CONTEXT = {
 }
 
 
+def _setting_ini(row, raw, source):
+    """INI text that sets the key of ``row`` to ``raw`` in a run with data
+    source ``source`` and the first algorithm that reads the key."""
+    section, key = row
+    readers = cli._KEYS[row][3]
+    algorithm = readers[0] if section.startswith("algorithm.") else "domkl"
+    task, data = _SOURCE_CONTEXT[source]
+    sections = {
+        "experiment": {"task": task, "algorithms": algorithm, "rounds": "5"},
+        "data": dict(data),
+    }
+    sections.setdefault(section, {})[key] = raw
+    return "".join(
+        "[%s]\n%s\n" % (name, "".join("%s = %s\n" % kv
+                                      for kv in keys.items()))
+        for name, keys in sections.items())
+
+
 @pytest.mark.parametrize("row", sorted(cli._KEYS),
                          ids=["%s.%s" % row for row in sorted(cli._KEYS)])
 def test_key_sets_its_field(tmp_path, row):
@@ -764,29 +820,39 @@ def test_key_sets_its_field(tmp_path, row):
         sources = readers
     else:
         sources = ("regression" if key == "task" else "synthetic",)
-    algorithm = readers[0] if section.startswith("algorithm.") else "domkl"
     for source in sources:
-        task, data = _SOURCE_CONTEXT[source]
-        sections = {
-            "experiment": {"task": task, "algorithms": algorithm,
-                           "rounds": "5"},
-            "data": dict(data),
-        }
-        sections.setdefault(section, {})[key] = raw
-        text = "".join(
-            "[%s]\n%s\n" % (name, "".join("%s = %s\n" % kv
-                                          for kv in keys.items()))
-            for name, keys in sections.items())
-        cfg = load_config(_write_ini(tmp_path, text))
+        cfg = load_config(_write_ini(tmp_path, _setting_ini(row, raw, source)))
         if config == "experiment":
             target = cfg
         elif config == "admm":
             target = cfg.admm
         else:
-            target = getattr(cfg, cli._SOURCES[source][0])
+            target = getattr(cfg, SOURCES[source][0])
         default = {f.name: f.default for f in dataclasses.fields(target)}
         assert getattr(target, field) == parse(raw)
         assert getattr(target, field) != default[field]
+
+
+_FLOAT_ROWS = sorted(row for row, (parse, *_) in cli._KEYS.items()
+                     if parse in (float, cli._parse_floats))
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", _FLOAT_ROWS,
+                         ids=["%s.%s" % row for row in _FLOAT_ROWS])
+def test_non_finite_value_fails_alike_in_python_and_ini(tmp_path, row, raw):
+    """The config class that holds a float field refuses a non-finite
+    value with the same error whether it is built directly or from INI."""
+    section, key = row
+    parse, config, field, readers = cli._KEYS[row]
+    (cls,) = _config_classes(config, readers)
+    with pytest.raises(ConfigError) as built:
+        cls(**{field: parse(raw)})
+    source = readers[0] if section == "data" else "synthetic"
+    with pytest.raises(ConfigError) as loaded:
+        load_config(_write_ini(tmp_path, _setting_ini(row, raw, source)))
+    assert str(loaded.value) == str(built.value)
+    assert loaded.value.key == built.value.key == key
 
 
 # One four-algorithm synthetic trial with accuracy regret on.  Every key

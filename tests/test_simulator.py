@@ -1289,6 +1289,24 @@ def test_sweep_rejects_an_axis_no_algorithm_reads(algorithms, grid, named):
     assert len(sweep(mixed, **grid)) == 2 * len(mixed.algorithms)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0],
+                         ids=["nan", "inf", "-inf", "zero"])
+@pytest.mark.parametrize("axis, key", [("rhos", "rho"),
+                                       ("eta_globals", "eta_global")])
+def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch, axis,
+                                                        key, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid ran a trial")
+
+    monkeypatch.setattr(simulator, "run_trial", refuse)
+    grid = dict(rhos=(10.0,), eta_globals=(10.0,))
+    grid[axis] = (10.0, bad)
+    with pytest.raises(ConfigError, match="^%s must be positive and finite$"
+                       % key) as info:
+        sweep(_small_cfg(rounds=5), **grid)
+    assert info.value.key == key
+
+
 def test_sweep_reads_its_files_once(tmp_path, monkeypatch):
     topology, data = _write_path_and_csv(tmp_path)
     cfg = ExperimentConfig(
