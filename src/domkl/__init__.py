@@ -15,7 +15,6 @@ names below are the documented surface; everything else stays
 importable from its submodule as ``domkl.<module>.<name>``.
 """
 
-from .admm import AdmmConfig
 from .baselines import comkl_step, rff_dokl_step
 from .errors import ConfigError
 from .features import build_feature_map, gaussian_kernel
@@ -24,6 +23,7 @@ from .hedge import combine_weights, mp_combine_weights
 from .learners import step
 from .metrics import cv_curve, mse_curve
 from .simulator import (
+    AdmmConfig,
     ArTaskConfig,
     CsvTaskConfig,
     ExperimentConfig,

@@ -13,32 +13,7 @@ both a single (dim,) vector and a stacked (num_kernels, dim) block.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Penalty weights of the per-round objective.
-
-    ``rho`` scales the consensus penalty toward neighborhood midpoints,
-    ``eta_local`` the proximal pull toward the previous iterate.  Both
-    must be positive and finite; the defaults are the stock operating point.
-    """
-
-    rho: float = 100.0
-    eta_local: float = 10.0
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < math.inf:
-            raise ConfigError("rho must be positive and finite", key="rho")
-        if not 0.0 < self.eta_local < math.inf:
-            raise ConfigError("eta_local must be positive and finite",
-                              key="eta_local")
 
 
 def gamma_hat(own_theta, neighbor_thetas):

@@ -13,11 +13,11 @@ Subcommands:
 ``validate``
     Run the fast invariant suite and print one pass/fail line per check.
 
-Config files are INI text.  ``_KEYS`` lists every section and key, the
-config field each key sets and who reads it; a key left out keeps the
-field's dataclass default.  ``load_config`` only parses values, and the
-config classes check them.  These are config errors, so a typo cannot
-silently fall back to a default:
+Config files are INI text.  ``simulator.KEYS`` lists every key, the
+field it sets, the kind of its value and who reads it; a key left out
+keeps the field's default.  ``load_config`` parses each value by its
+kind, and the config classes check them.  These are config errors, so a
+typo cannot silently fall back to a default:
 
 - an unknown section or key, or a value that does not parse or that its
   config class refuses, such as a non-finite float;
@@ -42,26 +42,23 @@ import os
 import sys
 from dataclasses import replace
 
-from .admm import AdmmConfig
 from .errors import ConfigError
 from .simulator import (
-    ALGORITHMS,
-    READERS,
+    KEYS,
     SOURCES,
+    AdmmConfig,
     ExperimentConfig,
+    check_key,
     data_source,
     run_experiment,
     sweep,
 )
 from . import validate as validate_mod
 
-_BOOLEAN = {"1": True, "true": True, "yes": True, "on": True,
-            "0": False, "false": False, "no": False, "off": False}
-
 
 def _parse_bool(text):
     try:
-        return _BOOLEAN[text.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
     except KeyError:
         raise ValueError("not a boolean: %r" % (text,))
 
@@ -73,66 +70,11 @@ def _parse_names(text):
 def _parse_floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
-# Readers: the algorithms or data sources that read a key.  Keys of
-# [experiment] and [network] have none because every run reads them.  A
-# topology file does leave connection_prob and max_attempts unread, but
-# configs that keep both beside a topology load today, so they still do.
-_EVERY = ()
-_CSV = ("regression", "csv_timeseries")
-_SYN = ("synthetic",)
-_AR = ("ar_timeseries",)
 
-# (section, key) -> (parser, config, field, readers), where ``config``
-# names the object that holds the field: "experiment" (ExperimentConfig),
-# "admm" (AdmmConfig) or "data" (the data source's config).
-_KEYS = {
-    ("experiment", "task"): (str, "experiment", "task", _EVERY),
-    ("experiment", "algorithms"):
-        (_parse_names, "experiment", "algorithms", _EVERY),
-    ("experiment", "trials"): (int, "experiment", "trials", _EVERY),
-    ("experiment", "rounds"): (int, "experiment", "rounds", _EVERY),
-    ("experiment", "seed"): (int, "experiment", "master_seed", _EVERY),
-    ("experiment", "workers"): (int, "experiment", "workers", _EVERY),
-    ("experiment", "accuracy_regret"):
-        (_parse_bool, "experiment", "compute_accuracy_regret", _EVERY),
-    ("network", "num_nodes"): (int, "experiment", "num_learners", _EVERY),
-    ("network", "connection_prob"):
-        (float, "experiment", "connection_prob", _EVERY),
-    ("network", "topology"): (str, "experiment", "topology_path", _EVERY),
-    ("network", "max_attempts"): (int, "experiment", "max_attempts", _EVERY),
-    ("algorithm.domkl", "rho"): (float, "admm", "rho", READERS["rho"]),
-    ("algorithm.domkl", "eta_local"):
-        (float, "admm", "eta_local", READERS["rho"]),
-    ("algorithm.domkl", "eta_global"):
-        (float, "experiment", "eta_global", READERS["eta_global"]),
-    ("algorithm.domkl", "num_features"):
-        (int, "experiment", "num_features", ALGORITHMS),
-    ("algorithm.domkl", "bandwidths"):
-        (_parse_floats, "experiment", "bandwidths", ALGORITHMS),
-    ("algorithm.domkl", "kernel_index"):
-        (int, "experiment", "kernel_index", READERS["kernel_index"]),
-    ("algorithm.domkl", "hedge_variant"):
-        (str, "experiment", "hedge_variant", ("domkl",)),
-    ("algorithm.comkl", "step_size"):
-        (float, "experiment", "comkl_step_size", ("comkl",)),
-    ("algorithm.rff_dokl", "step_size"):
-        (float, "experiment", "diffusion_step_size", ("rff_dokl",)),
-    ("data", "path"): (str, "data", "path", _CSV),
-    ("data", "label_column"): (int, "data", "label_column", _CSV),
-    ("data", "has_header"): (_parse_bool, "data", "has_header", _CSV),
-    ("data", "normalize"): (_parse_bool, "data", "normalize", _CSV),
-    ("data", "shuffle"): (_parse_bool, "data", "shuffle", ("regression",)),
-    ("data", "ar_order"): (int, "data", "ar_order", ("csv_timeseries",) + _AR),
-    ("data", "bandwidth"): (float, "data", "bandwidth", _SYN),
-    ("data", "input_dim"): (int, "data", "input_dim", _SYN),
-    ("data", "noise_std"): (float, "data", "noise_std", _SYN),
-    ("data", "theta_scale"): (float, "data", "theta_scale", _SYN),
-    ("data", "ar_coefficients"): (_parse_floats, "data", "coefficients", _AR),
-    ("data", "ar_intercept"): (float, "data", "intercept", _AR),
-    ("data", "ar_noise_std"): (float, "data", "noise_std", _AR),
-    ("data", "ar_samples"): (int, "data", "num_samples", _AR),
-}
-_SECTIONS = {section for section, _ in _KEYS}
+# The parser of each kind of value in ``simulator.KEYS``.
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str,
+            (float,): _parse_floats, (str,): _parse_names}
+_SECTIONS = {section for section, _ in KEYS}
 
 
 def _read_keys(path):
@@ -150,44 +92,44 @@ def _read_keys(path):
         if section not in _SECTIONS:
             raise ConfigError("unknown section [%s]" % (section,), key=section)
         for key, raw in parser.items(section):
-            if (section, key) not in _KEYS:
-                raise ConfigError(
-                    "unknown key %r in [%s]" % (key, section), key=key
-                )
+            if (section, key) not in KEYS:
+                raise ConfigError("unknown key %r in [%s]" % (key, section),
+                                  key=key)
             try:
-                values[section, key] = _KEYS[section, key][0](raw)
+                values[section, key] = _PARSERS[KEYS[section, key].kind](raw)
             except ValueError as exc:
-                raise ConfigError(
-                    "bad value for %r in [%s]: %s" % (key, section, exc),
-                    key=key,
-                ) from exc
+                raise ConfigError("bad value for %r in [%s]: %s"
+                                  % (key, section, exc), key=key) from exc
     return values
 
 
 def load_config(path):
-    """Parse an INI config into an ExperimentConfig, which checks it."""
+    """Parse an INI config into an ExperimentConfig, which checks it; the
+    task and algorithms first, as they decide which keys the run reads."""
     values = _read_keys(path)
     task = values.get(("experiment", "task"), ExperimentConfig.task)
     algorithms = values.get(("experiment", "algorithms"),
                             ExperimentConfig.algorithms)
+    check_key("experiment", "task", task)
+    check_key("experiment", "algorithms", algorithms)
     source = data_source(task, ("data", "path") in values)
     selected = {source}.union(algorithms)
 
-    fields = {"experiment": {}, "admm": {}, "data": {}}
+    fields, data = {"ExperimentConfig": {}, "AdmmConfig": {}}, {}
     for (section, key), value in values.items():
-        _, config, field, readers = _KEYS[section, key]
-        if readers and selected.isdisjoint(readers):
+        row = KEYS[section, key]
+        if row.readers and selected.isdisjoint(row.readers):
             raise ConfigError(
                 "%r in [%s] is read only by %s; this run is %s with %s"
-                % (key, section, ", ".join(readers), source,
+                % (key, section, ", ".join(row.readers), source,
                    ", ".join(algorithms)), key=key)
-        fields[config][field] = value
+        fields.get(row.holders[0], data)[row.field] = value
 
     data_field, data_class, required = SOURCES[source]
-    if required is None or required in fields["data"]:
-        fields["experiment"][data_field] = data_class(**fields["data"])
-    return ExperimentConfig(admm=AdmmConfig(**fields["admm"]),
-                            **fields["experiment"])
+    if required is None or required in data:
+        fields["ExperimentConfig"][data_field] = data_class(**data)
+    return ExperimentConfig(admm=AdmmConfig(**fields["AdmmConfig"]),
+                            **fields["ExperimentConfig"])
 
 
 def _fmt(value):
@@ -195,24 +137,16 @@ def _fmt(value):
 
 
 def _write_results(path, result):
-    rows = 0
+    curves = ("mse_mean", "mse_std", "cv_mean", "cv_std")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["algorithm", "t", "mse_mean", "mse_std", "cv_mean", "cv_std"]
-        )
+        writer.writerow(("algorithm", "t") + curves)
         for algorithm in result.algorithms:
+            columns = [getattr(result, name)[algorithm] for name in curves]
             for t in range(result.rounds):
-                writer.writerow([
-                    algorithm,
-                    t + 1,
-                    _fmt(result.mse_mean[algorithm][t]),
-                    _fmt(result.mse_std[algorithm][t]),
-                    _fmt(result.cv_mean[algorithm][t]),
-                    _fmt(result.cv_std[algorithm][t]),
-                ])
-                rows += 1
-    return rows
+                writer.writerow([algorithm, t + 1]
+                                + [_fmt(column[t]) for column in columns])
+    return len(result.algorithms) * result.rounds
 
 
 def cmd_run(config_path, out_dir=".", seed=None, trials=None):
@@ -254,11 +188,9 @@ def cmd_sweep(config_path, rhos, eta_globals, out_dir="."):
         with open(out_path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["algorithm", "eta_g", "rho", "final_mse", "final_cv"])
-            for row in rows:
-                writer.writerow([
-                    row.algorithm, _fmt(row.eta_global), _fmt(row.rho),
-                    _fmt(row.final_mse), _fmt(row.final_cv),
-                ])
+            writer.writerows([row.algorithm] + [_fmt(value) for value in (
+                row.eta_global, row.rho, row.final_mse, row.final_cv)]
+                for row in rows)
     except ConfigError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)
         return 2

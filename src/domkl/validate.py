@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admm import AdmmConfig
 from .features import build_feature_map, build_maps
 from .graph import Graph, sample_connected_er
 from .hedge import combine_weights
 from .learners import NetworkState, step
 from .oracle import JointStepProblem, joint_round
-from .simulator import ExperimentConfig, run_trial
+from .simulator import AdmmConfig, ExperimentConfig, run_trial
 
 
 def check_feature_norm():

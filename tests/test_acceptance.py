@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from domkl.admm import (
-    AdmmConfig,
     gamma_hat,
     lambda_update,
     theta_update_quadratic,
@@ -23,6 +22,7 @@ from domkl.hedge import mp_combine_weights
 from domkl.metrics import cv_curve, kernel_mse_curves, mse_curve
 from domkl.oracle import JointStepProblem, joint_round
 from domkl.simulator import (
+    AdmmConfig,
     ExperimentConfig,
     SyntheticTaskConfig,
     _pooled_pass,

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from domkl.admm import (
-    AdmmConfig,
     gamma_hat,
     lambda_update,
     theta_update_quadratic,
 )
 from domkl.graph import sample_connected_er
+from domkl.simulator import AdmmConfig
 
 
 def _round_objective(theta, theta_old, lam, z, label, gamma, degree, cfg):

@@ -14,11 +14,12 @@ import pytest
 
 import domkl.learners
 from domkl import cli
-from domkl.admm import AdmmConfig
 from domkl.cli import cmd_run, cmd_sweep, cmd_validate, load_config, main
 from domkl.errors import ConfigError
 from domkl.simulator import (
+    KEYS,
     SOURCES,
+    AdmmConfig,
     ArTaskConfig,
     CsvTaskConfig,
     ExperimentConfig,
@@ -733,37 +734,84 @@ def test_csv_too_short_for_the_run_exits_2(tmp_path, capsys, case):
 
 
 def test_unread_key_error_names_the_run(tmp_path, capsys):
-    # A misspelt algorithm leaves its section unread; the error shows why.
-    text = _edit([("algorithms = domkl", "algorithms = domk")])
+    # A selected algorithm that reads no [algorithm.domkl] ADMM key; the
+    # error shows why the key is unread.
+    text = _edit([("algorithms = domkl", "algorithms = comkl")])
     assert cmd_run(_write_ini(tmp_path, text), out_dir=str(tmp_path)) == 2
     assert capsys.readouterr().err.startswith(
         "config error: 'rho' in [algorithm.domkl] is read only by domkl, dokl;"
-        " this run is synthetic with domk")
+        " this run is synthetic with comkl")
 
 
-def _config_classes(config, readers):
-    """The config classes a row of the key table sets a field of."""
-    if config == "experiment":
-        return {ExperimentConfig}
-    if config == "admm":
-        return {AdmmConfig}
-    return {SOURCES[source][1] for source in readers}
+@pytest.mark.parametrize("edit, key, message", [
+    (("algorithms = domkl", "algorithms = domkl, dmkl"), "algorithms",
+     "one or more of domkl, dokl, comkl, rff_dokl, not 'dmkl'"),
+    (("task = synthetic", "task = synthetc"), "task",
+     "one of synthetic, regression, timeseries, not 'synthetc'"),
+], ids=["algorithms", "task"])
+def test_unknown_choice_is_named_before_unread_keys(tmp_path, capsys, edit,
+                                                     key, message):
+    """A misspelt algorithm or task is named under its own key, not hidden
+    behind an unread-key error for a section that it leaves unread."""
+    text = _edit([edit, _after("noise_std = 0.02",
+                               "\n[algorithm.comkl]\nstep_size = 0.3")])
+    with pytest.raises(ConfigError) as info:
+        load_config(_write_ini(tmp_path, text))
+    assert info.value.key == key
+    _run_and_sweep_exit_2(tmp_path, capsys, text,
+                          "config error: %s must be %s\n" % (key, message))
+
+
+# Each config class by name, as ``KEYS`` names the holders of a key.
+_CLASSES = {cls.__name__: cls for cls in (
+    ExperimentConfig, AdmmConfig, SyntheticTaskConfig, CsvTaskConfig,
+    ArTaskConfig)}
 
 
 def test_every_config_field_has_one_key():
     nested = {"admm", "synthetic", "csv_data", "ar_synth"}
-    classes = (ExperimentConfig, AdmmConfig, SyntheticTaskConfig,
-               CsvTaskConfig, ArTaskConfig)
-    for cls in classes:
+    for name, cls in _CLASSES.items():
         for field in dataclasses.fields(cls):
             if cls is ExperimentConfig and field.name in nested:
                 continue
-            rows = [
-                row for row, (_, config, name, readers) in cli._KEYS.items()
-                if name == field.name
-                and cls in _config_classes(config, readers)
-            ]
-            assert len(rows) == 1, (cls.__name__, field.name, rows)
+            rows = [row for row, entry in KEYS.items()
+                    if entry.field == field.name and name in entry.holders]
+            assert len(rows) == 1, (name, field.name, rows)
+    for row, entry in KEYS.items():
+        assert set(entry.holders) <= set(_CLASSES), row
+
+
+# Values of the wrong type for each kind of key: every one is refused
+# where the config class is built, before a trial could fail on it.
+_WRONG_TYPES = {int: (3.5, True), bool: ("no", 1), float: (True, "0.5"),
+                str: (3,), (float,): ("0.5",), (str,): ("domkl",)}
+_TYPE_CASES = [(row, holder, bad) for row, entry in sorted(KEYS.items())
+               for holder in entry.holders
+               for bad in _WRONG_TYPES[entry.kind]]
+
+
+@pytest.mark.parametrize("row, holder, bad", _TYPE_CASES, ids=[
+    "%s.%s-%s-%r" % (row + (holder, bad)) for row, holder, bad in _TYPE_CASES])
+def test_value_of_the_wrong_type_is_refused_at_construction(row, holder, bad):
+    section, key = row
+    entry = KEYS[row]
+    kwargs = {"path": "data.csv"} if holder == "CsvTaskConfig" else {}
+    kwargs[entry.field] = bad
+    with pytest.raises(ConfigError) as info:
+        _CLASSES[holder](**kwargs)
+    assert info.value.key == key
+    assert str(info.value).startswith("%s must be " % key)
+
+
+def test_integers_pass_as_operator_index_takes_them():
+    """An integer field takes what ``operator.index`` takes, a float field
+    also takes an integer, and neither value is converted."""
+    cfg = ExperimentConfig(rounds=np.int64(5), num_learners=np.int32(3),
+                           eta_global=2, admm=AdmmConfig(rho=100))
+    assert (cfg.rounds, cfg.num_learners) == (5, 3)
+    assert type(cfg.eta_global) is int and type(cfg.admm.rho) is int
+    with pytest.raises(ConfigError, match="^rounds must be at least 1$"):
+        ExperimentConfig(rounds=np.int64(0))
 
 
 # A value unlike the dataclass default for every key, as INI text.
@@ -795,7 +843,7 @@ def _setting_ini(row, raw, source):
     """INI text that sets the key of ``row`` to ``raw`` in a run with data
     source ``source`` and the first algorithm that reads the key."""
     section, key = row
-    readers = cli._KEYS[row][3]
+    readers = KEYS[row].readers
     algorithm = readers[0] if section.startswith("algorithm.") else "domkl"
     task, data = _SOURCE_CONTEXT[source]
     sections = {
@@ -809,32 +857,32 @@ def _setting_ini(row, raw, source):
         for name, keys in sections.items())
 
 
-@pytest.mark.parametrize("row", sorted(cli._KEYS),
-                         ids=["%s.%s" % row for row in sorted(cli._KEYS)])
+@pytest.mark.parametrize("row", sorted(KEYS),
+                         ids=["%s.%s" % row for row in sorted(KEYS)])
 def test_key_sets_its_field(tmp_path, row):
     # The files named here do not exist: load_config opens none of them.
     section, key = row
-    parse, config, field, readers = cli._KEYS[row]
+    entry = KEYS[row]
     raw = _SAMPLE_VALUES.get("%s.%s" % row, _SAMPLE_VALUES.get(key))
     if section == "data":
-        sources = readers
+        sources = entry.readers
     else:
         sources = ("regression" if key == "task" else "synthetic",)
     for source in sources:
         cfg = load_config(_write_ini(tmp_path, _setting_ini(row, raw, source)))
-        if config == "experiment":
+        if entry.holders == ("ExperimentConfig",):
             target = cfg
-        elif config == "admm":
+        elif entry.holders == ("AdmmConfig",):
             target = cfg.admm
         else:
             target = getattr(cfg, SOURCES[source][0])
         default = {f.name: f.default for f in dataclasses.fields(target)}
-        assert getattr(target, field) == parse(raw)
-        assert getattr(target, field) != default[field]
+        assert getattr(target, entry.field) == cli._PARSERS[entry.kind](raw)
+        assert getattr(target, entry.field) != default[entry.field]
 
 
-_FLOAT_ROWS = sorted(row for row, (parse, *_) in cli._KEYS.items()
-                     if parse in (float, cli._parse_floats))
+_FLOAT_ROWS = sorted(row for row, entry in KEYS.items()
+                     if entry.kind in (float, (float,)))
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -844,11 +892,11 @@ def test_non_finite_value_fails_alike_in_python_and_ini(tmp_path, row, raw):
     """The config class that holds a float field refuses a non-finite
     value with the same error whether it is built directly or from INI."""
     section, key = row
-    parse, config, field, readers = cli._KEYS[row]
-    (cls,) = _config_classes(config, readers)
+    entry = KEYS[row]
+    (holder,) = entry.holders
     with pytest.raises(ConfigError) as built:
-        cls(**{field: parse(raw)})
-    source = readers[0] if section == "data" else "synthetic"
+        _CLASSES[holder](**{entry.field: cli._PARSERS[entry.kind](raw)})
+    source = entry.readers[0] if section == "data" else "synthetic"
     with pytest.raises(ConfigError) as loaded:
         load_config(_write_ini(tmp_path, _setting_ini(row, raw, source)))
     assert str(loaded.value) == str(built.value)
@@ -891,9 +939,9 @@ def _trial_outputs(tmp_path, sections):
 ], ids="{0[0]}.{0[1]}".format)
 def test_algorithm_key_changes_exactly_its_readers(tmp_path, row):
     """Changing a key that only some algorithms read changes the outputs
-    of exactly the readers that ``cli._KEYS`` lists for it."""
+    of exactly the readers that ``simulator.KEYS`` lists for it."""
     section, key = row
-    readers = cli._KEYS[row][3]
+    readers = KEYS[row].readers
     before = _trial_outputs(tmp_path, _READERS_INI)
     changed = {name: dict(keys) for name, keys in _READERS_INI.items()}
     changed.setdefault(section, {})[key] = _SAMPLE_VALUES.get(

@@ -3,11 +3,11 @@ import copy
 import numpy as np
 import pytest
 
-from domkl.admm import AdmmConfig
 from domkl.features import build_feature_map, build_maps, map_stack
 from domkl.graph import Graph
 from domkl.hedge import combine_weights, mp_update_messages
 from domkl.learners import NetworkState, _combined_prediction, step
+from domkl.simulator import AdmmConfig
 
 
 def _maps(num_kernels=3, input_dim=2, num_features=5, shared_seed=9):

@@ -7,8 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from domkl.admm import AdmmConfig
-from domkl.features import DEFAULT_BANDWIDTHS, build_feature_map
+from domkl.features import build_feature_map
 from domkl.graph import Graph
 from domkl.learners import NetworkState, step
 from domkl.oracle import (
@@ -21,6 +20,7 @@ from domkl.oracle import (
 )
 from domkl.metrics import kernel_mse_curves, mse_curve
 from domkl.simulator import (
+    AdmmConfig,
     ExperimentConfig,
     SyntheticTaskConfig,
     run_trial,
@@ -221,7 +221,7 @@ def dokl_kernel_curves(cfg):
         mse_curve(run_trial(replace(cfg, algorithms=("dokl",), kernel_index=p,
                                     compute_accuracy_regret=False),
                             0).traces["dokl"])
-        for p in range(len(cfg.bandwidths or DEFAULT_BANDWIDTHS))
+        for p in range(len(cfg.bandwidths))
     ], axis=1)
 
 

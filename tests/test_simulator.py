@@ -128,6 +128,16 @@ def test_config_validation():
         ExperimentConfig(task="timeseries", num_learners=3)
 
 
+def test_mistyped_config_is_refused_where_it_is_built():
+    """A value of the wrong type stops a config where it is built, naming
+    its INI key; it never reaches a run, where the string "no" would turn
+    accuracy regret on."""
+    with pytest.raises(ConfigError, match="^accuracy_regret must be true or"
+                       " false, not 'no'$") as info:
+        ExperimentConfig(compute_accuracy_regret="no")
+    assert info.value.key == "accuracy_regret"
+
+
 def test_config_rejects_data_its_task_never_reads():
     """Each task reads one data config; setting another would silently
     mean nothing, so the config names it and refuses."""
@@ -159,8 +169,9 @@ def test_derive_seed_is_stable_and_label_sensitive():
 
 
 def test_trial_maps_carry_config_bandwidths_and_seeds():
+    default = _small_cfg(bandwidths=ExperimentConfig.bandwidths)
     for cfg, bandwidths in ((_small_cfg(), (0.05, 0.1, 0.5)),
-                            (_small_cfg(bandwidths=None), DEFAULT_BANDWIDTHS)):
+                            (default, DEFAULT_BANDWIDTHS)):
         maps = build_trial_context(cfg, 2).maps
         map_seed = derive_seed(cfg.master_seed, 2, _MAPS)
         assert tuple(m.bandwidth for m in maps) == bandwidths
@@ -229,8 +240,9 @@ def test_noiseless_synthetic_labels_match_generator():
     """Each learner's stream, labelled through the default dictionary's
     kernel at the default bandwidth 0.01 (slot 4), bit for bit."""
     for input_dim in (1, 2, 5):
-        cfg = _small_cfg(bandwidths=None, synthetic=SyntheticTaskConfig(
-            input_dim=input_dim, noise_std=0.0))
+        cfg = _small_cfg(bandwidths=ExperimentConfig.bandwidths,
+                         synthetic=SyntheticTaskConfig(input_dim=input_dim,
+                                                       noise_std=0.0))
         ctx = build_trial_context(cfg, 0)
         want = _noiseless_labels(ctx, cfg, ctx.maps[4])
         assert ctx.maps[4].bandwidth == 0.01
